@@ -111,13 +111,15 @@ def _cmd_build(args):
 def _cmd_check(args):
     gem = _read_gem(args.file)
     g = gem.graph
+    connected = g.is_connected()
+    contracted = g.is_contracted()
     info = {
         "vertices": g.num_vertices,
         "colors": g.n_colors,
-        "connected": g.is_connected(),
+        "connected": connected,
         "bipartite": g.is_bipartite(),
-        "contracted": g.is_contracted(),
-        "crystallization": g.is_crystallization(),
+        "contracted": contracted,
+        "crystallization": connected and contracted,
         "chi": g.euler_characteristic(),
     }
     if args.json:

@@ -24,32 +24,6 @@ from .errors import (
 )
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 @dataclass(frozen=True)
 class Components:
     """Connected components with deterministic ids.
@@ -142,21 +116,25 @@ class ColoredGraph:
             colors = sorted(set(colors))
             for c in colors:
                 self._check_color(c)
-        uf = UnionFind(self.num_vertices)
-        for c in colors:
-            col = self.involutions[c]
-            for v in range(self.num_vertices):
-                w = col[v]
-                if v < w:
-                    uf.union(v, w)
-        ids: dict[int, int] = {}
-        labels = []
-        for v in range(self.num_vertices):
-            root = uf.find(v)
-            if root not in ids:
-                ids[root] = len(ids)
-            labels.append(ids[root])
-        return Components(tuple(labels), len(ids))
+        invs = [self.involutions[c] for c in colors]
+        labels = [-1] * self.num_vertices
+        count = 0
+        for start in range(self.num_vertices):
+            if labels[start] >= 0:
+                continue
+            # starts are taken in vertex order, so ids follow each
+            # component's smallest vertex
+            labels[start] = count
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for col in invs:
+                    w = col[v]
+                    if labels[w] < 0:
+                        labels[w] = count
+                        stack.append(w)
+            count += 1
+        return Components(tuple(labels), count)
 
     def residue_count(self, colors) -> int:
         """Number of components after keeping only the given edge colors."""

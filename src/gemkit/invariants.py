@@ -10,13 +10,17 @@ and the regular genus of the graph is 1 - chi_eps/2 minimized over all
 cyclic orders.  chi_eps is kept as an exact Fraction; it is only provably
 an even integer when the graph encodes a closed orientable manifold, and
 callers decide when to collapse it to an int.
+
+The bicolored cycle count of a color pair does not depend on the order it
+sits in, so the search over all orders walks each of the C(k, 2) pairs once
+and scores every order from that table of counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .core import ColoredGraph
 from .errors import ColorOutOfRange, DimensionUnsupported, PermutationColorMismatch
@@ -26,11 +30,12 @@ def cyclic_permutations(n_colors: int) -> list[tuple[int, ...]]:
     """All cyclic orders of the palette up to rotation and reflection.
 
     Canonical form: starts with color 0 and the second entry is smaller
-    than the last.  (n_colors - 1)!/2 orders in lexicographic order.
+    than the last.  (n_colors - 1)!/2 orders in lexicographic order; two
+    colors have the single order (0, 1).
     """
     out = []
     for p in permutations(range(1, n_colors)):
-        if p[0] < p[-1]:
+        if len(p) < 2 or p[0] < p[-1]:
             out.append((0,) + p)
     return out
 
@@ -64,6 +69,8 @@ def bicolored_cycles(graph: ColoredGraph, i: int, j: int) -> list[int]:
     The two matchings partition the vertices into even closed walks; a
     doubled edge shows up as a cycle of length 2.
     """
+    graph._check_color(i)
+    graph._check_color(j)
     if i == j:
         raise ColorOutOfRange(f"need two distinct colors, got {i},{j}")
     inv_i = graph.involutions[i]
@@ -84,19 +91,32 @@ def bicolored_cycles(graph: ColoredGraph, i: int, j: int) -> list[int]:
     return sorted(lengths, reverse=True)
 
 
+def _report(graph: ColoredGraph, perm, counts) -> GenusReport:
+    """The report for `perm` from its consecutive-pair cycle counts."""
+    k = graph.n_colors
+    chi = Fraction(sum(counts)) + Fraction((1 - (k - 1)) * graph.num_vertices, 2)
+    return GenusReport(perm, counts, chi, 1 - chi / 2)
+
+
 def genus_for(graph: ColoredGraph, perm) -> GenusReport:
     """Exact chi and genus of the surface carrying the cyclic order `perm`."""
     perm = check_cyclic_permutation(graph, perm)
     k = graph.n_colors
     counts = tuple(
-        graph.residue_count((perm[i], perm[(i + 1) % k]))
+        len(bicolored_cycles(graph, perm[i], perm[(i + 1) % k]))
         for i in range(k))
-    chi = Fraction(sum(counts)) + Fraction((1 - (k - 1)) * graph.num_vertices, 2)
-    return GenusReport(perm, counts, chi, 1 - chi / 2)
+    return _report(graph, perm, counts)
 
 
 def all_genus_reports(graph: ColoredGraph) -> list[GenusReport]:
-    return [genus_for(graph, p) for p in cyclic_permutations(graph.n_colors)]
+    """One report per canonical cyclic order, in cyclic_permutations order."""
+    k = graph.n_colors
+    cycles = {}
+    for i, j in combinations(range(k), 2):
+        cycles[i, j] = cycles[j, i] = len(bicolored_cycles(graph, i, j))
+    return [
+        _report(graph, p, tuple(cycles[p[i], p[(i + 1) % k]] for i in range(k)))
+        for p in cyclic_permutations(k)]
 
 
 def regular_genus(graph: ColoredGraph) -> GenusReport:

@@ -153,6 +153,14 @@ class TestMeasurement:
         with pytest.raises(SystemExit):
             run(capsys, "cycles", square_file, "--pair", "01")
 
+    def test_genus_two_colors(self, capsys, square_file):
+        code, out, _ = run(capsys, "genus", square_file)
+        assert (code, out.strip()) == (0, "perm=0,1 pairs=1,1 chi=2 rho=0")
+        code, out, _ = run(capsys, "genus", square_file, "--all")
+        assert code == 0
+        assert out.splitlines() == ["perm=0,1 pairs=1,1 chi=2 rho=0",
+                                    "min perm=0,1 pairs=1,1 chi=2 rho=0"]
+
     def test_chi_and_bound(self, capsys, square_file):
         code, out, _ = run(capsys, "chi", square_file)
         assert (code, out.strip()) == (0, "0")
@@ -281,6 +289,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 2
         assert err.startswith("parse error:")
+
+    def test_color_out_of_range_is_one(self, capsys, square_file):
+        for pair in ("0,7", "0,-1"):
+            code, out, err = run(capsys, "cycles", square_file, "--pair", pair)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.gem"))

@@ -1,5 +1,7 @@
 """Graph container: construction, validation, residues, basic predicates."""
 
+from collections import deque
+
 import pytest
 
 from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
@@ -95,31 +97,36 @@ class TestComponents:
         rng = make_rng(20260825)
         for _ in range(25):
             v = rng.choice((4, 6, 8, 10, 12))
-            k = rng.choice((2, 3, 4, 5))
+            k = rng.choice((2, 3, 4, 5, 6))
             g = random_colored_graph(rng, v, k)
             wanted = rng.sample(range(k), rng.randint(1, k))
-            assert (g.residue_count(wanted)
-                    == flood_fill_component_count(g, wanted))
+            labels = flood_fill_labels(g, wanted)
+            comp = g.components(wanted)
+            assert comp.labels == labels
+            assert comp.count == g.residue_count(wanted) == max(labels) + 1
 
 
-def flood_fill_component_count(graph, colors):
-    """Independent oracle: breadth-first flood fill over the chosen colors."""
-    seen = [False] * graph.num_vertices
+def flood_fill_labels(graph, colors):
+    """Independent oracle: breadth-first flood fill over the chosen colors.
+
+    Component ids are numbered in order of each component's smallest vertex.
+    """
+    label = [None] * graph.num_vertices
     count = 0
     for start in range(graph.num_vertices):
-        if seen[start]:
+        if label[start] is not None:
             continue
-        count += 1
-        queue = [start]
-        seen[start] = True
+        queue = deque([start])
+        label[start] = count
         while queue:
-            v = queue.pop()
+            v = queue.popleft()
             for c in colors:
                 w = graph.partner(v, c)
-                if not seen[w]:
-                    seen[w] = True
+                if label[w] is None:
+                    label[w] = count
                     queue.append(w)
-    return count
+        count += 1
+    return tuple(label)
 
 
 class TestPredicates:

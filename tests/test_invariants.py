@@ -1,15 +1,18 @@
 """Genus machinery: cyclic orders, cycle censuses, chi and genus reports."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from gemkit import (ColorOutOfRange, DimensionUnsupported,
+from gemkit import (ColorOutOfRange, DimensionUnsupported, GenusReport,
                     PermutationColorMismatch, all_genus_reports,
                     bicolored_cycles, check_cyclic_permutation,
                     cyclic_permutations, genus_for, genus_lower_bound,
                     is_weak_semi_simple, new_graph, order_two_gem,
-                    regular_genus, weak_semi_simple_triples)
+                    reduced_cover, regular_genus, weak_semi_simple_triples)
+
+from conftest import make_rng, random_colored_graph, shuffled_copy
 
 
 class TestCyclicPermutations:
@@ -18,6 +21,9 @@ class TestCyclicPermutations:
         assert len(cyclic_permutations(4)) == 3
         assert len(cyclic_permutations(5)) == 12
         assert len(cyclic_permutations(6)) == 60
+
+    def test_two_colors_have_one_order(self):
+        assert cyclic_permutations(2) == [(0, 1)]
 
     def test_canonical_form(self):
         perms = cyclic_permutations(5)
@@ -72,6 +78,12 @@ class TestBicoloredCycles:
         with pytest.raises(ColorOutOfRange):
             bicolored_cycles(t3.graph, 2, 2)
 
+    def test_color_out_of_range_rejected(self, s2xs1):
+        # a negative color must not index the involutions from the end
+        for pair in ((0, 4), (0, 7), (7, 0), (0, -1), (-1, 3)):
+            with pytest.raises(ColorOutOfRange):
+                bicolored_cycles(s2xs1.graph, *pair)
+
     def test_torus3_census(self, t3):
         g = t3.graph
         for pair in ((2, 3), (1, 2), (0, 1), (0, 3)):
@@ -116,6 +128,15 @@ class TestGenus:
         best = regular_genus(t3.graph)
         assert best.genus == min(r.genus for r in reports)
 
+    def test_two_colors_square_genus_zero(self):
+        # colors 0 and 1 form one 4-cycle: a circle, embedded in the sphere
+        g = new_graph(2, [[(0, 1), (2, 3)], [(1, 2), (3, 0)]])
+        rep = regular_genus(g)
+        assert rep.permutation == (0, 1)
+        assert rep.pair_counts == (1, 1)
+        assert rep.genus == 0
+        assert all_genus_reports(g) == [rep]
+
     def test_genus_int_rejects_halves(self):
         rep = genus_for(order_two_gem(4).graph, (0, 1, 2, 3))
         assert rep.genus_int() == 0
@@ -125,6 +146,53 @@ class TestGenus:
         assert halfrep.genus == Fraction(1, 2)
         with pytest.raises(ValueError):
             halfrep.genus_int()
+
+
+def canonical_orders(n_colors):
+    """Every cyclic order normalized to start at 0 with ring[1] < ring[-1]."""
+    out = set()
+    for p in permutations(range(n_colors)):
+        ring = p[p.index(0):] + p[:p.index(0)]
+        if ring[1] > ring[-1]:
+            ring = (ring[0],) + tuple(reversed(ring[1:]))
+        out.add(ring)
+    return sorted(out)
+
+
+def per_order_reports(graph):
+    """Oracle: each order scored from residue counts of its consecutive pairs."""
+    k = graph.n_colors
+    out = []
+    for perm in canonical_orders(k):
+        counts = tuple(graph.residue_count((perm[i], perm[(i + 1) % k]))
+                       for i in range(k))
+        chi = Fraction(sum(counts)) + Fraction((2 - k) * graph.num_vertices, 2)
+        out.append(GenusReport(perm, counts, chi, 1 - chi / 2))
+    return out
+
+
+def assert_search_matches_oracle(graph):
+    wanted = per_order_reports(graph)
+    assert all_genus_reports(graph) == wanted
+    assert regular_genus(graph) == min(
+        wanted, key=lambda r: (r.genus, r.permutation))
+
+
+class TestGenusSearchAgainstOracle:
+    def test_random_graphs(self):
+        rng = make_rng(20261018)
+        for _ in range(30):
+            k = rng.randint(2, 6)
+            g = random_colored_graph(rng, rng.choice((2, 4, 8, 12, 16)), k)
+            assert_search_matches_oracle(g)
+            assert_search_matches_oracle(shuffled_copy(rng, g)[0])
+
+    def test_catalogue(self, t3, torus4, g1p, g2p):
+        rng = make_rng(7)
+        gems = [t3, torus4, g1p, g2p] + [reduced_cover(i).gem for i in range(1, 8)]
+        for gem in gems:
+            assert_search_matches_oracle(gem.graph)
+            assert_search_matches_oracle(shuffled_copy(rng, gem.graph)[0])
 
 
 class TestLowerBound:

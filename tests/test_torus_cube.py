@@ -2,6 +2,7 @@
 geometric oracle: the affine reflection tiling of the sum-zero hyperplane,
 with simplices taken modulo the integer translation lattice."""
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -188,6 +189,16 @@ class TestGenusValues:
         assert gem.graph.num_vertices == 5040
         assert genus_for(gem.graph, stated_permutation(6)).genus \
             == expected_genus(6)
+
+    def test_dimension_six_regular_genus(self):
+        # the minimum over all 360 cyclic orders, within a wall-clock budget
+        g = torus_gem(6).graph
+        t0 = time.perf_counter()
+        rep = regular_genus(g)
+        dt = time.perf_counter() - t0
+        assert rep.genus == expected_genus(6)
+        assert rep.permutation == (0, 2, 4, 1, 6, 3, 5)
+        assert dt < 3.0, f"took {dt:.2f}s, budget 3s"
 
     def test_dimension_seven(self):
         gem = torus_gem(7)
