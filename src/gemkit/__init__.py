@@ -26,7 +26,7 @@ from .invariants import (GenusReport, all_genus_reports, bicolored_cycles,
                          check_cyclic_permutation, cyclic_permutations,
                          genus_for, genus_lower_bound, is_weak_semi_simple,
                          regular_genus, weak_semi_simple_triples)
-from .iso import brute_force_isomorphic, canonical_signature, isomorphic
+from .iso import canonical_signature, isomorphic
 from .moves import (CombinedSpec, DipoleSpec, GlueSpec, MoveResult,
                     ScriptResult, ScriptStep, add_dipole, cancel_dipole,
                     check_dipole, combined_move, combined_move_factored,

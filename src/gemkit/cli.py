@@ -112,7 +112,10 @@ def _cmd_check(args):
     gem = _read_gem(args.file)
     g = gem.graph
     connected = g.is_connected()
-    contracted = g.is_contracted()
+    faces = g.face_counts()
+    # N_0 sums the k residues of k-1 colors, each at least 1, so it equals
+    # k exactly when each of them is connected
+    contracted = faces[0] == g.n_colors
     info = {
         "vertices": g.num_vertices,
         "colors": g.n_colors,
@@ -120,7 +123,7 @@ def _cmd_check(args):
         "bipartite": g.is_bipartite(),
         "contracted": contracted,
         "crystallization": connected and contracted,
-        "chi": g.euler_characteristic(),
+        "chi": sum((-1) ** k * nk for k, nk in enumerate(faces)),
     }
     if args.json:
         _emit_json(info)

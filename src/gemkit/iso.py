@@ -1,14 +1,28 @@
 """Colored-graph isomorphism and canonical signatures.
 
-The workhorse is the traversal code: starting from a root, walk the graph
-breadth-first, always trying colors in a fixed order, numbering vertices in
-discovery order.  Because every vertex has exactly one partner per color,
-the walk is fully determined by the root (and a color relabeling), so two
-codes are equal exactly when a color-preserving isomorphism maps one root
-to the other; the isomorphism is the pairing of discovery orders.  The
-canonical signature minimizes the code over all roots, and over all color
-bijections when allow_color_perm is set.  No hashing, no refinement, and a
-witness falls out of the search for free.
+The workhorse is the traversal code (Lins, *Gems, Computers and Attractors
+for 3-Manifolds*, 1995): starting from a root, walk the graph breadth-first,
+always trying colors in a fixed order, numbering vertices in discovery
+order.  Because every vertex has exactly one partner per color, the walk is
+fully determined by the root (and a color relabeling), so two codes are
+equal exactly when a color-preserving isomorphism maps one root to the
+other; the isomorphism is the pairing of discovery orders.
+
+The canonical signature minimizes the code over the roots of each
+component, and over all color bijections when allow_color_perm is set.  A
+root whose code ties the best so far gives a color-preserving automorphism;
+its orbits are merged into a partition of the vertices, and a root whose
+orbit already holds a tried root is skipped, since its code would repeat
+that root's (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+Such automorphisms do not depend on the color order of the walk, so one
+partition serves every color bijection.
+
+isomorphic first compares the pair-cycle fingerprints under each candidate
+color map.  It then anchors one root per component of g1, its smallest
+vertex, and scans the roots of each same-size component of g2 until a code
+equals the anchor's, abandoning every walk at its first difference.  The
+pairing of discovery orders is the witness, replayed edge by edge before it
+is returned.
 """
 
 from __future__ import annotations
@@ -19,19 +33,14 @@ from .core import ColoredGraph
 from .errors import ColorCountMismatch
 from .invariants import bicolored_cycles
 
-_IDENTITY_CACHE: dict = {}
 
+def _code_from(graph: ColoredGraph, root: int, color_order, best=None,
+               exact: bool = False):
+    """Traversal code of root's component, abandoned early against best.
 
-def _component_vertex_lists(graph: ColoredGraph) -> list[list[int]]:
-    comps = graph.components()
-    return comps.members()
-
-
-def _code_from(graph: ColoredGraph, root: int, color_order, best=None):
-    """Traversal code of root's component, abandoned early if it exceeds best.
-
-    Returns (code, discovery_order) or (None, None) once code > best is
-    certain.  color_order[r] is the actual color explored in slot r.
+    Returns (code, discovery_order), or (None, None) once code > best is
+    certain (with exact, once code != best is).  color_order[r] is the
+    actual color explored in slot r.
     """
     invs = graph.involutions
     new_id = {root: 0}
@@ -52,9 +61,9 @@ def _code_from(graph: ColoredGraph, root: int, color_order, best=None):
                 order.append(w)
             if checking:
                 ref = best[pos]
-                if wid > ref:
-                    return None, None
-                if wid < ref:
+                if wid != ref:
+                    if exact or wid > ref:
+                        return None, None
                     checking = False
             code.append(wid)
             pos += 1
@@ -64,25 +73,50 @@ def _code_from(graph: ColoredGraph, root: int, color_order, best=None):
     return code, order
 
 
-def _min_component_code(graph: ColoredGraph, vertices, color_order):
-    """Lexicographically least traversal code over roots in one component."""
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _min_component_code(graph: ColoredGraph, vertices, color_order, parent):
+    """Lexicographically least traversal code over roots in one component.
+
+    parent is a union-find forest over all vertices whose classes are
+    automorphism orbits; every tie with the best code merges the orbits of
+    the automorphism it gives.
+    """
     best = None
     best_order = None
+    tried = set()  # orbit representatives holding a root tried here
     for root in vertices:
+        rep = _find(parent, root)
+        if rep in tried:
+            continue
+        tried.add(rep)
         code, order = _code_from(graph, root, color_order, best)
-        if code is not None:
+        if code is None:
+            continue
+        if code != best:
             best, best_order = code, order
-    return best, best_order
+            continue
+        # equal codes: best_order[i] -> order[i] is an automorphism
+        for a, b in zip(best_order, order):
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[rb] = ra
+                if rb in tried:
+                    tried.add(ra)
+    return tuple(best)
 
 
-def _graph_code(graph: ColoredGraph, color_order):
-    """Sorted component codes plus their witness orders."""
-    pieces = []
-    for comp in _component_vertex_lists(graph):
-        code, order = _min_component_code(graph, comp, color_order)
-        pieces.append((tuple(code), order))
-    pieces.sort(key=lambda p: (len(p[0]), p[0]))
-    return pieces
+def _graph_code(graph: ColoredGraph, comps, color_order, parent):
+    """Component codes sorted by (length, code)."""
+    codes = [_min_component_code(graph, comp, color_order, parent)
+             for comp in comps]
+    codes.sort(key=lambda code: (len(code), code))
+    return codes
 
 
 def _pair_fingerprint(graph: ColoredGraph):
@@ -104,120 +138,89 @@ def _fingerprints_match(fp1, fp2, cmap) -> bool:
     return True
 
 
-def _identity_code(graph: ColoredGraph):
-    cached = _IDENTITY_CACHE.get(graph)
-    if cached is None:
-        cached = _graph_code(graph, tuple(range(graph.n_colors)))
-        _IDENTITY_CACHE[graph] = cached
-    return cached
-
-
 def canonical_signature(graph: ColoredGraph, allow_color_perm: bool = False) -> str:
     """Hashable string equal for two graphs iff they are isomorphic
     (optionally up to a bijection of the palette)."""
+    comps = graph.components().members()
+    parent = list(range(graph.num_vertices))
     if allow_color_perm:
-        best = None
-        for cmap in permutations(range(graph.n_colors)):
-            pieces = _graph_code(graph, cmap)
-            key = [p[0] for p in pieces]
-            if best is None or key < best:
-                best = key
-        codes = best
+        codes = min(_graph_code(graph, comps, cmap, parent)
+                    for cmap in permutations(range(graph.n_colors)))
     else:
-        codes = [p[0] for p in _identity_code(graph)]
+        codes = _graph_code(graph, comps, tuple(range(graph.n_colors)), parent)
     body = "|".join(",".join(map(str, code)) for code in codes)
     return f"{graph.n_colors};{graph.num_vertices};{body}"
 
 
-def _witness_from_pieces(g1, g2, pieces1, pieces2, cmap):
-    """Align equal-coded components and replay-check the resulting map."""
-    if [p[0] for p in pieces1] != [p[0] for p in pieces2]:
-        return None
-    vmap = [-1] * g1.num_vertices
-    for (_, order1), (_, order2) in zip(pieces1, pieces2):
+def _matching_order(graph: ColoredGraph, comp, color_order, code):
+    """Discovery order of the first root in comp whose code equals code."""
+    for root in comp:
+        found, order = _code_from(graph, root, color_order, code, exact=True)
+        if found is not None:
+            return order
+    return None
+
+
+def _anchored_map(g2: ColoredGraph, anchors, comps2, cmap):
+    """Vertex map taking each anchored g1 component onto a distinct g2
+    component whose code under cmap equals the anchor's, or None."""
+    vmap = [-1] * g2.num_vertices
+    free = list(comps2)
+    for code1, order1 in anchors:
+        for i, comp in enumerate(free):
+            if len(comp) != len(order1):
+                continue
+            order2 = _matching_order(g2, comp, cmap, code1)
+            if order2 is not None:
+                break
+        else:
+            return None
+        del free[i]
         for a, b in zip(order1, order2):
             vmap[a] = b
-    # replay every edge through the claimed maps
+    return vmap
+
+
+def _replays(g1: ColoredGraph, g2: ColoredGraph, vmap, cmap) -> bool:
+    """True when vmap is a bijection carrying every c-edge to a cmap[c]-edge."""
     if sorted(vmap) != list(range(g2.num_vertices)):
-        return None
+        return False
     for c in range(g1.n_colors):
         inv1 = g1.involutions[c]
         inv2 = g2.involutions[cmap[c]]
         for v in range(g1.num_vertices):
             if vmap[inv1[v]] != inv2[vmap[v]]:
-                return None
-    return tuple(vmap)
+                return False
+    return True
 
 
 def isomorphic(g1: ColoredGraph, g2: ColoredGraph, allow_color_perm: bool = False):
     """Search for an isomorphism.
 
     Returns (vertex_map, color_map) with vertex_map[v1] = v2 and
-    color_map[c1] = c2, or None.  The witness is verified edge-by-edge
-    before being returned.
+    color_map[c1] = c2, or None.  Color maps are tried in lexicographic
+    order, so color_map is the first one that admits an isomorphism.  The
+    witness is verified edge-by-edge before being returned.
     """
     if g1.n_colors != g2.n_colors:
         raise ColorCountMismatch(
             f"cannot compare graphs with {g1.n_colors} and {g2.n_colors} colors")
     if g1.num_vertices != g2.num_vertices:
         return None
+    identity = tuple(range(g1.n_colors))
     fp1, fp2 = _pair_fingerprint(g1), _pair_fingerprint(g2)
-    pieces1 = _identity_code(g1)
-    if allow_color_perm:
-        cmaps = permutations(range(g1.n_colors))
-    else:
-        cmaps = [tuple(range(g1.n_colors))]
+    cmaps = permutations(identity) if allow_color_perm else [identity]
+    cmaps = [cmap for cmap in cmaps if _fingerprints_match(fp1, fp2, cmap)]
+    if not cmaps:
+        return None
+    comps1 = g1.components().members()
+    comps2 = g2.components().members()
+    if sorted(map(len, comps1)) != sorted(map(len, comps2)):
+        return None
+    anchors = [_code_from(g1, comp[0], identity) for comp in comps1]
     for cmap in cmaps:
-        if not _fingerprints_match(fp1, fp2, cmap):
-            continue
-        # role order r explores color cmap[r] in g2 against color r in g1
-        pieces2 = _graph_code(g2, cmap)
-        witness = _witness_from_pieces(g1, g2, pieces1, pieces2, cmap)
-        if witness is not None:
-            return witness, tuple(cmap)
+        # slot r explores color cmap[r] in g2 against color r in g1
+        vmap = _anchored_map(g2, anchors, comps2, cmap)
+        if vmap is not None and _replays(g1, g2, vmap, cmap):
+            return tuple(vmap), tuple(cmap)
     return None
-
-
-def brute_force_isomorphic(g1: ColoredGraph, g2: ColoredGraph,
-                           allow_color_perm: bool = False) -> bool:
-    """Exhaustive backtracking over vertex bijections; test oracle for small V."""
-    if g1.n_colors != g2.n_colors:
-        raise ColorCountMismatch(
-            f"cannot compare graphs with {g1.n_colors} and {g2.n_colors} colors")
-    if g1.num_vertices != g2.num_vertices:
-        return False
-    n = g1.num_vertices
-    if allow_color_perm:
-        cmaps = list(permutations(range(g1.n_colors)))
-    else:
-        cmaps = [tuple(range(g1.n_colors))]
-
-    def extend(vmap, used, v, cmap) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w]:
-                continue
-            vmap[v] = w
-            ok = True
-            for c in range(g1.n_colors):
-                p = g1.involutions[c][v]
-                q = g2.involutions[cmap[c]][w]
-                if vmap[p] != -1 and vmap[p] != q:
-                    ok = False
-                    break
-                if vmap[p] == -1 and used[q] and q != w:
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                if extend(vmap, used, v + 1, cmap):
-                    return True
-                used[w] = False
-            vmap[v] = -1
-        return False
-
-    for cmap in cmaps:
-        if extend([-1] * n, [False] * n, 0, cmap):
-            return True
-    return False

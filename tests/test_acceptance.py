@@ -8,16 +8,16 @@ import time
 from contextlib import contextmanager
 
 from gemkit import (add_dipole, all_genus_reports, bicolored_cycles,
-                    brute_force_isomorphic, cancel_dipole,
-                    canonical_signature, classify_covers, dj_equivalent,
-                    enumerate_characteristic_functions, genus_for,
-                    genus_lower_bound, isomorphic, is_weak_semi_simple,
+                    cancel_dipole, canonical_signature, classify_covers,
+                    dj_equivalent, enumerate_characteristic_functions,
+                    genus_for, genus_lower_bound, isomorphic, is_weak_semi_simple,
                     order_two_gem, parse_gem, product_gem, reduced_cover,
                     regular_genus, small_cover_gem, stated_permutation,
                     torus_gem, DipoleSpec)
 from gemkit.cli import main
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
+from oracles import brute_force_isomorphic
 
 
 @contextmanager
@@ -265,3 +265,32 @@ def test_criterion_9_lower_bound_is_attained(g1p, g2p, reduced1):
         assert genus_lower_bound(0, 4) == 16 == regular_genus(g2p.graph).genus
         assert genus_lower_bound(1, 2) == 8 \
             == regular_genus(reduced1.graph).genus
+
+
+def test_criterion_10_six_torus_isomorphism():
+    g = torus_gem(6).graph
+    h, _ = shuffled_copy(make_rng(10), g)
+    with report(10, "iso of the 6-torus gem and a shuffled copy",
+                budget=5.0):
+        vmap, cmap = isomorphic(g, h)
+        assert cmap == tuple(range(7))
+        for c in range(7):
+            for v in range(g.num_vertices):
+                assert vmap[g.partner(v, c)] == h.partner(vmap[v], c)
+
+
+def test_criterion_11_six_torus_canonical_form():
+    g = torus_gem(6).graph
+    h, _ = shuffled_copy(make_rng(11), g)
+    with report(11, "canon of the 6-torus gem is relabelling-invariant",
+                budget=5.0):
+        assert canonical_signature(g) == canonical_signature(h)
+
+
+def test_criterion_12_five_torus_color_permuted_canonical_form():
+    g = torus_gem(5).graph
+    h, _ = shuffled_copy(make_rng(12), g)
+    h = h.permute_colors((5, 3, 1, 0, 2, 4))
+    with report(12, "canon --color-perm of the 5-torus gem", budget=10.0):
+        assert canonical_signature(g, allow_color_perm=True) \
+            == canonical_signature(h, allow_color_perm=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gemkit
-from gemkit import parse_gem, render_gem, t3_standard
+from gemkit import add_dipole, parse_gem, render_gem, t3_standard
 from gemkit.cli import main
 
 SQUARE = "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n"
@@ -116,6 +116,24 @@ class TestMeasurement:
         assert obj == {"vertices": 4, "colors": 2, "connected": True,
                        "bipartite": True, "contracted": False,
                        "crystallization": False, "chi": 0}
+
+    def test_check_contracted_matches_graph(self, capsys, tmp_path, s2xs1,
+                                            t3, g1p, g2p, reduced1, torus4):
+        # `check` reads contracted off N_0; it must agree with is_contracted
+        graphs = {name: gem.graph for name, gem in (
+            ("s2xs1", s2xs1), ("t3", t3), ("g1prime", g1p),
+            ("g2prime", g2p), ("reduced1", reduced1), ("torus4", torus4))}
+        graphs["t3+dipole"] = add_dipole(t3.graph, 0, (1,)).graph
+        assert not graphs["t3+dipole"].is_contracted()
+        for name, g in graphs.items():
+            path = tmp_path / f"{name}.gem"
+            path.write_text(render_gem(g))
+            code, out, _ = run(capsys, "check", str(path), "--json")
+            assert code == 0
+            obj = json.loads(out)
+            assert obj["contracted"] == g.is_contracted(), name
+            assert obj["crystallization"] == g.is_crystallization(), name
+            assert obj["chi"] == g.euler_characteristic(), name
 
     def test_genus_at_perm(self, capsys, tmp_path):
         path = tmp_path / "g1.gem"

@@ -2,10 +2,12 @@
 
 import pytest
 
-from gemkit import (ColorCountMismatch, brute_force_isomorphic,
-                    canonical_signature, isomorphic, new_graph, order_two_gem)
+from gemkit import (ColorCountMismatch, canonical_signature, isomorphic,
+                    new_graph, order_two_gem)
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
+from oracles import (brute_force_color_map, brute_force_isomorphic,
+                     unpruned_signature)
 
 
 def assert_valid_witness(g1, g2, witness):
@@ -152,3 +154,126 @@ class TestSignatureLaw:
             h = h.permute_colors(rng.sample(range(4), 4))
             assert canonical_signature(h, allow_color_perm=True) \
                 == canonical_signature(g, allow_color_perm=True)
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, vertex ids shifted in the order given."""
+    pairs_per_color = [[] for _ in range(graphs[0].n_colors)]
+    shift = 0
+    for g in graphs:
+        for c, col in enumerate(g.involutions):
+            pairs_per_color[c] += [(v + shift, w + shift)
+                                   for v, w in enumerate(col) if v < w]
+        shift += g.num_vertices
+    return new_graph(graphs[0].n_colors, pairs_per_color)
+
+
+# two 3-colored 4-vertex components, not isomorphic even up to colors:
+# K4 with a perfect matching per color, and a square with color 2 doubling 0
+K4 = new_graph(3, [[(0, 1), (2, 3)], [(1, 2), (3, 0)], [(0, 2), (1, 3)]])
+DOUBLED_SQUARE = new_graph(3, [[(0, 1), (2, 3)], [(1, 2), (3, 0)],
+                               [(0, 1), (2, 3)]])
+
+
+class TestFastPathAgainstOracle:
+    """Pruned canonical_signature and anchored isomorphic vs the oracles."""
+
+    def variants(self, rng, g):
+        """g, a shuffled copy, and a shuffled and color-permuted copy."""
+        shuffled, _ = shuffled_copy(rng, g)
+        recolored, _ = shuffled_copy(rng, g)
+        recolored = recolored.permute_colors(rng.sample(range(g.n_colors),
+                                                        g.n_colors))
+        return [g, shuffled, recolored]
+
+    def random_graphs(self, rng):
+        """Random graphs for k = 2..6, some of them disconnected."""
+        out = []
+        for k in range(2, 7):
+            sizes = (4, 6, 8) if k == 6 else (4, 6, 8, 10, 12)
+            for _ in range(8):
+                out.append(random_colored_graph(rng, rng.choice(sizes), k))
+            parts = [random_colored_graph(rng, rng.choice((2, 4, 6)), k)
+                     for _ in range(rng.choice((2, 3)))]
+            parts.append(parts[0])  # a repeated component
+            out.append(disjoint_union(*parts))
+        return out
+
+    def test_random_signatures(self):
+        rng = make_rng(106)
+        graphs = self.random_graphs(rng)
+        assert sum(g.components().count > 1 for g in graphs) >= 5
+        for g in graphs:
+            for h in self.variants(rng, g):
+                for perm in (False, True):
+                    assert canonical_signature(h, allow_color_perm=perm) \
+                        == unpruned_signature(h, allow_color_perm=perm)
+
+    def test_catalogue_signatures(self, s2xs1, t3, g1p, g2p, cover1,
+                                  reduced1, torus3, torus4):
+        rng = make_rng(107)
+        graphs = TestSignatureLaw().catalogue(s2xs1, t3, g1p, g2p, cover1,
+                                              reduced1, torus3, torus4)
+        for name, g in graphs.items():
+            variants = self.variants(rng, g)
+            for h in variants:
+                assert canonical_signature(h) == unpruned_signature(h), name
+            # the unpruned color-permuted search costs seconds at 120
+            # vertices, so it runs once, on the shuffled recolored copy
+            sig = unpruned_signature(variants[-1], allow_color_perm=True)
+            for h in variants:
+                assert canonical_signature(h, allow_color_perm=True) \
+                    == sig, name
+
+    def check_pair(self, g, h, perm):
+        found = isomorphic(g, h, allow_color_perm=perm)
+        first = brute_force_color_map(g, h, allow_color_perm=perm)
+        assert (found is None) == (first is None)
+        if found is not None:
+            assert_valid_witness(g, h, found)
+            assert found[1] == first
+
+    def test_isomorphic_random_pairs(self):
+        rng = make_rng(108)
+        for _ in range(60):
+            k = rng.choice((2, 3, 4))
+            v = rng.choice((4, 6, 8))
+            g = random_colored_graph(rng, v, k)
+            for h in self.variants(rng, g) + [random_colored_graph(rng, v, k)]:
+                for perm in (False, True):
+                    self.check_pair(g, h, perm)
+
+    def test_isomorphic_disconnected(self):
+        rng = make_rng(109)
+        for _ in range(20):
+            k = rng.choice((2, 3))
+            parts = [random_colored_graph(rng, rng.choice((2, 4)), k)
+                     for _ in range(3)]
+            g = disjoint_union(*parts)
+            others = [disjoint_union(*parts[::-1]),
+                      disjoint_union(parts[0], parts[0], parts[1])]
+            for h in self.variants(rng, g) + others:
+                for perm in (False, True):
+                    self.check_pair(g, h, perm)
+
+    def test_equal_size_components_in_swapped_order(self):
+        rng = make_rng(110)
+        assert isomorphic(K4, DOUBLED_SQUARE, allow_color_perm=True) is None
+        g = disjoint_union(K4, DOUBLED_SQUARE)
+        h = disjoint_union(DOUBLED_SQUARE, K4)
+        recolored = disjoint_union(DOUBLED_SQUARE.permute_colors((2, 0, 1)),
+                                   K4.permute_colors((2, 0, 1)))
+        for other in (h, shuffled_copy(rng, h)[0], recolored):
+            for perm in (False, True):
+                self.check_pair(g, other, perm)
+                assert canonical_signature(other, allow_color_perm=perm) \
+                    == unpruned_signature(other, allow_color_perm=perm)
+        assert isomorphic(g, h) is not None
+        assert isomorphic(g, recolored) is None
+        assert isomorphic(g, recolored, allow_color_perm=True) is not None
+        assert canonical_signature(g) == canonical_signature(h)
+        for twice in (disjoint_union(K4, K4),
+                      disjoint_union(DOUBLED_SQUARE, DOUBLED_SQUARE)):
+            for perm in (False, True):
+                self.check_pair(g, twice, perm)
+                assert isomorphic(g, twice, allow_color_perm=perm) is None
