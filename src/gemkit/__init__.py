@@ -29,10 +29,9 @@ from .invariants import (GenusReport, all_genus_reports, bicolored_cycles,
 from .iso import canonical_signature, isomorphic
 from .moves import (CombinedSpec, DipoleSpec, GlueSpec, MoveResult,
                     ScriptResult, ScriptStep, add_dipole, cancel_dipole,
-                    check_dipole, combined_move, combined_move_factored,
-                    find_dipoles, parse_move_script, polyhedral_glue,
-                    render_move_script, run_script, run_script_text,
-                    simple_glue)
+                    check_dipole, combined_move, find_dipoles,
+                    parse_move_script, polyhedral_glue, render_move_script,
+                    run_script, run_script_text)
 from .small_covers import (CompactForm, classify_covers, compact_form,
                            dj_equivalent, enumerate_characteristic_functions,
                            facet_vertex_labels, infer_characteristic_function,

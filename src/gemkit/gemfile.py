@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .core import ColoredGraph, LabeledGem, new_graph
-from .errors import ColorOutOfRange, ParseError
+from .errors import ColorOutOfRange, ParseError, VertexCountMismatch
 
 _TOKEN = re.compile(r"\S+")
 _PAIR = re.compile(r"^(\d+)-(\d+)$")
@@ -107,6 +107,13 @@ def parse_gem(text: str) -> LabeledGem:
         raise ParseError("missing 'colors' line", 1, 1)
     if num_vertices is None:
         raise ParseError("missing 'vertices' line", 1, 1)
+    # every color must match every vertex, so a count its pairs cannot
+    # cover is refused before new_graph allocates arrays of that size
+    for c in range(n_colors):
+        missing = num_vertices - 2 * len(pairs.get(c, ()))
+        if missing > 0:
+            raise VertexCountMismatch(
+                f"color {c}: {missing} of {num_vertices} vertices have no edge")
     graph = new_graph(
         n_colors,
         [pairs.get(c, []) for c in range(n_colors)],

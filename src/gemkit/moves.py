@@ -1,20 +1,32 @@
 """Dipole moves, polyhedral gluing, and scripted move sequences.
 
-All moves funnel through one excision routine: delete a set of vertices
-paired off by a bijection phi, and for every color that is not part of the
-move's defining colors, splice the freed edge ends together pairwise.  The
-routine checks its own consistency (interior edges must be phi-compatible,
-no survivor may keep a pointer into the removed set) and revalidates the
-result, so a move either returns a well-formed graph or raises.
+Every move runs on one mutable workspace: the involutions copied into
+lists, a byte per vertex marking it live, and a label -> id index.  A move
+checks its preconditions against the workspace, then deletes a set of
+vertices paired off by a bijection phi and, for every color that is not
+part of the move's defining colors, splices the freed edge ends together
+pairwise in place.  The splice checks its own consistency (interior edges
+must be phi-compatible, no survivor may keep a pointer into the removed
+set), so a move either leaves a well-formed graph or raises.
 
-Surviving vertices keep their relative order; results are compacted to
-dense ids and every move reports the old-to-new map (-1 for removed).
+Residue preconditions ("do these vertices share a residue?") are answered
+by two searches that grow from the two sides in turn, so they cost the
+smaller residue, not a labelling of the whole graph.
+
+Nothing is renumbered while moves run.  The workspace is compacted to
+dense ids, validated as a ColoredGraph and relabeled once: at the end of
+a script, or after the one step of a single move.  Survivors keep their
+relative order, so this equals compacting after every step, and every
+single move reports the old-to-new map (-1 for removed).  Inside a script,
+error messages name vertices by their ids in the script's input gem,
+which stay the same from step to step.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations, compress
 
 from .core import ColoredGraph, LabeledGem
 from .errors import (
@@ -80,50 +92,223 @@ class MoveResult:
     added: tuple = ()  # ids (in the new graph) of vertices the move created
 
 
-def _excise(graph: ColoredGraph, phi: dict, excluded_colors) -> MoveResult:
-    lam1 = set(phi)
-    lam2 = set(phi.values())
-    doomed = lam1 | lam2
-    invs = [list(col) for col in graph.involutions]
-    for c in range(graph.n_colors):
-        if c in excluded_colors:
-            continue
-        col = invs[c]
-        for u, w in phi.items():
-            p = col[u]
-            q = col[w]
-            if p in lam1:
-                if q != phi[p]:
+def _meet(invs, colors, side_a, side_b) -> bool:
+    """True when a vertex of side_a shares a residue with one of side_b.
+
+    Residues are the components of the `colors` edges.  One search grows
+    from each side, one vertex at a time in turn: the first vertex one of
+    them reaches that the other has seen answers True, and the first
+    search to run out of vertices has closed its residues and answers
+    False.
+    """
+    cols = [invs[c] for c in colors]
+    seen_a, seen_b = set(side_a), set(side_b)
+    if seen_a & seen_b:
+        return True
+    searches = ((list(seen_a), seen_a, seen_b), (list(seen_b), seen_b, seen_a))
+    while True:
+        for stack, seen, other in searches:
+            if not stack:
+                return False
+            v = stack.pop()
+            for col in cols:
+                w = col[v]
+                if w not in seen:
+                    if w in other:
+                        return True
+                    seen.add(w)
+                    stack.append(w)
+
+
+class _Workspace:
+    """A graph that moves edit in place, under the ids it was loaded with."""
+
+    __slots__ = ("graph", "invs", "live", "labels", "index", "size")
+
+    def __init__(self, graph: ColoredGraph, labels=None):
+        self.graph = graph
+        self.invs = [list(col) for col in graph.involutions]
+        self.live = bytearray(b"\x01") * graph.num_vertices
+        self.labels = labels
+        self.index = (None if labels is None
+                      else {name: v for v, name in enumerate(labels)})
+        self.size = graph.num_vertices
+
+    def resolve(self, label: str) -> int:
+        try:
+            return self.index[label]
+        except KeyError:
+            raise MoveError(f"unknown vertex label {label!r}") from None
+
+    def _require_live(self, vertices) -> None:
+        for v in vertices:
+            if not (0 <= v < len(self.live) and self.live[v]):
+                raise MoveError(f"vertex {v} out of range")
+
+    # -- dipoles ---------------------------------------------------------------
+
+    def check_dipole(self, spec: DipoleSpec) -> None:
+        v1, v2 = spec.v1, spec.v2
+        n_colors = self.graph.n_colors
+        if v1 == v2:
+            raise NotADipole("the two dipole vertices coincide")
+        for c in spec.colors:
+            self.graph._check_color(c)
+        if not 1 <= len(spec.colors) <= n_colors - 1:
+            raise NotADipole(
+                f"a dipole involves between 1 and {n_colors - 1} colors, "
+                f"got {len(spec.colors)}")
+        self._require_live((v1, v2))
+        joined = frozenset(c for c, col in enumerate(self.invs) if col[v1] == v2)
+        if joined != spec.colors:
+            raise NotADipole(
+                f"vertices {v1},{v2} are joined by colors {sorted(joined)}, "
+                f"not exactly {sorted(spec.colors)}")
+        rest = [c for c in range(n_colors) if c not in spec.colors]
+        if _meet(self.invs, rest, (v1,), (v2,)):
+            raise NotADipole(
+                f"vertices {v1},{v2} share a residue once colors "
+                f"{sorted(spec.colors)} are deleted")
+
+    def cancel_dipole(self, spec: DipoleSpec) -> None:
+        self.check_dipole(spec)
+        self._splice({spec.v1: spec.v2}, spec.colors)
+
+    # -- polyhedral glue ---------------------------------------------------------
+
+    def glue(self, spec: GlueSpec) -> None:
+        self.graph._check_color(spec.color)
+        lam1, lam2 = tuple(spec.lambda1), tuple(spec.lambda2)
+        if not lam1 or len(lam1) != len(lam2):
+            raise PhiNotIsomorphism(
+                f"phi must pair the two sides, got {len(lam1)} and {len(lam2)} vertices")
+        pos1 = {v: k for k, v in enumerate(lam1)}
+        pos2 = {v: k for k, v in enumerate(lam2)}
+        if len(pos1) != len(lam1) or len(pos2) != len(lam2):
+            raise PhiNotIsomorphism("repeated vertex inside a glue side")
+        if set(lam1) & set(lam2):
+            raise SameComponentInIHat("the two glue sides overlap")
+        self._require_live(lam1 + lam2)
+        i = spec.color
+        for u, w in zip(lam1, lam2):
+            if self.invs[i][u] != w:
+                raise MissingIColoredMatching(
+                    f"vertices {u},{w} lack the color-{i} edge the glue crosses")
+        for c, col in enumerate(self.invs):
+            if c == i:
+                continue
+            for k, u in enumerate(lam1):
+                w = lam2[k]
+                p = col[u]
+                q = col[w]
+                if p in pos1:
+                    if q != lam2[pos1[p]]:
+                        raise PhiNotIsomorphism(
+                            f"color {c}: edge {u}-{p} is not mirrored between "
+                            f"{w} and {lam2[pos1[p]]}")
+                elif q in pos2:
+                    raise PhiNotIsomorphism(
+                        f"color {c}: edge {w}-{q} has no preimage edge")
+        rest = [c for c in range(self.graph.n_colors) if c != i]
+        if _meet(self.invs, rest, lam1, lam2):
+            raise SameComponentInIHat(
+                f"glue sides meet the same residue of the graph without color {i}")
+        self._splice(dict(zip(lam1, lam2)), {i})
+
+    # -- combined move -----------------------------------------------------------
+
+    def combined(self, spec: CombinedSpec) -> None:
+        k, i, j = spec.k, spec.i, spec.j
+        for c in (k, i, j):
+            self.graph._check_color(c)
+        if len({k, i, j}) != 3:
+            raise PreconditionFailed(f"colors k={k}, i={i}, j={j} must be distinct")
+        v1, v2 = spec.pair
+        v1p, v2p = spec.pair_image
+        four = (v1, v2, v1p, v2p)
+        self._require_live(four)
+        invs = self.invs
+        if invs[k][v1] != v2:
+            raise PreconditionFailed(
+                f"pair clause: vertices {v1},{v2} lack a color-{k} edge")
+        if invs[k][v1p] != v2p:
+            raise PreconditionFailed(
+                f"pair-image clause: vertices {v1p},{v2p} lack a color-{k} edge")
+        for a, b in ((v1, v1p), (v2, v2p)):
+            for c in (i, j):
+                if invs[c][a] != b:
+                    raise PreconditionFailed(
+                        f"double-edge clause: vertices {a},{b} lack a color-{c} edge")
+        rest3 = [c for c in range(self.graph.n_colors) if c not in (i, j, k)]
+        if any(_meet(invs, rest3, (a,), (b,)) for a, b in combinations(four, 2)):
+            raise PreconditionFailed(
+                f"residue clause: vertices {four} must lie in four distinct "
+                f"residues of the graph without colors {sorted((i, j, k))}")
+        rest2 = [c for c in range(self.graph.n_colors) if c not in (i, j)]
+        if _meet(invs, rest2, (v1,), (v1p,)):
+            raise PreconditionFailed(
+                f"separation clause: the pairs share a residue of the graph "
+                f"without colors {sorted((i, j))}")
+        self._splice({v1: v1p, v2: v2p}, {i, j})
+
+    # -- splicing and compaction -------------------------------------------------
+
+    def _splice(self, phi: dict, excluded_colors) -> None:
+        """Remove phi's vertices, joining their freed edge ends pairwise."""
+        lam1 = set(phi)
+        lam2 = set(phi.values())
+        doomed = lam1 | lam2
+        for c, col in enumerate(self.invs):
+            if c in excluded_colors:
+                continue
+            for u, w in phi.items():
+                p = col[u]
+                q = col[w]
+                if p in lam1:
+                    if q != phi[p]:
+                        raise ResultInvalid(
+                            f"color {c}: interior edge {u}-{p} has no matching image edge")
+                    continue
+                if p in lam2 or q in doomed:
                     raise ResultInvalid(
-                        f"color {c}: interior edge {u}-{p} has no matching image edge")
-                continue
-            if p in lam2 or q in doomed:
-                raise ResultInvalid(
-                    f"color {c}: edge at vertex {u} crosses into the removed set")
-            col[p] = q
-            col[q] = p
-    vmap = [-1] * graph.num_vertices
-    fresh = 0
-    for v in range(graph.num_vertices):
-        if v not in doomed:
-            vmap[v] = fresh
-            fresh += 1
-    new_invs = []
-    for c, col in enumerate(invs):
-        new_col = [0] * fresh
-        for v, nv in enumerate(vmap):
-            if nv == -1:
-                continue
-            t = vmap[col[v]]
-            if t == -1:
-                raise ResultInvalid(
-                    f"color {c}: survivor {v} still wired into the removed set")
-            new_col[nv] = t
-        new_invs.append(new_col)
-    try:
-        out = ColoredGraph(new_invs)
-    except GraphValidationError as exc:  # pragma: no cover - defensive
-        raise ResultInvalid(str(exc)) from exc
+                        f"color {c}: edge at vertex {u} crosses into the removed set")
+                col[p] = q
+                col[q] = p
+        # Splicing rewrites survivor entries only, and only to survivors, so
+        # a survivor still wired into the removed set is a partner of a
+        # removed vertex whose own entry still points back at it.
+        for c, col in enumerate(self.invs):
+            for d in doomed:
+                s = col[d]
+                if s not in doomed and col[s] == d:
+                    raise ResultInvalid(
+                        f"color {c}: survivor {s} still wired into the removed set")
+        for d in doomed:
+            self.live[d] = 0
+            if self.index is not None:
+                del self.index[self.labels[d]]
+        self.size -= len(doomed)
+        if not self.size:
+            raise ResultInvalid("the move removes every vertex")
+
+    def compact(self):
+        """(graph on dense ids, surviving old ids in order, old -> new map)."""
+        survivors = list(compress(range(len(self.live)), self.live))
+        vmap = [-1] * len(self.live)
+        for new, old in enumerate(survivors):
+            vmap[old] = new
+        try:
+            graph = ColoredGraph(
+                [[vmap[col[v]] for v in survivors] for col in self.invs])
+        except GraphValidationError as exc:  # pragma: no cover - defensive
+            raise ResultInvalid(str(exc)) from exc
+        return graph, survivors, vmap
+
+
+def _one_move(graph: ColoredGraph, move, spec) -> MoveResult:
+    ws = _Workspace(graph)
+    move(ws, spec)
+    out, _, vmap = ws.compact()
     return MoveResult(out, tuple(vmap))
 
 
@@ -132,31 +317,12 @@ def _excise(graph: ColoredGraph, phi: dict, excluded_colors) -> MoveResult:
 
 def check_dipole(graph: ColoredGraph, spec: DipoleSpec) -> None:
     """Raise NotADipole unless spec describes a genuine h-dipole."""
-    v1, v2 = spec.v1, spec.v2
-    if v1 == v2:
-        raise NotADipole("the two dipole vertices coincide")
-    for c in spec.colors:
-        graph._check_color(c)
-    if not 1 <= len(spec.colors) <= graph.n_colors - 1:
-        raise NotADipole(
-            f"a dipole involves between 1 and {graph.n_colors - 1} colors, "
-            f"got {len(spec.colors)}")
-    joined = frozenset(
-        c for c in range(graph.n_colors) if graph.involutions[c][v1] == v2)
-    if joined != spec.colors:
-        raise NotADipole(
-            f"vertices {v1},{v2} are joined by colors {sorted(joined)}, "
-            f"not exactly {sorted(spec.colors)}")
-    rest = [c for c in range(graph.n_colors) if c not in spec.colors]
-    comps = graph.components(rest)
-    if comps.labels[v1] == comps.labels[v2]:
-        raise NotADipole(
-            f"vertices {v1},{v2} share a residue once colors "
-            f"{sorted(spec.colors)} are deleted")
+    _Workspace(graph).check_dipole(spec)
 
 
 def find_dipoles(graph: ColoredGraph, order: int | None = None) -> list:
     """All dipoles, or all dipoles of the given order, sorted by vertex ids."""
+    ws = _Workspace(graph)
     out = []
     for v1 in range(graph.num_vertices):
         joined: dict = {}
@@ -172,7 +338,7 @@ def find_dipoles(graph: ColoredGraph, order: int | None = None) -> list:
                 continue  # a 2-vertex component, not a dipole
             spec = DipoleSpec(v1, v2, frozenset(cols))
             try:
-                check_dipole(graph, spec)
+                ws.check_dipole(spec)
             except NotADipole:
                 continue
             out.append(spec)
@@ -180,8 +346,7 @@ def find_dipoles(graph: ColoredGraph, order: int | None = None) -> list:
 
 
 def cancel_dipole(graph: ColoredGraph, spec: DipoleSpec) -> MoveResult:
-    check_dipole(graph, spec)
-    return _excise(graph, {spec.v1: spec.v2}, spec.colors)
+    return _one_move(graph, _Workspace.cancel_dipole, spec)
 
 
 def add_dipole(graph: ColoredGraph, at_vertex: int, colors) -> MoveResult:
@@ -222,117 +387,14 @@ def add_dipole(graph: ColoredGraph, at_vertex: int, colors) -> MoveResult:
 
 
 def polyhedral_glue(graph: ColoredGraph, spec: GlueSpec) -> MoveResult:
-    graph._check_color(spec.color)
-    lam1, lam2 = tuple(spec.lambda1), tuple(spec.lambda2)
-    if not lam1 or len(lam1) != len(lam2):
-        raise PhiNotIsomorphism(
-            f"phi must pair the two sides, got {len(lam1)} and {len(lam2)} vertices")
-    pos1 = {v: k for k, v in enumerate(lam1)}
-    pos2 = {v: k for k, v in enumerate(lam2)}
-    if len(pos1) != len(lam1) or len(pos2) != len(lam2):
-        raise PhiNotIsomorphism("repeated vertex inside a glue side")
-    if set(lam1) & set(lam2):
-        raise SameComponentInIHat("the two glue sides overlap")
-    i = spec.color
-    for u, w in zip(lam1, lam2):
-        if graph.involutions[i][u] != w:
-            raise MissingIColoredMatching(
-                f"vertices {u},{w} lack the color-{i} edge the glue crosses")
-    for c in range(graph.n_colors):
-        if c == i:
-            continue
-        col = graph.involutions[c]
-        for k, u in enumerate(lam1):
-            w = lam2[k]
-            p = col[u]
-            q = col[w]
-            if p in pos1:
-                if q != lam2[pos1[p]]:
-                    raise PhiNotIsomorphism(
-                        f"color {c}: edge {u}-{p} is not mirrored between "
-                        f"{w} and {lam2[pos1[p]]}")
-            elif q in pos2:
-                raise PhiNotIsomorphism(
-                    f"color {c}: edge {w}-{q} has no preimage edge")
-    rest = [c for c in range(graph.n_colors) if c != i]
-    comps = graph.components(rest)
-    side1 = {comps.labels[v] for v in lam1}
-    side2 = {comps.labels[v] for v in lam2}
-    if side1 & side2:
-        raise SameComponentInIHat(
-            f"glue sides meet the same residue of the graph without color {i}")
-    return _excise(graph, dict(zip(lam1, lam2)), {i})
-
-
-def simple_glue(graph: ColoredGraph, color: int, u: int, w: int) -> MoveResult:
-    """Single-vertex glue; identical in effect to cancelling the 1-dipole u,w."""
-    return polyhedral_glue(graph, GlueSpec(color, (u,), (w,)))
+    return _one_move(graph, _Workspace.glue, spec)
 
 
 # -- combined move --------------------------------------------------------------
 
 
 def combined_move(graph: ColoredGraph, spec: CombinedSpec) -> MoveResult:
-    k, i, j = spec.k, spec.i, spec.j
-    for c in (k, i, j):
-        graph._check_color(c)
-    if len({k, i, j}) != 3:
-        raise PreconditionFailed(f"colors k={k}, i={i}, j={j} must be distinct")
-    v1, v2 = spec.pair
-    v1p, v2p = spec.pair_image
-    if graph.involutions[k][v1] != v2:
-        raise PreconditionFailed(
-            f"pair clause: vertices {v1},{v2} lack a color-{k} edge")
-    if graph.involutions[k][v1p] != v2p:
-        raise PreconditionFailed(
-            f"pair-image clause: vertices {v1p},{v2p} lack a color-{k} edge")
-    for a, b in ((v1, v1p), (v2, v2p)):
-        for c in (i, j):
-            if graph.involutions[c][a] != b:
-                raise PreconditionFailed(
-                    f"double-edge clause: vertices {a},{b} lack a color-{c} edge")
-    four = (v1, v2, v1p, v2p)
-    rest3 = [c for c in range(graph.n_colors) if c not in (i, j, k)]
-    comps3 = graph.components(rest3)
-    if len({comps3.labels[v] for v in four}) != 4:
-        raise PreconditionFailed(
-            f"residue clause: vertices {four} must lie in four distinct "
-            f"residues of the graph without colors {sorted((i, j, k))}")
-    rest2 = [c for c in range(graph.n_colors) if c not in (i, j)]
-    comps2 = graph.components(rest2)
-    if comps2.labels[v1] == comps2.labels[v1p]:
-        raise PreconditionFailed(
-            f"separation clause: the pairs share a residue of the graph "
-            f"without colors {sorted((i, j))}")
-    return _excise(graph, {v1: v1p, v2: v2p}, {i, j})
-
-
-def combined_move_factored(graph: ColoredGraph, spec: CombinedSpec,
-                           labels=None) -> MoveResult:
-    """The same move as two dipole cancellations.
-
-    First the {i,j} 2-dipole whose pair contains the smallest vertex (by
-    label when labels are supplied, by id otherwise), then the {i,j,k}
-    3-dipole the first cancellation creates.  Exists so tests can pin the
-    one-shot rewiring against the textbook factorization.
-    """
-    k, i, j = spec.k, spec.i, spec.j
-    v1, v2 = spec.pair
-    v1p, v2p = spec.pair_image
-    key = (lambda v: labels[v]) if labels is not None else (lambda v: v)
-    first = min((v1, v2, v1p, v2p), key=key)
-    if first in (v1, v1p):
-        two, three = (v1, v1p), (v2, v2p)
-    else:
-        two, three = (v2, v2p), (v1, v1p)
-    r1 = cancel_dipole(graph, DipoleSpec(two[0], two[1], frozenset((i, j))))
-    a = r1.vertex_map[three[0]]
-    b = r1.vertex_map[three[1]]
-    r2 = cancel_dipole(r1.graph, DipoleSpec(a, b, frozenset((i, j, k))))
-    vmap = tuple(
-        -1 if r1.vertex_map[v] == -1 else r2.vertex_map[r1.vertex_map[v]]
-        for v in range(graph.num_vertices))
-    return MoveResult(r2.graph, vmap)
+    return _one_move(graph, _Workspace.combined, spec)
 
 
 # -- scripts --------------------------------------------------------------------
@@ -438,42 +500,37 @@ def render_move_script(steps) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve(gem: LabeledGem, label: str) -> int:
-    if not gem.has_label(label):
-        raise MoveError(f"unknown vertex label {label!r}")
-    return gem.vertex(label)
-
 
 def run_script(gem: LabeledGem, steps) -> ScriptResult:
-    """Apply the steps in order, relabeling survivors as ids compact."""
-    trace = [gem.graph.num_vertices]
+    """Apply the steps in order on one workspace, then compact once.
+
+    Survivors keep their labels and their relative order.
+    """
+    ws = _Workspace(gem.graph, gem.labels)
+    trace = [ws.size]
     for step_no, step in enumerate(steps, start=1):
         try:
             if step.kind == "dipole":
                 (l1, l2), = step.groups
-                spec = DipoleSpec(
-                    _resolve(gem, l1), _resolve(gem, l2), frozenset(step.colors))
-                result = cancel_dipole(gem.graph, spec)
+                ws.cancel_dipole(DipoleSpec(
+                    ws.resolve(l1), ws.resolve(l2), frozenset(step.colors)))
             elif step.kind == "glue":
-                lam1 = tuple(_resolve(gem, l) for l in step.groups[0])
-                lam2 = tuple(_resolve(gem, l) for l in step.groups[1])
-                result = polyhedral_glue(gem.graph, GlueSpec(step.colors[0], lam1, lam2))
+                lam1 = tuple(map(ws.resolve, step.groups[0]))
+                lam2 = tuple(map(ws.resolve, step.groups[1]))
+                ws.glue(GlueSpec(step.colors[0], lam1, lam2))
             elif step.kind == "combined":
                 k, i, j = step.colors
-                pair = tuple(_resolve(gem, l) for l in step.groups[0])
-                image = tuple(_resolve(gem, l) for l in step.groups[1])
-                result = combined_move(gem.graph, CombinedSpec(k, i, j, pair, image))
+                pair = tuple(map(ws.resolve, step.groups[0]))
+                image = tuple(map(ws.resolve, step.groups[1]))
+                ws.combined(CombinedSpec(k, i, j, pair, image))
             else:
-                raise MoveError(f"step {step_no}: unknown step kind {step.kind!r}")
+                raise MoveError(f"unknown step kind {step.kind!r}")
         except GemError as exc:
             raise type(exc)(f"step {step_no} (line {step.line}): {exc}") from exc
-        labels = [""] * result.graph.num_vertices
-        for old, new in enumerate(result.vertex_map):
-            if new != -1:
-                labels[new] = gem.labels[old]
-        gem = LabeledGem(result.graph, labels)
-        trace.append(result.graph.num_vertices)
-    return ScriptResult(gem, tuple(trace))
+        trace.append(ws.size)
+    graph, survivors, _ = ws.compact()
+    labels = [gem.labels[v] for v in survivors]
+    return ScriptResult(LabeledGem(graph, labels), tuple(trace))
 
 
 def run_script_text(gem: LabeledGem, text: str) -> ScriptResult:

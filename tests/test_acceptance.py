@@ -12,8 +12,9 @@ from gemkit import (add_dipole, all_genus_reports, bicolored_cycles,
                     dj_equivalent, enumerate_characteristic_functions,
                     genus_for, genus_lower_bound, isomorphic, is_weak_semi_simple,
                     order_two_gem, parse_gem, product_gem, reduced_cover,
-                    regular_genus, small_cover_gem, stated_permutation,
-                    torus_gem, DipoleSpec)
+                    regular_genus, run_script, small_cover_gem,
+                    stated_permutation, torus_gem, DipoleSpec, LabeledGem,
+                    ScriptStep)
 from gemkit.cli import main
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
@@ -294,3 +295,28 @@ def test_criterion_12_five_torus_color_permuted_canonical_form():
     with report(12, "canon --color-perm of the 5-torus gem", budget=10.0):
         assert canonical_signature(g, allow_color_perm=True) \
             == canonical_signature(h, allow_color_perm=True)
+
+
+def test_criterion_13_six_torus_dipole_script():
+    base = torus_gem(6)
+    rng = make_rng(13)
+    graph = base.graph
+    steps = []
+    orders = [1 + d % 6 for d in range(150)]  # every order equally often
+    rng.shuffle(orders)
+    for d, order in enumerate(orders):
+        colors = tuple(sorted(rng.sample(range(7), order)))
+        r = add_dipole(graph, rng.randrange(graph.num_vertices), colors)
+        graph = r.graph
+        steps.append(ScriptStep("dipole", colors,
+                                ((f"d{d}a", f"d{d}b"),), 150 - d))
+    labels = list(base.labels)
+    for d in range(150):
+        labels += [f"d{d}a", f"d{d}b"]
+    grown = LabeledGem(graph, labels)
+    with report(13, "150-dipole cancel script on the 6-torus gem",
+                budget=2.0):
+        result = run_script(grown, steps[::-1])
+        assert result.trace == tuple(range(5340, 5038, -2))
+        assert result.gem.graph == base.graph
+        assert result.gem.labels == base.labels

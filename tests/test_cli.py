@@ -301,6 +301,16 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_huge_vertex_count_is_one(self, capsys, tmp_path):
+        bad = tmp_path / "huge.gem"
+        bad.write_text("gem 1\ncolors 2\nvertices 100000000000\n"
+                       "c 0: 0-1\nc 1: 0-1\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "vertices have no edge" in err
+
     def test_syntax_failure_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.gem"
         bad.write_text("gem 1\ncolors 2\nvertices 4\nc 0 0-1\n")

@@ -4,7 +4,7 @@ import pytest
 
 from gemkit import (ColorOutOfRange, DuplicateVertexInColor, ParseError,
                     VertexCountMismatch, export_dot, export_gluings,
-                    g1_prime, order_two_gem, parse_gem, render_gem,
+                    g1_prime, new_graph, order_two_gem, parse_gem, render_gem,
                     small_cover_gem, t3_standard, torus_gem)
 
 SMALL = """\
@@ -76,6 +76,28 @@ class TestParse:
                       "c 0: 0-1\nc 1: 0-2 1-3\n")
         with pytest.raises(ColorOutOfRange):
             parse_gem("gem 1\ncolors 2\nvertices 2\nc 5: 0-1\n")
+
+    def test_vertex_count_beyond_the_pairs_rejected(self):
+        # refused from the pair counts alone, before any array is allocated
+        with pytest.raises(VertexCountMismatch) as err:
+            parse_gem("gem 1\ncolors 2\nvertices 100000000000\n"
+                      "c 0: 0-1\nc 1: 0-1\n")
+        assert str(err.value) == \
+            "color 0: 99999999998 of 100000000000 vertices have no edge"
+
+    def test_vertex_count_message_matches_new_graph(self):
+        text = "gem 1\ncolors 2\nvertices 6\nc 0: 0-1 2-3 4-5\nc 1: 0-1\n"
+        with pytest.raises(VertexCountMismatch) as from_file:
+            parse_gem(text)
+        with pytest.raises(VertexCountMismatch) as from_pairs:
+            new_graph(2, [[(0, 1), (2, 3), (4, 5)], [(0, 1)]], num_vertices=6)
+        assert str(from_file.value) == str(from_pairs.value) \
+            == "color 1: 4 of 6 vertices have no edge"
+
+    def test_color_without_lines_rejected(self):
+        with pytest.raises(VertexCountMismatch) as err:
+            parse_gem("gem 1\ncolors 3\nvertices 2\nc 0: 0-1\nc 2: 0-1\n")
+        assert str(err.value) == "color 1: 2 of 2 vertices have no edge"
 
 
 class TestRender:

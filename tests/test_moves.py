@@ -2,17 +2,25 @@
 
 import pytest
 
-from gemkit import (CombinedSpec, DipoleSpec, GlueSpec, LabeledGem,
-                    MissingIColoredMatching, MoveError, NotADipole, ParseError,
-                    PhiNotIsomorphism, PreconditionFailed, SameComponentInIHat,
-                    add_dipole, cancel_dipole, check_dipole, combined_move,
-                    combined_move_factored, find_dipoles, isomorphic,
-                    new_graph, parse_move_script, polyhedral_glue,
-                    product_gem, render_move_script, run_script,
-                    run_script_text, s2xs1_standard, simple_glue)
+import gemkit.small_covers
+from gemkit import (ColoredGraph, CombinedSpec, DipoleSpec, GemError,
+                    GlueSpec, LabeledGem, MissingIColoredMatching, MoveError,
+                    NotADipole, ParseError, PhiNotIsomorphism,
+                    PreconditionFailed, ResultInvalid, SameComponentInIHat,
+                    ScriptStep, add_dipole, cancel_dipole, check_dipole,
+                    combined_move, find_dipoles, isomorphic, new_graph,
+                    parse_move_script, polyhedral_glue, product_gem,
+                    reduced_cover, render_move_script, run_script,
+                    run_script_text, s2xs1_standard, t3_standard)
 from gemkit.constructions import _data_text
+from gemkit.moves import _meet
 
-from conftest import make_rng
+from conftest import make_rng, random_colored_graph, shuffled_copy
+from oracles import (combined_clauses, combined_move_factored,
+                     glue_sides_meet, stepwise_cancel_dipole,
+                     stepwise_check_dipole, stepwise_combined_move,
+                     stepwise_find_dipoles,
+                     stepwise_polyhedral_glue, stepwise_run_script)
 
 
 def hexagon():
@@ -95,6 +103,17 @@ class TestDipoles:
             back = cancel_dipole(r.graph, DipoleSpec(*r.added, colors))
             assert isomorphic(back.graph, g) is not None
 
+    def test_vertex_out_of_range_rejected(self):
+        g = hexagon()
+        for v in (6, -1):
+            with pytest.raises(MoveError):
+                cancel_dipole(g, DipoleSpec(0, v, frozenset((0,))))
+            with pytest.raises(MoveError):
+                polyhedral_glue(g, GlueSpec(0, (0,), (v,)))
+            with pytest.raises(MoveError):
+                combined_move(projective_plane(),
+                              CombinedSpec(0, 1, 2, (0, 1), (2, v)))
+
     def test_add_dipole_errors(self, s2xs1):
         g = s2xs1.graph
         with pytest.raises(NotADipole):
@@ -106,7 +125,7 @@ class TestDipoles:
 class TestPolyhedralGlue:
     def test_single_vertex_glue_equals_dipole_cancel(self):
         g = hexagon()
-        via_glue = simple_glue(g, 0, 0, 1)
+        via_glue = polyhedral_glue(g, GlueSpec(0, (0,), (1,)))
         via_dipole = cancel_dipole(g, DipoleSpec(0, 1, frozenset((0,))))
         assert via_glue.graph == via_dipole.graph
         assert via_glue.vertex_map == via_dipole.vertex_map
@@ -268,3 +287,313 @@ glue 2 [a,b] -> [e,f]
         g = result.gem
         # c and g were joined by color 2 before, still are after
         assert g.graph.partner(g.vertex("c"), 2) == g.vertex("g")
+
+
+# -- the in-place workspace against the per-step oracle ----------------------------
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GemError as exc:
+        return exc
+
+
+def assert_same_script(gem, steps):
+    """run_script agrees with the per-step oracle; returns the oracle's outcome.
+
+    A success must give the same trace, graph and labels; a failure the
+    same error class at the same "step N (line L)".
+    """
+    fast = outcome(run_script, gem, steps)
+    slow = outcome(stepwise_run_script, gem, steps)
+    if isinstance(slow, GemError):
+        assert type(fast) is type(slow), (fast, slow)
+        assert str(slow).startswith("step ")
+        assert str(fast).split(":")[0] == str(slow).split(":")[0]
+    else:
+        assert not isinstance(fast, GemError), fast
+        assert fast.trace == slow.trace
+        assert fast.gem.graph == slow.gem.graph
+        assert fast.gem.labels == slow.gem.labels
+    return slow
+
+
+def assert_same_move(fast, slow, graph, spec):
+    """A single move agrees with the oracle: result and vertex_map, or error class."""
+    want = outcome(slow, graph, spec)
+    got = outcome(fast, graph, spec)
+    if isinstance(want, GemError):
+        assert type(got) is type(want), (got, want)
+    else:
+        assert not isinstance(got, GemError), got
+        assert got == want
+    return want
+
+
+def labeled(graph, rng):
+    names = [f"v{v}" for v in range(graph.num_vertices)]
+    rng.shuffle(names)
+    return LabeledGem(graph, names)
+
+
+def shuffled_gem(rng, gem):
+    graph, perm = shuffled_copy(rng, gem.graph)
+    labels = [None] * graph.num_vertices
+    for v, new in enumerate(perm):
+        labels[new] = gem.labels[v]
+    return LabeledGem(graph, labels)
+
+
+def grow(rng, graph, count):
+    """Insert `count` seeded dipoles; return the graph and the cancel script."""
+    inserted = []
+    for _ in range(count):
+        colors = rng.sample(range(graph.n_colors),
+                            rng.randint(1, graph.n_colors - 1))
+        r = add_dipole(graph, rng.randrange(graph.num_vertices), colors)
+        graph = r.graph
+        inserted.append((r.added, tuple(sorted(colors))))
+    return graph, inserted
+
+
+def random_step(rng, gem, line):
+    """A move on live labels that is often, but not always, legal."""
+    g = gem.graph
+    k = g.n_colors
+    v1 = rng.randrange(g.num_vertices)
+    name = gem.labels
+    roll = rng.random()
+    if roll < 0.5 or k < 3:
+        v2 = g.partner(v1, rng.randrange(k))
+        colors = {c for c in range(k) if g.partner(v1, c) == v2}
+        if rng.random() < 0.2:
+            colors ^= {rng.randrange(k)}
+        return ScriptStep("dipole", tuple(sorted(colors)) or (0,),
+                          ((name[v1], name[v2]),), line)
+    if roll < 0.8:
+        i = rng.randrange(k)
+        side = [v1]
+        if rng.random() < 0.5:
+            u = g.partner(v1, rng.choice([c for c in range(k) if c != i]))
+            if u != g.partner(v1, i):
+                side.append(u)
+        image = [g.partner(v, i) for v in side]
+        if rng.random() < 0.2:
+            image.reverse()
+        return ScriptStep("glue", (i,), (tuple(name[v] for v in side),
+                                         tuple(name[v] for v in image)), line)
+    kk, i, j = rng.sample(range(k), 3)
+    v2 = g.partner(v1, kk)
+    pair, image = (v1, v2), (g.partner(v1, i), g.partner(v2, i))
+    if rng.random() < 0.2:
+        image = image[::-1]
+    return ScriptStep("combined", (kk, i, j), (tuple(name[v] for v in pair),
+                                               tuple(name[v] for v in image)),
+                      line)
+
+
+def plant_combined(rng, graph):
+    """A graph and a CombinedSpec whose edge clauses hold by construction."""
+    k = graph.n_colors
+    kk, i, j = rng.sample(range(k), 3)
+    v1, v2, v1p, v2p = rng.sample(range(graph.num_vertices), 4)
+    invs = [list(col) for col in graph.involutions]
+
+    def join(col, a, b):
+        a2, b2 = col[a], col[b]
+        if a2 != b:
+            col[a], col[b], col[a2], col[b2] = b, a, b2, a2
+
+    for c in (i, j):
+        join(invs[c], v1, v1p)
+        join(invs[c], v2, v2p)
+    join(invs[kk], v1, v2)
+    join(invs[kk], v1p, v2p)
+    return (type(graph)(invs),
+            CombinedSpec(kk, i, j, (v1, v2), (v1p, v2p)))
+
+
+def plant_glue(rng, k):
+    """Two mirrored copies of a random graph, joined vertexwise by color i,
+    with a few edges switched across; and a mirrored glue between them."""
+    n = 2 * rng.randint(2, 6)
+    half = random_colored_graph(rng, n, k - 1).involutions
+    i = rng.randrange(k)
+    invs = [list(col) + [w + n for w in col] for col in half]
+    invs.insert(i, [v + n for v in range(n)] + list(range(n)))
+    for _ in range(rng.randint(0, 2)):
+        c = rng.choice([c for c in range(k) if c != i])
+        a1 = rng.randrange(n)
+        a2 = invs[c][a1]
+        if a2 >= n:
+            continue  # already switched
+        invs[c][a1], invs[c][a2 + n] = a2 + n, a1
+        invs[c][a1 + n], invs[c][a2] = a2, a1 + n
+    side = rng.sample(range(n), rng.randint(2, min(4, n - 1)))
+    return (ColoredGraph(invs),
+            GlueSpec(i, tuple(side), tuple(v + n for v in side)))
+
+
+class TestWorkspaceAgainstOracle:
+    def test_mirrored_glues(self):
+        rng = make_rng(66)
+        seen = set()
+        for trial in range(200):
+            graph, spec = plant_glue(rng, 3 + trial % 4)
+            want = assert_same_move(polyhedral_glue, stepwise_polyhedral_glue,
+                                    graph, spec)
+            seen.add(type(want).__name__)
+        assert {"MoveResult", "SameComponentInIHat"} <= seen
+
+    def test_grown_random_graphs_cancel_back(self):
+        rng = make_rng(60)
+        for trial in range(40):
+            k = 2 + trial % 5
+            base = random_colored_graph(rng, 2 * rng.randint(1, 6), k)
+            grown, inserted = grow(rng, base, rng.randint(1, 8))
+            gem = labeled(grown, rng)
+            steps = [ScriptStep("dipole", colors,
+                                ((gem.labels[a], gem.labels[b]),), line)
+                     for line, ((a, b), colors)
+                     in enumerate(reversed(inserted), start=1)]
+            result = assert_same_script(gem, steps)
+            assert result.gem.graph == base
+            assert result.gem.labels == gem.labels[:base.num_vertices]
+
+    def test_random_scripts_with_failures(self):
+        rng = make_rng(61)
+        failures = moved = 0
+        for trial in range(150):
+            k = 2 + trial % 5
+            graph, _ = grow(rng, random_colored_graph(rng, 2 * rng.randint(1, 5), k),
+                            rng.randint(0, 6))
+            gem = current = labeled(graph, rng)
+            steps = []
+            fail_at = rng.randint(1, 12)  # past 8: a script that succeeds
+            for line in range(1, 9):
+                for _ in range(20):
+                    # labels of the input gem may name removed vertices
+                    source = gem if line == fail_at and rng.random() < 0.3 \
+                        else current
+                    step = random_step(rng, source, line)
+                    done = outcome(stepwise_run_script, current, [step])
+                    if isinstance(done, GemError) == (line == fail_at):
+                        break
+                else:
+                    break
+                steps.append(step)
+                if isinstance(done, GemError):
+                    break
+                current = done.gem
+            result = assert_same_script(gem, steps)
+            if isinstance(result, GemError):
+                failures += 1
+            else:
+                moved += len(steps)
+        assert 25 < failures < 130
+        assert moved > 200
+
+    def test_glue_that_removes_everything(self):
+        gem = LabeledGem(bridged_squares(), "abcdefgh")
+        steps = parse_move_script("glue 2 [a,b,c,d] -> [e,f,g,h]\n")
+        assert isinstance(assert_same_script(gem, steps), ResultInvalid)
+
+    @pytest.mark.parametrize("base, script", [
+        (s2xs1_standard, "g1prime.moves"), (t3_standard, "g2prime.moves")])
+    def test_catalogue_scripts(self, base, script):
+        rng = make_rng(62)
+        gem = product_gem(base())
+        steps = parse_move_script(_data_text(script))
+        for copy in (gem, shuffled_gem(rng, gem), shuffled_gem(rng, gem)):
+            assert_same_script(copy, steps)
+        # a wrong color in one step fails there, and only there
+        for at in rng.sample(range(len(steps)), 4):
+            s = steps[at]
+            bad = ScriptStep(s.kind, ((s.colors[0] + 1) % 5,) + s.colors[1:],
+                             s.groups, s.line)
+            broken = steps[:at] + [bad] + steps[at + 1:]
+            assert isinstance(assert_same_script(gem, broken), GemError)
+
+    def test_small_cover_reductions(self, monkeypatch):
+        replays = []
+
+        def both(gem, steps):
+            steps = list(steps)
+            replays.append(assert_same_script(gem, steps))
+            return run_script(gem, steps)
+
+        monkeypatch.setattr(gemkit.small_covers, "run_script", both)
+        for index in range(1, 8):
+            assert reduced_cover(index).trace == (96, 88, 80, 64, 52)
+        assert len(replays) == 7
+
+    def test_single_moves(self):
+        rng = make_rng(63)
+        for trial in range(120):
+            k = 2 + trial % 5
+            graph, inserted = grow(
+                rng, random_colored_graph(rng, 2 * rng.randint(1, 5), k),
+                rng.randint(0, 4))
+            for (a, b), colors in inserted:
+                for spec in (DipoleSpec(a, b, frozenset(colors)),
+                             DipoleSpec(a, graph.partner(a, 0), frozenset((0,)))):
+                    assert_same_move(cancel_dipole, stepwise_cancel_dipole,
+                                     graph, spec)
+            v = rng.randrange(graph.num_vertices)
+            i = rng.randrange(k)
+            assert_same_move(polyhedral_glue, stepwise_polyhedral_glue, graph,
+                             GlueSpec(i, (v,), (graph.partner(v, i),)))
+            if k >= 3 and graph.num_vertices >= 4:
+                planted, spec = plant_combined(rng, graph)
+                assert_same_move(combined_move, stepwise_combined_move,
+                                 planted, spec)
+
+    def test_dipole_checks(self):
+        rng = make_rng(64)
+        for trial in range(80):
+            k = 2 + trial % 5
+            graph, _ = grow(rng, random_colored_graph(rng, 2 * rng.randint(1, 6), k),
+                            rng.randint(0, 3))
+            assert find_dipoles(graph) == stepwise_find_dipoles(graph)
+            for order in range(1, k):
+                assert find_dipoles(graph, order) \
+                    == stepwise_find_dipoles(graph, order)
+            for v in range(graph.num_vertices):
+                for c in range(k):
+                    w = graph.partner(v, c)
+                    joined = frozenset(
+                        d for d in range(k) if graph.partner(v, d) == w)
+                    spec = DipoleSpec(v, w, joined)
+                    want = outcome(stepwise_check_dipole, graph, spec)
+                    got = outcome(check_dipole, graph, spec)
+                    assert type(got) is type(want)
+
+    def test_residue_clauses(self):
+        rng = make_rng(65)
+        for trial in range(150):
+            k = 2 + trial % 5
+            graph = random_colored_graph(rng, 2 * rng.randint(2, 8), k)
+            n = graph.num_vertices
+            colors = [c for c in range(k) if rng.random() < 0.6]
+            side_a = rng.sample(range(n), rng.randint(1, 3))
+            side_b = rng.sample(range(n), rng.randint(1, 3))
+            comps = graph.components(colors)
+            expected = bool({comps.labels[v] for v in side_a}
+                            & {comps.labels[v] for v in side_b})
+            assert _meet(graph.involutions, colors, side_a, side_b) == expected
+            # the glue clause
+            i = rng.randrange(k)
+            lam1 = [v for v in side_a if v not in side_b]
+            if lam1:
+                rest = [c for c in range(k) if c != i]
+                assert _meet(graph.involutions, rest, lam1, side_b) \
+                    == glue_sides_meet(graph, i, lam1, side_b)
+            # the combined move's residue and separation clauses
+            if k >= 3:
+                planted, spec = plant_combined(rng, graph)
+                residue, separation = combined_clauses(planted, spec)
+                got = str(outcome(combined_move, planted, spec))
+                assert got.startswith("residue clause") == (not residue)
+                assert got.startswith("separation clause") \
+                    == (residue and not separation)
