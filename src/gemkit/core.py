@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NoReturn
 
 from .errors import (
     ColorOutOfRange,
@@ -228,33 +229,54 @@ def new_graph(n_colors: int, pairs_per_color, num_vertices: int | None = None) -
     if len(pairs_per_color) != n_colors:
         raise ColorOutOfRange(
             f"got edge lists for {len(pairs_per_color)} colors, expected {n_colors}")
+    endpoints = [[x for a, b in pairs for x in (a, b)] for pairs in pairs_per_color]
     if num_vertices is None:
-        num_vertices = 0
-        for pairs in pairs_per_color:
-            for a, b in pairs:
-                num_vertices = max(num_vertices, a + 1, b + 1)
+        num_vertices = max([0] + [max(flat) + 1 for flat in endpoints if flat])
+    return graph_from_endpoints(endpoints, num_vertices)
+
+
+def graph_from_endpoints(endpoints_per_color, num_vertices: int) -> ColoredGraph:
+    """Build a graph from one flat endpoint list a0, b0, a1, b1, ... per color.
+
+    A color whose endpoints are num_vertices distinct ids in range is a
+    perfect matching and fills its involution directly.  Only a color that
+    fails that verdict is walked pair by pair, in color order, to raise the
+    error of its first bad pair.
+    """
     if num_vertices <= 0 or num_vertices % 2:
         raise OddVertexCount(f"number of vertices must be even and positive, got {num_vertices}")
     invs = []
-    for c, pairs in enumerate(pairs_per_color):
-        col = [-1] * num_vertices
-        for a, b in pairs:
-            if not (0 <= a < num_vertices and 0 <= b < num_vertices):
-                raise VertexCountMismatch(
-                    f"color {c}: edge {a}-{b} mentions a vertex outside 0..{num_vertices - 1}")
-            if a == b:
-                raise LoopEdge(f"color {c}: loop at vertex {a}")
-            if col[a] != -1:
-                raise DuplicateVertexInColor(f"color {c}: vertex {a} used twice")
-            if col[b] != -1:
-                raise DuplicateVertexInColor(f"color {c}: vertex {b} used twice")
-            col[a], col[b] = b, a
-        missing = col.count(-1)
-        if missing:
-            raise VertexCountMismatch(
-                f"color {c}: {missing} of {num_vertices} vertices have no edge")
-        invs.append(tuple(col))
+    for c, flat in enumerate(endpoints_per_color):
+        if not (len(flat) == num_vertices and min(flat) >= 0
+                and max(flat) < num_vertices and len(set(flat)) == num_vertices):
+            _raise_first_bad_pair(c, flat, num_vertices)
+        col = [0] * num_vertices
+        ends = iter(flat)
+        for a, b in zip(ends, ends):
+            col[a] = b
+            col[b] = a
+        invs.append(col)
     return ColoredGraph(invs)
+
+
+def _raise_first_bad_pair(c: int, flat, num_vertices: int) -> NoReturn:
+    """Raise the error for color c's first pair that breaks the matching."""
+    seen = set()
+    ends = iter(flat)
+    for a, b in zip(ends, ends):
+        if not (0 <= a < num_vertices and 0 <= b < num_vertices):
+            raise VertexCountMismatch(
+                f"color {c}: edge {a}-{b} mentions a vertex outside 0..{num_vertices - 1}")
+        if a == b:
+            raise LoopEdge(f"color {c}: loop at vertex {a}")
+        if a in seen:
+            raise DuplicateVertexInColor(f"color {c}: vertex {a} used twice")
+        if b in seen:
+            raise DuplicateVertexInColor(f"color {c}: vertex {b} used twice")
+        seen.update((a, b))
+    # every pair was sound, so the verdict failed on too few pairs
+    raise VertexCountMismatch(
+        f"color {c}: {num_vertices - len(seen)} of {num_vertices} vertices have no edge")
 
 
 class LabeledGem:

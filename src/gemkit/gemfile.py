@@ -12,19 +12,28 @@ Format, one statement per line, '#' starts a comment anywhere:
 Every color line lists that color's perfect matching as a-b pairs.  A color
 may be split over several 'c' lines; the canonical render emits one line
 per color, colors ascending, each pair written small-large and pairs sorted.
-Syntax problems raise ParseError (with line/column); structural problems
-(bad matchings, id clashes) raise the usual validation errors.
+Counts, vertex ids and colors are decimal digits (str.isdecimal), so a
+superscript digit is a syntax error, not an int() failure.
+
+The parser reads a line at a time.  A line is split on whitespace; the body
+of an edge line gets one verdict from a single regular expression and its
+integers are read in one pass into a flat endpoint list per color.  Only a
+line that fails is scanned token by token, to name the bad token and its
+column.  Syntax problems raise ParseError (with line/column); structural
+problems (bad matchings, id clashes) raise the usual validation errors.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import ColoredGraph, LabeledGem, new_graph
+from .core import ColoredGraph, LabeledGem, graph_from_endpoints
 from .errors import ColorOutOfRange, ParseError, VertexCountMismatch
 
 _TOKEN = re.compile(r"\S+")
 _PAIR = re.compile(r"^(\d+)-(\d+)$")
+# the body of an edge line: a-b pairs, whitespace between pairs
+_PAIRS = re.compile(r"\s*(?:\d+-\d+(?:\s+\d+-\d+)*)?\s*")
 
 # Colorblind-friendly fixed palette for DOT edges, color index -> RGB.
 DOT_PALETTE = (
@@ -39,68 +48,89 @@ def _tokens(raw: str):
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
 
 
+def _column(raw: str, index: int) -> int:
+    """1-based column of the line's index-th token; for error messages."""
+    return _tokens(raw)[index][1]
+
+
+def _pair_ends(raw: str, line_no: int) -> list[int]:
+    """An edge line's endpoints read token by token, raising ParseError at
+    the first token that is not an a-b pair."""
+    ends = []
+    for tok, col in _tokens(raw)[2:]:
+        m = _PAIR.match(tok)
+        if not m:
+            raise ParseError(f"expected 'a-b' pair, got {tok!r}", line_no, col)
+        ends += (int(m.group(1)), int(m.group(2)))
+    return ends
+
+
 def parse_gem(text: str) -> LabeledGem:
     n_colors = None
     num_vertices = None
     labels: dict[int, str] = {}
-    pairs: dict[int, list] = {}
+    endpoints: dict[int, list[int]] = {}
     saw_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks:
+        code = raw.split("#", 1)[0]
+        # at most three pieces, so an edge line's pairs stay one string
+        head = code.split(None, 2)
+        if not head:
             continue
-        word, col0 = toks[0]
-        if not saw_header:
-            if word != "gem" or len(toks) != 2 or toks[1][0] != "1":
-                raise ParseError("file must start with 'gem 1'", line_no, col0)
-            saw_header = True
-            continue
-        if word == "colors":
-            if len(toks) != 2 or not toks[1][0].isdigit():
-                raise ParseError("expected: colors <count>", line_no, col0)
-            n_colors = int(toks[1][0])
-            continue
-        if word == "vertices":
-            if len(toks) != 2 or not toks[1][0].isdigit():
-                raise ParseError("expected: vertices <count>", line_no, col0)
-            num_vertices = int(toks[1][0])
-            continue
-        if word == "label":
-            if len(toks) != 3 or not toks[1][0].isdigit():
-                raise ParseError("expected: label <id> <name>", line_no, col0)
-            if num_vertices is None:
-                raise ParseError("'vertices' must come before labels", line_no, col0)
-            vid = int(toks[1][0])
-            if vid >= num_vertices:
-                raise ParseError(
-                    f"label for vertex {vid} but only {num_vertices} vertices",
-                    line_no, toks[1][1])
-            if vid in labels:
-                raise ParseError(f"vertex {vid} labeled twice", line_no, toks[1][1])
-            labels[vid] = toks[2][0]
-            continue
-        if word == "c":
+        word = head[0]
+        if word == "c" and saw_header:
             if n_colors is None or num_vertices is None:
                 raise ParseError(
                     "'colors' and 'vertices' must come before edge lines",
-                    line_no, col0)
-            if len(toks) < 2:
-                raise ParseError("expected: c <color>: a-b ...", line_no, col0)
-            ctok, ccol = toks[1]
-            if not ctok.endswith(":") or not ctok[:-1].isdigit():
-                raise ParseError(f"expected '<color>:', got {ctok!r}", line_no, ccol)
+                    line_no, _column(raw, 0))
+            if len(head) < 2:
+                raise ParseError("expected: c <color>: a-b ...", line_no, _column(raw, 0))
+            ctok = head[1]
+            if not ctok.endswith(":") or not ctok[:-1].isdecimal():
+                raise ParseError(f"expected '<color>:', got {ctok!r}",
+                                 line_no, _column(raw, 1))
             color = int(ctok[:-1])
             if color >= n_colors:
                 raise ColorOutOfRange(
                     f"line {line_no}: color {color} not in 0..{n_colors - 1}")
-            bucket = pairs.setdefault(color, [])
-            for tok, col in toks[2:]:
-                m = _PAIR.match(tok)
-                if not m:
-                    raise ParseError(f"expected 'a-b' pair, got {tok!r}", line_no, col)
-                bucket.append((int(m.group(1)), int(m.group(2))))
+            body = head[2] if len(head) == 3 else ""
+            if _PAIRS.fullmatch(body):
+                ends = map(int, body.replace("-", " ").split())
+            else:
+                ends = _pair_ends(raw, line_no)
+            endpoints.setdefault(color, []).extend(ends)
             continue
-        raise ParseError(f"unknown statement {word!r}", line_no, col0)
+        toks = code.split()
+        if not saw_header:
+            if toks != ["gem", "1"]:
+                raise ParseError("file must start with 'gem 1'", line_no, _column(raw, 0))
+            saw_header = True
+            continue
+        if word == "colors":
+            if len(toks) != 2 or not toks[1].isdecimal():
+                raise ParseError("expected: colors <count>", line_no, _column(raw, 0))
+            n_colors = int(toks[1])
+            continue
+        if word == "vertices":
+            if len(toks) != 2 or not toks[1].isdecimal():
+                raise ParseError("expected: vertices <count>", line_no, _column(raw, 0))
+            num_vertices = int(toks[1])
+            continue
+        if word == "label":
+            if len(toks) != 3 or not toks[1].isdecimal():
+                raise ParseError("expected: label <id> <name>", line_no, _column(raw, 0))
+            if num_vertices is None:
+                raise ParseError("'vertices' must come before labels", line_no, _column(raw, 0))
+            vid = int(toks[1])
+            if vid >= num_vertices:
+                raise ParseError(
+                    f"label for vertex {vid} but only {num_vertices} vertices",
+                    line_no, _column(raw, 1))
+            if vid in labels:
+                raise ParseError(f"vertex {vid} labeled twice", line_no, _column(raw, 1))
+            labels[vid] = toks[2]
+            continue
+        raise ParseError(f"unknown statement {word!r}", line_no, _column(raw, 0))
     if not saw_header:
         raise ParseError("empty file; expected 'gem 1' header", 1, 1)
     if n_colors is None:
@@ -108,16 +138,14 @@ def parse_gem(text: str) -> LabeledGem:
     if num_vertices is None:
         raise ParseError("missing 'vertices' line", 1, 1)
     # every color must match every vertex, so a count its pairs cannot
-    # cover is refused before new_graph allocates arrays of that size
+    # cover is refused before any array of that size is allocated
     for c in range(n_colors):
-        missing = num_vertices - 2 * len(pairs.get(c, ()))
+        missing = num_vertices - len(endpoints.get(c, ()))
         if missing > 0:
             raise VertexCountMismatch(
                 f"color {c}: {missing} of {num_vertices} vertices have no edge")
-    graph = new_graph(
-        n_colors,
-        [pairs.get(c, []) for c in range(n_colors)],
-        num_vertices=num_vertices)
+    graph = graph_from_endpoints(
+        [endpoints.get(c, []) for c in range(n_colors)], num_vertices)
     full_labels = [labels.get(v, str(v)) for v in range(num_vertices)]
     return LabeledGem(graph, full_labels)
 
@@ -136,8 +164,8 @@ def render_gem(gem: LabeledGem | ColoredGraph, comment: str | None = None) -> st
     for v, name in enumerate(gem.labels):
         if name != str(v):
             lines.append(f"label {v} {name}")
-    for c in range(graph.n_colors):
-        body = " ".join(f"{a}-{b}" for a, b in graph.edges(c))
+    for c, col in enumerate(graph.involutions):
+        body = " ".join([f"{v}-{w}" for v, w in enumerate(col) if v < w])
         lines.append(f"c {c}: {body}")
     return "\n".join(lines) + "\n"
 

@@ -14,7 +14,7 @@ n, n-1, .., 2, 1, 2, .., n does.  The resulting (n+1)-colored graph on
 from itertools import permutations
 from math import factorial
 
-from .core import LabeledGem, new_graph
+from .core import LabeledGem, graph_from_endpoints
 from .errors import AuditFailed, BudgetExceeded, DimensionUnsupported
 from .invariants import bicolored_cycles
 
@@ -53,8 +53,8 @@ def torus_gem(n, budget=40320):
             raise AuditFailed("swap walk disagrees with the direct 0-involution")
         u = index[tuple(q)]
         if v < u:
-            zero.append((v, u))
-    pairs = [zero]
+            zero += (v, u)
+    endpoints = [zero]
     for k in range(1, n + 1):
         acc = []
         for v, p in enumerate(perms):
@@ -62,9 +62,9 @@ def torus_gem(n, budget=40320):
             q[k - 1], q[k] = q[k], q[k - 1]
             u = index[tuple(q)]
             if v < u:
-                acc.append((v, u))
-        pairs.append(acc)
-    graph = new_graph(n + 1, pairs, num_vertices=count)
+                acc += (v, u)
+        endpoints.append(acc)
+    graph = graph_from_endpoints(endpoints, count)
     if not graph.is_bipartite():
         raise AuditFailed("torus gem is not bipartite")
     return LabeledGem(graph, tuple(_perm_label(p) for p in perms))

@@ -1,4 +1,4 @@
-"""Test-only oracles for the isomorphism and move layers.
+"""Test-only oracles for the isomorphism, move and .gem file layers.
 
 `brute_force_color_map` / `brute_force_isomorphic` search vertex bijections
 exhaustively.  `unpruned_signature` is the canonical signature computed
@@ -12,16 +12,23 @@ compacted graph and rebuilds the `LabeledGem`.  `stepwise_check_dipole`,
 and `stepwise_combined_move` are its single moves.
 `combined_move_factored` performs the combined move as two dipole
 cancellations.
+
+`token_parse_gem` reads a .gem file one token at a time, checking each pair
+token on its own and building the graph with `pairwise_new_graph`, which
+fills each color pair by pair.  `edges_render_gem` writes each color line
+from `ColoredGraph.edges`.
 """
 
+import re
 from itertools import permutations
 
-from gemkit import (ColorCountMismatch, ColoredGraph, CombinedSpec,
-                    DipoleSpec, GemError, GlueSpec, GraphValidationError,
-                    LabeledGem, MissingIColoredMatching, MoveError, MoveResult,
-                    NotADipole, PhiNotIsomorphism, PreconditionFailed,
-                    ResultInvalid, SameComponentInIHat, ScriptResult,
-                    cancel_dipole)
+from gemkit import (ColorCountMismatch, ColorOutOfRange, ColoredGraph,
+                    CombinedSpec, DipoleSpec, DuplicateVertexInColor,
+                    GemError, GlueSpec, GraphValidationError, LabeledGem,
+                    LoopEdge, MissingIColoredMatching, MoveError, MoveResult,
+                    NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
+                    PreconditionFailed, ResultInvalid, SameComponentInIHat,
+                    ScriptResult, VertexCountMismatch, cancel_dipole)
 
 
 def brute_force_color_map(g1, g2, allow_color_perm=False):
@@ -364,3 +371,149 @@ def combined_move_factored(graph, spec, labels=None):
         -1 if r1.vertex_map[v] == -1 else r2.vertex_map[r1.vertex_map[v]]
         for v in range(graph.num_vertices))
     return MoveResult(r2.graph, vmap)
+
+
+def pairwise_new_graph(n_colors, pairs_per_color, num_vertices=None):
+    """new_graph filling every color pair by pair, checking each pair."""
+    pairs_per_color = [list(p) for p in pairs_per_color]
+    if len(pairs_per_color) != n_colors:
+        raise ColorOutOfRange(
+            f"got edge lists for {len(pairs_per_color)} colors, expected {n_colors}")
+    if num_vertices is None:
+        num_vertices = 0
+        for pairs in pairs_per_color:
+            for a, b in pairs:
+                num_vertices = max(num_vertices, a + 1, b + 1)
+    if num_vertices <= 0 or num_vertices % 2:
+        raise OddVertexCount(f"number of vertices must be even and positive, got {num_vertices}")
+    invs = []
+    for c, pairs in enumerate(pairs_per_color):
+        col = [-1] * num_vertices
+        for a, b in pairs:
+            if not (0 <= a < num_vertices and 0 <= b < num_vertices):
+                raise VertexCountMismatch(
+                    f"color {c}: edge {a}-{b} mentions a vertex outside 0..{num_vertices - 1}")
+            if a == b:
+                raise LoopEdge(f"color {c}: loop at vertex {a}")
+            if col[a] != -1:
+                raise DuplicateVertexInColor(f"color {c}: vertex {a} used twice")
+            if col[b] != -1:
+                raise DuplicateVertexInColor(f"color {c}: vertex {b} used twice")
+            col[a], col[b] = b, a
+        missing = col.count(-1)
+        if missing:
+            raise VertexCountMismatch(
+                f"color {c}: {missing} of {num_vertices} vertices have no edge")
+        invs.append(tuple(col))
+    return ColoredGraph(invs)
+
+
+_TOKEN = re.compile(r"\S+")
+_PAIR = re.compile(r"^(\d+)-(\d+)$")
+
+
+def _tokens(raw):
+    code = raw.split("#", 1)[0]
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
+
+
+def token_parse_gem(text):
+    """parse_gem one token at a time: a (token, column) tuple per token."""
+    n_colors = None
+    num_vertices = None
+    labels = {}
+    pairs = {}
+    saw_header = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        toks = _tokens(raw)
+        if not toks:
+            continue
+        word, col0 = toks[0]
+        if not saw_header:
+            if word != "gem" or len(toks) != 2 or toks[1][0] != "1":
+                raise ParseError("file must start with 'gem 1'", line_no, col0)
+            saw_header = True
+            continue
+        if word == "colors":
+            if len(toks) != 2 or not toks[1][0].isdecimal():
+                raise ParseError("expected: colors <count>", line_no, col0)
+            n_colors = int(toks[1][0])
+            continue
+        if word == "vertices":
+            if len(toks) != 2 or not toks[1][0].isdecimal():
+                raise ParseError("expected: vertices <count>", line_no, col0)
+            num_vertices = int(toks[1][0])
+            continue
+        if word == "label":
+            if len(toks) != 3 or not toks[1][0].isdecimal():
+                raise ParseError("expected: label <id> <name>", line_no, col0)
+            if num_vertices is None:
+                raise ParseError("'vertices' must come before labels", line_no, col0)
+            vid = int(toks[1][0])
+            if vid >= num_vertices:
+                raise ParseError(
+                    f"label for vertex {vid} but only {num_vertices} vertices",
+                    line_no, toks[1][1])
+            if vid in labels:
+                raise ParseError(f"vertex {vid} labeled twice", line_no, toks[1][1])
+            labels[vid] = toks[2][0]
+            continue
+        if word == "c":
+            if n_colors is None or num_vertices is None:
+                raise ParseError(
+                    "'colors' and 'vertices' must come before edge lines",
+                    line_no, col0)
+            if len(toks) < 2:
+                raise ParseError("expected: c <color>: a-b ...", line_no, col0)
+            ctok, ccol = toks[1]
+            if not ctok.endswith(":") or not ctok[:-1].isdecimal():
+                raise ParseError(f"expected '<color>:', got {ctok!r}", line_no, ccol)
+            color = int(ctok[:-1])
+            if color >= n_colors:
+                raise ColorOutOfRange(
+                    f"line {line_no}: color {color} not in 0..{n_colors - 1}")
+            bucket = pairs.setdefault(color, [])
+            for tok, col in toks[2:]:
+                m = _PAIR.match(tok)
+                if not m:
+                    raise ParseError(f"expected 'a-b' pair, got {tok!r}", line_no, col)
+                bucket.append((int(m.group(1)), int(m.group(2))))
+            continue
+        raise ParseError(f"unknown statement {word!r}", line_no, col0)
+    if not saw_header:
+        raise ParseError("empty file; expected 'gem 1' header", 1, 1)
+    if n_colors is None:
+        raise ParseError("missing 'colors' line", 1, 1)
+    if num_vertices is None:
+        raise ParseError("missing 'vertices' line", 1, 1)
+    for c in range(n_colors):
+        missing = num_vertices - 2 * len(pairs.get(c, ()))
+        if missing > 0:
+            raise VertexCountMismatch(
+                f"color {c}: {missing} of {num_vertices} vertices have no edge")
+    graph = pairwise_new_graph(
+        n_colors,
+        [pairs.get(c, []) for c in range(n_colors)],
+        num_vertices=num_vertices)
+    full_labels = [labels.get(v, str(v)) for v in range(num_vertices)]
+    return LabeledGem(graph, full_labels)
+
+
+def edges_render_gem(gem, comment=None):
+    """render_gem writing each color line from `ColoredGraph.edges`."""
+    if isinstance(gem, ColoredGraph):
+        gem = LabeledGem(gem)
+    graph = gem.graph
+    lines = []
+    if comment:
+        lines.extend(f"# {c}".rstrip() for c in comment.splitlines())
+    lines.append("gem 1")
+    lines.append(f"colors {graph.n_colors}")
+    lines.append(f"vertices {graph.num_vertices}")
+    for v, name in enumerate(gem.labels):
+        if name != str(v):
+            lines.append(f"label {v} {name}")
+    for c in range(graph.n_colors):
+        body = " ".join(f"{a}-{b}" for a, b in graph.edges(c))
+        lines.append(f"c {c}: {body}")
+    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from gemkit import (add_dipole, all_genus_reports, bicolored_cycles,
                     dj_equivalent, enumerate_characteristic_functions,
                     genus_for, genus_lower_bound, isomorphic, is_weak_semi_simple,
                     order_two_gem, parse_gem, product_gem, reduced_cover,
-                    regular_genus, run_script, small_cover_gem,
+                    regular_genus, render_gem, run_script, small_cover_gem,
                     stated_permutation, torus_gem, DipoleSpec, LabeledGem,
                     ScriptStep)
 from gemkit.cli import main
@@ -320,3 +320,14 @@ def test_criterion_13_six_torus_dipole_script():
         assert result.trace == tuple(range(5340, 5038, -2))
         assert result.gem.graph == base.graph
         assert result.gem.labels == base.labels
+
+
+def test_criterion_14_seven_torus_file_round_trip():
+    t7 = torus_gem(7)
+    with report(14, "the 7-torus gem (40320 vertices) through render and parse",
+                budget=3.0):
+        text = render_gem(t7)
+        again = parse_gem(text)
+        assert again.graph == t7.graph
+        assert again.labels == t7.labels
+        assert render_gem(again) == text

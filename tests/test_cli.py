@@ -318,6 +318,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("parse error:")
 
+    def test_superscript_digit_is_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.gem"
+        bad.write_text("gem 1\ncolors \u00b2\nvertices 4\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error:")
+
     def test_color_out_of_range_is_one(self, capsys, square_file):
         for pair in ("0,7", "0,-1"):
             code, out, err = run(capsys, "cycles", square_file, "--pair", pair)

@@ -1,11 +1,17 @@
 """The .gem text format and the DOT / gluing-table exports."""
 
+from importlib.resources import files
+
 import pytest
 
-from gemkit import (ColorOutOfRange, DuplicateVertexInColor, ParseError,
-                    VertexCountMismatch, export_dot, export_gluings,
-                    g1_prime, new_graph, order_two_gem, parse_gem, render_gem,
-                    small_cover_gem, t3_standard, torus_gem)
+from gemkit import (ColorOutOfRange, DuplicateVertexInColor, GemError,
+                    ParseError, VertexCountMismatch, export_dot,
+                    export_gluings, g1_prime, new_graph, order_two_gem,
+                    parse_gem, render_gem, small_cover_gem, t3_standard,
+                    torus_gem)
+
+from conftest import make_rng, random_colored_graph, shuffled_copy
+from oracles import edges_render_gem, pairwise_new_graph, token_parse_gem
 
 SMALL = """\
 # a square
@@ -99,6 +105,166 @@ class TestParse:
             parse_gem("gem 1\ncolors 3\nvertices 2\nc 0: 0-1\nc 2: 0-1\n")
         assert str(err.value) == "color 1: 2 of 2 vertices have no edge"
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("gem 1\ncolors \u00b2\n", 2, 1),
+        ("gem 1\ncolors 2\n  vertices \u00b2\n", 3, 3),
+        ("gem 1\ncolors 2\nvertices 2\nlabel \u00b2 x\n", 4, 1),
+        ("gem 1\ncolors 2\nvertices 2\nc \u00b2: 0-1\n", 4, 3),
+    ])
+    def test_superscript_digit_is_a_parse_error(self, text, line, column):
+        # '\u00b2'.isdigit() holds but int() refuses it; counts, ids and
+        # colors must be decimal digits
+        with pytest.raises(ParseError) as err:
+            parse_gem(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_other_decimal_digits_are_read(self):
+        # Arabic-Indic digits are decimal, so int() reads them
+        text = "gem 1\ncolors 2\nvertices \u0664\nc 0: 0-1 2-3\nc 1: 1-2 \u0663-0\n"
+        assert parse_gem(text).graph == parse_gem(
+            "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n").graph
+
+    def test_glued_pairs_rejected_at_their_token(self):
+        with pytest.raises(ParseError) as err:
+            parse_gem("gem 1\ncolors 2\nvertices 4\nc 0: 0-1  2-34-5\n")
+        assert str(err.value) == \
+            "line 4, column 11: expected 'a-b' pair, got '2-34-5'"
+
+
+def outcome(parse, text):
+    """(involutions, labels) of a parsed text, or what it raised."""
+    try:
+        gem = parse(text)
+    except (GemError, ParseError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return gem.graph.involutions, gem.labels
+
+
+def built(build, *args, **kwargs):
+    """The graph new_graph-style builders return, or what they raised."""
+    try:
+        return build(*args, **kwargs).involutions
+    except GemError as exc:
+        return type(exc), str(exc)
+
+
+MUTATION_ALPHABET = "0123456789- \t\r\n#:clabe\u00b2\u0663\x1c"
+
+HAND_CASES = [
+    # CRLF line endings
+    "gem 1\r\ncolors 2\r\nvertices 4\r\nc 0: 0-1 2-3\r\nc 1: 1-2 3-0\r\n",
+    # tabs between every token
+    "gem\t1\ncolors\t2\nvertices\t4\nlabel\t1\tb\nc\t0:\t0-1\t2-3\nc 1:\t1-2\t \t3-0\t\n",
+    # one color split over interleaved lines
+    "gem 1\ncolors 2\nvertices 6\nc 0: 0-1\nc 1: 1-2\nc 0: 2-3\nc 1: 3-4 5-0\nc 0: 4-5\n",
+    # a comment right after the pairs
+    "gem 1\ncolors 2\nvertices 2\nc 0: 0-1# one edge\nc 1: 0-1 # and another\n",
+    # c 0: with no pairs, before and after the real ones
+    "gem 1\ncolors 2\nvertices 2\nc 0:\nc 0: 0-1\nc 1: 0-1\nc 1:   \n",
+    # glued pairs
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-12-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3 4\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0--1 2-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: -0-1 2-3\nc 1: 1-2 3-0\n",
+    # vertices 0, with and without pairs
+    "gem 1\ncolors 2\nvertices 0\n",
+    "gem 1\ncolors 2\nvertices 0\nc 0: 0-1\nc 1: 0-1\n",
+    # an odd vertex count
+    "gem 1\ncolors 2\nvertices 3\nc 0: 0-1 1-2\nc 1: 0-2 2-1\n",
+    # structural faults: loop, duplicate, out of range, too many pairs
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-0 2-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 1-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-9\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3 0-2\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0 4-5\n",
+    # a shortfall before a faulty color, and after one
+    "gem 1\ncolors 3\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2\nc 2: 0-0 1-2\n",
+    "gem 1\ncolors 3\nvertices 4\nc 0: 0-1 2-3\nc 1: 0-0 1-2\nc 2: 1-2\n",
+    # colors 0 and 1, and no colors line
+    "gem 1\ncolors 0\nvertices 2\n",
+    "gem 1\ncolors 1\nvertices 2\nc 0: 0-1\n",
+    "gem 1\nvertices 2\nc 0: 0-1\n",
+    # header faults
+    "",
+    "  # only a comment\n",
+    "gem 2\n",
+    "gem 1 extra\n",
+    "c 0: 0-1\n",
+    "gem 1\ngem 1\n",
+]
+
+
+def _mutate(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        # half the edits land in the first lines, where the statements are
+        pos = rng.randrange(min(len(chars), 80) if rng.random() < 0.5
+                            else len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 and pos < len(chars):
+            chars[pos] = rng.choice(MUTATION_ALPHABET)
+        elif op == 1:
+            del chars[pos:pos + rng.randint(1, 3)]
+        else:
+            chars[pos:pos] = rng.choices(MUTATION_ALPHABET, k=rng.randint(1, 3))
+    return "".join(chars)
+
+
+class TestParseAgainstOracle:
+    """parse_gem and new_graph against the token-at-a-time oracles."""
+
+    def test_hand_cases(self):
+        for text in HAND_CASES:
+            assert outcome(parse_gem, text) == outcome(token_parse_gem, text), text
+
+    def test_seeded_mutations(self):
+        sources = [files("gemkit").joinpath("data").joinpath(name).read_text()
+                   for name in ("cover1.gem", "g1prime.gem", "g2prime.gem",
+                                "s2xs1.gem", "t3.gem")]
+        sources += [render_gem(torus_gem(n)) for n in range(2, 6)]
+        rng = make_rng(7)
+        kinds = set()
+        for source in sources:
+            assert outcome(parse_gem, source) == outcome(token_parse_gem, source)
+            for _ in range(150):
+                text = _mutate(rng, source)
+                got = outcome(parse_gem, text)
+                assert got == outcome(token_parse_gem, text), repr(text[:200])
+                kinds.add(got[0] if len(got) == 4 else "parsed")
+        # the mutations reach both verdicts and several error classes
+        assert {"parsed", ParseError, VertexCountMismatch} <= kinds
+
+    def test_new_graph_bad_pair_lists(self):
+        rng = make_rng(11)
+        for trial in range(300):
+            nv = 2 * rng.randint(1, 8)
+            k = rng.randint(2, 4)
+            g = random_colored_graph(rng, nv, k)
+            pairs = [list(g.edges(c)) for c in range(k)]
+            for _ in range(rng.randint(0, 2)):
+                c = rng.randrange(k)
+                i = rng.randrange(len(pairs[c]))
+                a, b = pairs[c][i]
+                fault = rng.choice(("loop", "duplicate", "out of range",
+                                    "negative", "missing", "extra"))
+                if fault == "loop":
+                    pairs[c][i] = (a, a)
+                elif fault == "duplicate":
+                    pairs[c][i] = (a, rng.randrange(nv))
+                elif fault == "out of range":
+                    pairs[c][i] = (a, nv + rng.randrange(3))
+                elif fault == "negative":
+                    pairs[c][i] = (-1 - rng.randrange(2), b)
+                elif fault == "missing":
+                    del pairs[c][i]
+                else:
+                    pairs[c].append((rng.randrange(nv + 2), rng.randrange(nv + 2)))
+            count = rng.choice((None, nv, nv + 2, nv - 1))
+            assert built(new_graph, k, pairs, num_vertices=count) == \
+                built(pairwise_new_graph, k, pairs, num_vertices=count), \
+                (trial, pairs, count)
+
 
 class TestRender:
     def test_round_trip_catalogue(self, s2xs1, t3, g1p, g2p, cover1,
@@ -113,6 +279,18 @@ class TestRender:
         text = render_gem(parse_gem(SMALL), comment="two lines\nof note")
         assert text.startswith("# two lines\n# of note\ngem 1\n")
         assert parse_gem(text).graph == parse_gem(SMALL).graph
+
+    def test_bytes_match_the_edges_renderer(self, s2xs1, t3, g1p, g2p,
+                                            cover1, reduced1):
+        rng = make_rng(5)
+        gems = [order_two_gem(), s2xs1, t3, g1p, g2p, cover1, reduced1]
+        gems += [torus_gem(n) for n in range(2, 7)]
+        for gem in gems:
+            assert render_gem(gem) == edges_render_gem(gem)
+            copy, _ = shuffled_copy(rng, gem.graph)
+            assert render_gem(copy) == edges_render_gem(copy)
+        note = "made by hand\n\nsecond paragraph "
+        assert render_gem(g1p, comment=note) == edges_render_gem(g1p, comment=note)
 
     def test_default_labels_stay_implicit(self):
         text = render_gem(torus_gem(2))
