@@ -13,6 +13,7 @@ import sys
 
 from .constructions import (g1_prime, g2_prime, product_gem, s2xs1_standard,
                             t3_standard)
+from .core import euler_characteristic_from, face_counts_from
 from .errors import GemError, ParseError
 from .gemfile import export_dot, export_gluings, parse_gem, render_gem
 from .invariants import (all_genus_reports, bicolored_cycles, genus_for,
@@ -111,11 +112,11 @@ def _cmd_build(args):
 def _cmd_check(args):
     gem = _read_gem(args.file)
     g = gem.graph
-    connected = g.is_connected()
-    faces = g.face_counts()
-    # N_0 sums the k residues of k-1 colors, each at least 1, so it equals
-    # k exactly when each of them is connected
-    contracted = faces[0] == g.n_colors
+    # one walk counts every residue, the full palette included
+    counts = g.residue_counts()
+    palette = tuple(g.colors())
+    connected = counts[palette] == 1
+    contracted = all(counts[palette[:j] + palette[j + 1:]] == 1 for j in palette)
     info = {
         "vertices": g.num_vertices,
         "colors": g.n_colors,
@@ -123,7 +124,7 @@ def _cmd_check(args):
         "bipartite": g.is_bipartite(),
         "contracted": contracted,
         "crystallization": connected and contracted,
-        "chi": sum((-1) ** k * nk for k, nk in enumerate(faces)),
+        "chi": euler_characteristic_from(face_counts_from(counts, g.n_colors)),
     }
     if args.json:
         _emit_json(info)

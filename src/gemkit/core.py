@@ -13,7 +13,7 @@ Vertices are dense ints.  Human-readable names live in a side table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from operator import itemgetter
 from typing import NoReturn
 
 from .errors import (
@@ -174,24 +174,49 @@ class ColoredGraph:
     def is_crystallization(self) -> bool:
         return self.is_connected() and self.is_contracted()
 
+    def residue_counts(self) -> dict[tuple[int, ...], int]:
+        """Component count of the residue of every color subset.
+
+        Keys are the 2^k sorted tuples of kept colors, () (num_vertices
+        singletons) and the full palette included.  One depth-first walk
+        visits them in increasing color order.  A subset's parent is the
+        subset without its largest color; its components are the parent's
+        components joined across the new color's edges, found by one flood
+        fill over them, so each subset reads each vertex once.  One-color
+        subsets come straight from the involution.  Subsets holding the last
+        color have no children, so they are counted and not kept.  A kept
+        level is flat (see _Level), and at most k - 1 are alive at once.
+        """
+        nv = self.num_vertices
+        last = self.n_colors - 1
+        # across[c](labels)[v] is the label of v's c-partner; with V >= 2
+        # vertices every itemgetter here returns a tuple, never one item
+        across = [itemgetter(*col) for col in self.involutions]
+        counts = {(): nv}
+
+        def walk(kept, level):
+            counts[kept] = level.count
+            for c in range(kept[-1] + 1, last):
+                walk(kept + (c,), level.join(across[c]))
+            counts[kept + (last,)] = level.join(across[last], keep=False).count
+
+        for c in range(last):
+            walk((c,), _Level.matching(self.involutions[c]))
+        counts[(last,)] = nv // 2
+        return counts
+
     def face_counts(self) -> tuple[int, ...]:
         """Counts (N_0, ..., N_n) of k-dimensional faces of the encoded complex.
 
         N_k is the number of components left after deleting, for each
         (k+1)-subset of colors, the edges of the other colors, summed over
-        subsets.  In particular N_n = num_vertices.
+        subsets.  In particular N_n = num_vertices.  The counts come from
+        one residue_counts() walk.
         """
-        all_colors = tuple(range(self.n_colors))
-        out = []
-        for k in range(self.n_colors):
-            total = 0
-            for kept in combinations(all_colors, self.n_colors - 1 - k):
-                total += self.components(kept).count
-            out.append(total)
-        return tuple(out)
+        return face_counts_from(self.residue_counts(), self.n_colors)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** k * nk for k, nk in enumerate(self.face_counts()))
+        return euler_characteristic_from(self.face_counts())
 
     # -- relabeling ----------------------------------------------------------
 
@@ -217,6 +242,81 @@ class ColoredGraph:
         for c, col in enumerate(self.involutions):
             invs[new_color[c]] = col
         return ColoredGraph(invs)
+
+
+class _Level:
+    """The components of one color subset, flat.
+
+    order lists the vertices component by component, component i is
+    order[offsets[i]:offsets[i + 1]], and labels[v] is v's component.
+    """
+
+    __slots__ = ("order", "offsets", "labels", "count")
+
+    def __init__(self, order, offsets, labels, count):
+        self.order = order
+        self.offsets = offsets
+        self.labels = labels
+        self.count = count
+
+    @classmethod
+    def matching(cls, col) -> "_Level":
+        """One color: each edge v < col[v] is a component, in order of v."""
+        order = []
+        labels = [0] * len(col)
+        for v, w in enumerate(col):
+            if v < w:
+                labels[v] = labels[w] = len(order) >> 1
+                order += (v, w)
+        # a list, not a range: its ints are made once, not on every read
+        return cls(order, list(range(0, len(col) + 1, 2)), labels, len(col) >> 1)
+
+    def join(self, across, keep=True) -> "_Level":
+        """The level with one more color, whose `across` getter maps labels
+        to the labels of each vertex's partner.  With keep=False only the
+        count is made; the result has no arrays, for a subset with no
+        children."""
+        order, offsets = self.order, self.offsets
+        # the component across the new color, for each vertex in order
+        beyond = itemgetter(*order)(across(self.labels))
+        joined = [-1] * self.count
+        new_order = []
+        new_offsets = [0]
+        count = 0
+        for start in range(self.count):
+            if joined[start] >= 0:
+                continue
+            joined[start] = count
+            stack = [start]
+            for comp in stack:
+                a = offsets[comp]
+                b = offsets[comp + 1]
+                if keep:
+                    new_order += order[a:b]
+                for nxt in beyond[a:b]:
+                    if joined[nxt] < 0:
+                        joined[nxt] = count
+                        stack.append(nxt)
+            new_offsets.append(len(new_order))
+            count += 1
+        if not keep:
+            return _Level(None, None, None, count)
+        return _Level(new_order, new_offsets, itemgetter(*self.labels)(joined), count)
+
+
+def face_counts_from(counts, n_colors: int) -> tuple[int, ...]:
+    """(N_0, ..., N_n) from a residue_counts() map: N_h sums the counts of
+    the subsets that keep n - h of the n + 1 colors."""
+    out = [0] * n_colors
+    for kept, count in counts.items():
+        if len(kept) < n_colors:
+            out[n_colors - 1 - len(kept)] += count
+    return tuple(out)
+
+
+def euler_characteristic_from(face_counts) -> int:
+    """The alternating sum N_0 - N_1 + N_2 - ... of face counts."""
+    return sum((-1) ** k * nk for k, nk in enumerate(face_counts))
 
 
 def new_graph(n_colors: int, pairs_per_color, num_vertices: int | None = None) -> ColoredGraph:

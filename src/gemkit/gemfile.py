@@ -13,7 +13,8 @@ Every color line lists that color's perfect matching as a-b pairs.  A color
 may be split over several 'c' lines; the canonical render emits one line
 per color, colors ascending, each pair written small-large and pairs sorted.
 Counts, vertex ids and colors are decimal digits (str.isdecimal), so a
-superscript digit is a syntax error, not an int() failure.
+superscript digit is a syntax error, not an int() failure; so is a number
+longer than int() reads (sys.get_int_max_str_digits(), 4300 by default).
 
 The parser reads a line at a time.  A line is split on whitespace; the body
 of an edge line gets one verdict from a single regular expression and its
@@ -53,15 +54,26 @@ def _column(raw: str, index: int) -> int:
     return _tokens(raw)[index][1]
 
 
+def _number(digits: str, raw: str, line_no: int, index: int) -> int:
+    """int() of the decimal digits of the line's index-th token; ParseError
+    when they are more than int() reads (sys.get_int_max_str_digits())."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{len(digits)}-digit number is too long",
+                         line_no, _column(raw, index)) from None
+
+
 def _pair_ends(raw: str, line_no: int) -> list[int]:
     """An edge line's endpoints read token by token, raising ParseError at
-    the first token that is not an a-b pair."""
+    the first token that is not an a-b pair of readable numbers."""
     ends = []
-    for tok, col in _tokens(raw)[2:]:
+    for index, (tok, col) in enumerate(_tokens(raw)[2:], start=2):
         m = _PAIR.match(tok)
         if not m:
             raise ParseError(f"expected 'a-b' pair, got {tok!r}", line_no, col)
-        ends += (int(m.group(1)), int(m.group(2)))
+        ends += (_number(m.group(1), raw, line_no, index),
+                 _number(m.group(2), raw, line_no, index))
     return ends
 
 
@@ -89,16 +101,19 @@ def parse_gem(text: str) -> LabeledGem:
             if not ctok.endswith(":") or not ctok[:-1].isdecimal():
                 raise ParseError(f"expected '<color>:', got {ctok!r}",
                                  line_no, _column(raw, 1))
-            color = int(ctok[:-1])
+            color = _number(ctok[:-1], raw, line_no, 1)
             if color >= n_colors:
                 raise ColorOutOfRange(
                     f"line {line_no}: color {color} not in 0..{n_colors - 1}")
             body = head[2] if len(head) == 3 else ""
+            bucket = endpoints.setdefault(color, [])
             if _PAIRS.fullmatch(body):
-                ends = map(int, body.replace("-", " ").split())
-            else:
-                ends = _pair_ends(raw, line_no)
-            endpoints.setdefault(color, []).extend(ends)
+                try:
+                    bucket.extend(map(int, body.replace("-", " ").split()))
+                    continue
+                except ValueError:
+                    pass  # an id too long for int(); the token scan names it
+            bucket.extend(_pair_ends(raw, line_no))
             continue
         toks = code.split()
         if not saw_header:
@@ -109,19 +124,19 @@ def parse_gem(text: str) -> LabeledGem:
         if word == "colors":
             if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError("expected: colors <count>", line_no, _column(raw, 0))
-            n_colors = int(toks[1])
+            n_colors = _number(toks[1], raw, line_no, 1)
             continue
         if word == "vertices":
             if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError("expected: vertices <count>", line_no, _column(raw, 0))
-            num_vertices = int(toks[1])
+            num_vertices = _number(toks[1], raw, line_no, 1)
             continue
         if word == "label":
             if len(toks) != 3 or not toks[1].isdecimal():
                 raise ParseError("expected: label <id> <name>", line_no, _column(raw, 0))
             if num_vertices is None:
                 raise ParseError("'vertices' must come before labels", line_no, _column(raw, 0))
-            vid = int(toks[1])
+            vid = _number(toks[1], raw, line_no, 1)
             if vid >= num_vertices:
                 raise ParseError(
                     f"label for vertex {vid} but only {num_vertices} vertices",

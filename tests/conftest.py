@@ -1,6 +1,7 @@
 """Shared fixtures: the catalogue graphs, built once per session."""
 
 import random
+import sys
 
 import pytest
 
@@ -46,6 +47,17 @@ def torus3():
 @pytest.fixture(scope="session")
 def torus4():
     return torus_gem(4)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """int()'s digit limit pinned at its default, 4300, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter's int() reads numbers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 def random_colored_graph(rng, num_vertices, n_colors):

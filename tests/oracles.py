@@ -1,4 +1,9 @@
-"""Test-only oracles for the isomorphism, move and .gem file layers.
+"""Test-only oracles for the residue, isomorphism, move and .gem file layers.
+
+`per_subset_face_counts` sums one `ColoredGraph.components` labelling per
+color subset, and `per_subset_residue_counts` keeps each subset's count.
+`torus_residue_count` is the closed-form count for the n-torus gem, which
+uses no labeller at all.
 
 `brute_force_color_map` / `brute_force_isomorphic` search vertex bijections
 exhaustively.  `unpruned_signature` is the canonical signature computed
@@ -20,7 +25,8 @@ from `ColoredGraph.edges`.
 """
 
 import re
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial, prod
 
 from gemkit import (ColorCountMismatch, ColorOutOfRange, ColoredGraph,
                     CombinedSpec, DipoleSpec, DuplicateVertexInColor,
@@ -29,6 +35,50 @@ from gemkit import (ColorCountMismatch, ColorOutOfRange, ColoredGraph,
                     NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
                     ScriptResult, VertexCountMismatch, cancel_dipole)
+
+
+def per_subset_residue_counts(graph):
+    """{kept colors: component count}, one `components` labelling per subset."""
+    return {kept: graph.components(kept).count
+            for size in range(graph.n_colors + 1)
+            for kept in combinations(range(graph.n_colors), size)}
+
+
+def per_subset_face_counts(graph):
+    """face_counts summing one `components` labelling per proper subset."""
+    all_colors = tuple(range(graph.n_colors))
+    out = []
+    for k in range(graph.n_colors):
+        total = 0
+        for kept in combinations(all_colors, graph.n_colors - 1 - k):
+            total += graph.components(kept).count
+        out.append(total)
+    return tuple(out)
+
+
+def torus_residue_count(n, kept):
+    """Components of the n-torus gem's residue on the colors `kept`.
+
+    The n + 1 colors are the edges of the cycle 0-1-...-n-0 on the n + 1
+    entry positions.  A proper subset splits into runs of r cyclically
+    consecutive colors, each covering r + 1 positions, and has
+    (n+1)! / prod (r+1)! components; the full palette has one.
+    """
+    k = n + 1
+    kept = set(kept)
+    if len(kept) == k:
+        return 1
+    gap = min(set(range(k)) - kept)
+    runs = []
+    run = 0
+    # walk the cycle once from just after a missing color back to it
+    for step in range(1, k + 1):
+        if (gap + step) % k in kept:
+            run += 1
+        elif run:
+            runs.append(run)
+            run = 0
+    return factorial(k) // prod(factorial(r + 1) for r in runs)
 
 
 def brute_force_color_map(g1, g2, allow_color_perm=False):
@@ -417,6 +467,14 @@ def _tokens(raw):
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
 
 
+def _number(digits, line_no, column):
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{len(digits)}-digit number is too long",
+                         line_no, column) from None
+
+
 def token_parse_gem(text):
     """parse_gem one token at a time: a (token, column) tuple per token."""
     n_colors = None
@@ -437,19 +495,19 @@ def token_parse_gem(text):
         if word == "colors":
             if len(toks) != 2 or not toks[1][0].isdecimal():
                 raise ParseError("expected: colors <count>", line_no, col0)
-            n_colors = int(toks[1][0])
+            n_colors = _number(toks[1][0], line_no, toks[1][1])
             continue
         if word == "vertices":
             if len(toks) != 2 or not toks[1][0].isdecimal():
                 raise ParseError("expected: vertices <count>", line_no, col0)
-            num_vertices = int(toks[1][0])
+            num_vertices = _number(toks[1][0], line_no, toks[1][1])
             continue
         if word == "label":
             if len(toks) != 3 or not toks[1][0].isdecimal():
                 raise ParseError("expected: label <id> <name>", line_no, col0)
             if num_vertices is None:
                 raise ParseError("'vertices' must come before labels", line_no, col0)
-            vid = int(toks[1][0])
+            vid = _number(toks[1][0], line_no, toks[1][1])
             if vid >= num_vertices:
                 raise ParseError(
                     f"label for vertex {vid} but only {num_vertices} vertices",
@@ -468,7 +526,7 @@ def token_parse_gem(text):
             ctok, ccol = toks[1]
             if not ctok.endswith(":") or not ctok[:-1].isdecimal():
                 raise ParseError(f"expected '<color>:', got {ctok!r}", line_no, ccol)
-            color = int(ctok[:-1])
+            color = _number(ctok[:-1], line_no, ccol)
             if color >= n_colors:
                 raise ColorOutOfRange(
                     f"line {line_no}: color {color} not in 0..{n_colors - 1}")
@@ -477,7 +535,8 @@ def token_parse_gem(text):
                 m = _PAIR.match(tok)
                 if not m:
                     raise ParseError(f"expected 'a-b' pair, got {tok!r}", line_no, col)
-                bucket.append((int(m.group(1)), int(m.group(2))))
+                bucket.append((_number(m.group(1), line_no, col),
+                               _number(m.group(2), line_no, col)))
             continue
         raise ParseError(f"unknown statement {word!r}", line_no, col0)
     if not saw_header:

@@ -6,6 +6,7 @@ captured-output section) and enforces its own wall-clock budget.
 
 import time
 from contextlib import contextmanager
+from itertools import combinations
 
 from gemkit import (add_dipole, all_genus_reports, bicolored_cycles,
                     cancel_dipole, canonical_signature, classify_covers,
@@ -18,7 +19,7 @@ from gemkit import (add_dipole, all_genus_reports, bicolored_cycles,
 from gemkit.cli import main
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
-from oracles import brute_force_isomorphic
+from oracles import brute_force_isomorphic, torus_residue_count
 
 
 @contextmanager
@@ -331,3 +332,14 @@ def test_criterion_14_seven_torus_file_round_trip():
         assert again.graph == t7.graph
         assert again.labels == t7.labels
         assert render_gem(again) == text
+
+
+def test_criterion_15_seven_torus_face_counts():
+    g = torus_gem(7).graph
+    want = tuple(sum(torus_residue_count(7, kept)
+                     for kept in combinations(range(8), 7 - h))
+                 for h in range(8))
+    with report(15, "face counts and chi of the 7-torus gem (40320 vertices)",
+                budget=6.0):
+        assert g.euler_characteristic() == 0
+        assert g.face_counts() == want

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import gemkit
-from gemkit import add_dipole, parse_gem, render_gem, t3_standard
+from gemkit import (ColoredGraph, add_dipole, parse_gem, render_gem,
+                    t3_standard, torus_gem)
 from gemkit.cli import main
 
 SQUARE = "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n"
@@ -119,21 +120,48 @@ class TestMeasurement:
 
     def test_check_contracted_matches_graph(self, capsys, tmp_path, s2xs1,
                                             t3, g1p, g2p, reduced1, torus4):
-        # `check` reads contracted off N_0; it must agree with is_contracted
+        # `check` reads connected, contracted and chi off one residue walk;
+        # they must agree with the labeller's predicates
         graphs = {name: gem.graph for name, gem in (
             ("s2xs1", s2xs1), ("t3", t3), ("g1prime", g1p),
             ("g2prime", g2p), ("reduced1", reduced1), ("torus4", torus4))}
         graphs["t3+dipole"] = add_dipole(t3.graph, 0, (1,)).graph
         assert not graphs["t3+dipole"].is_contracted()
+        nv = s2xs1.graph.num_vertices
+        graphs["s2xs1 twice"] = ColoredGraph(
+            [col + tuple(w + nv for w in col) for col in s2xs1.graph.involutions])
         for name, g in graphs.items():
             path = tmp_path / f"{name}.gem"
             path.write_text(render_gem(g))
             code, out, _ = run(capsys, "check", str(path), "--json")
             assert code == 0
             obj = json.loads(out)
+            assert obj["connected"] == g.is_connected(), name
             assert obj["contracted"] == g.is_contracted(), name
             assert obj["crystallization"] == g.is_crystallization(), name
             assert obj["chi"] == g.euler_characteristic(), name
+
+    def test_check_walks_the_residues_once(self, capsys, tmp_path,
+                                           monkeypatch):
+        path = tmp_path / "t4.gem"
+        path.write_text(render_gem(torus_gem(4)))
+        walks = []
+        walk = ColoredGraph.residue_counts
+
+        def counted(graph):
+            walks.append(graph.num_vertices)
+            return walk(graph)
+
+        def refused(graph, colors=None):
+            raise AssertionError("check labelled a residue on its own")
+
+        monkeypatch.setattr(ColoredGraph, "residue_counts", counted)
+        monkeypatch.setattr(ColoredGraph, "components", refused)
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert walks == [120]
+        assert out == ("ok vertices=120 colors=5 connected=true bipartite=true "
+                       "contracted=true crystallization=true chi=0\n")
 
     def test_genus_at_perm(self, capsys, tmp_path):
         path = tmp_path / "g1.gem"
@@ -325,6 +353,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("statement", ["vertices {long}", "c 0: 0-{long}"])
+    def test_number_too_long_for_int_is_two(self, capsys, tmp_path,
+                                            int_digit_limit, statement):
+        bad = tmp_path / "long.gem"
+        statement = statement.format(long="2" * (int_digit_limit + 700))
+        bad.write_text(f"gem 1\ncolors 2\nvertices 2\n{statement}\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: line 4, column ")
+        assert "digit number is too long" in err
 
     def test_color_out_of_range_is_one(self, capsys, square_file):
         for pair in ("0,7", "0,-1"):

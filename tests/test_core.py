@@ -1,14 +1,17 @@
 """Graph container: construction, validation, residues, basic predicates."""
 
 from collections import deque
+from itertools import combinations
 
 import pytest
 
 from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
                     LabeledGem, LoopEdge, OddVertexCount, VertexCountMismatch,
-                    new_graph, order_two_gem)
+                    new_graph, order_two_gem, torus_gem)
 
-from conftest import make_rng, random_colored_graph
+from conftest import make_rng, random_colored_graph, shuffled_copy
+from oracles import (per_subset_face_counts, per_subset_residue_counts,
+                     torus_residue_count)
 
 
 def square_graph():
@@ -157,6 +160,62 @@ class TestPredicates:
         assert t3.graph.euler_characteristic() == 0
         assert order_two_gem(4).graph.euler_characteristic() == 0
         assert order_two_gem(5).graph.euler_characteristic() == 2
+
+
+def disjoint_union(g, h):
+    """g and h side by side, h's vertices shifted past g's."""
+    shift = g.num_vertices
+    return ColoredGraph([list(a) + [w + shift for w in b]
+                         for a, b in zip(g.involutions, h.involutions)])
+
+
+class TestResidueWalkAgainstOracle:
+    """residue_counts()/face_counts() against one labelling per subset."""
+
+    @staticmethod
+    def agree(g):
+        counts = g.residue_counts()
+        assert counts == per_subset_residue_counts(g)
+        assert len(counts) == 2 ** g.n_colors
+        assert g.face_counts() == per_subset_face_counts(g)
+
+    def test_random_graphs(self):
+        rng = make_rng(20261018)
+        for k in range(2, 8):
+            for _ in range(6):
+                g = random_colored_graph(rng, rng.choice((2, 4, 6, 10, 16)), k)
+                self.agree(g)
+                h = random_colored_graph(rng, rng.choice((2, 4, 8)), k)
+                # disconnected, with the two parts' vertices interleaved
+                both, _ = shuffled_copy(rng, disjoint_union(g, h))
+                assert not both.is_connected()
+                self.agree(both)
+
+    def test_catalogue_and_tori(self, s2xs1, t3, g1p, g2p, cover1, reduced1):
+        rng = make_rng(8)
+        graphs = [gem.graph for gem in (s2xs1, t3, g1p, g2p, cover1, reduced1)]
+        graphs += [torus_gem(n).graph for n in range(2, 6)]
+        for g in graphs:
+            self.agree(g)
+            self.agree(shuffled_copy(rng, g)[0])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_torus_closed_form(self, n):
+        # the closed form uses no labeller
+        g = torus_gem(n).graph
+        want = {kept: torus_residue_count(n, kept)
+                for size in range(n + 2)
+                for kept in combinations(range(n + 1), size)}
+        assert g.residue_counts() == want
+        assert g.face_counts() == tuple(
+            sum(count for kept, count in want.items() if len(kept) == n - h)
+            for h in range(n + 1))
+        assert g.euler_characteristic() == 0
+
+    def test_two_colors(self):
+        g = square_graph()
+        assert g.residue_counts() == {(): 4, (0,): 2, (1,): 2, (0, 1): 1}
+        assert two_squares().residue_counts()[(0, 1)] == 2
 
 
 class TestRelabelAndColorPermute:

@@ -124,6 +124,35 @@ class TestParse:
         assert parse_gem(text).graph == parse_gem(
             "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n").graph
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("gem 1\ncolors {long}\n", 2, 8),
+        ("gem 1\ncolors 2\nvertices {long}\n", 3, 10),
+        ("gem 1\ncolors 2\nvertices 2\nlabel {long} x\n", 4, 7),
+        ("gem 1\ncolors 2\nvertices 2\nc {long}: 0-1\n", 4, 3),
+        ("gem 1\ncolors 2\nvertices 2\nc 0: {long}-1\n", 4, 6),
+        ("gem 1\ncolors 2\nvertices 4\nc 0: 0-1  2-{long}\n", 4, 11),
+        # the first bad token wins on a line the regular expression refuses
+        ("gem 1\ncolors 2\nvertices 4\nc 0: 0-{long} 2-3 x\n", 4, 6),
+    ])
+    def test_number_too_long_for_int_is_a_parse_error(
+            self, int_digit_limit, text, line, column):
+        text = text.format(long="1" * (int_digit_limit + 700))
+        with pytest.raises(ParseError) as err:
+            parse_gem(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert f"{int_digit_limit + 700}-digit number is too long" in str(err.value)
+        assert outcome(parse_gem, text) == outcome(token_parse_gem, text)
+
+    def test_number_at_the_digit_limit_is_read(self, int_digit_limit):
+        zeros = "0" * (int_digit_limit - 1)
+        text = f"gem 1\ncolors 2\nvertices {zeros}4\nc 0: 0-1 2-3\nc 1: 1-2 {zeros}3-0\n"
+        assert parse_gem(text).graph == parse_gem(
+            "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n").graph
+        for one_more in (text.replace("vertices ", "vertices 0"),
+                         text.replace("1-2 ", "1-2 0")):
+            with pytest.raises(ParseError):
+                parse_gem(one_more)
+
     def test_glued_pairs_rejected_at_their_token(self):
         with pytest.raises(ParseError) as err:
             parse_gem("gem 1\ncolors 2\nvertices 4\nc 0: 0-1  2-34-5\n")
