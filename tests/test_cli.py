@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import gemkit
-from gemkit import (ColoredGraph, add_dipole, parse_gem, render_gem,
+from gemkit import (ColoredGraph, add_dipole, export_dot, export_gluings,
+                    g1_prime, parse_gem, parse_move_script, product_gem,
+                    render_gem, run_script, s2xs1_standard, small_cover_gem,
                     t3_standard, torus_gem)
 from gemkit.cli import main
 
@@ -404,3 +406,198 @@ class TestExitCodes:
         assert scripts["gemkit"] == "gemkit.cli:main"
         module, _, attr = scripts["gemkit"].partition(":")
         assert getattr(importlib.import_module(module), attr) is main
+
+
+# -- every command's output, pinned ----------------------------------------------
+
+HEX = "gem 1\ncolors 2\nvertices 6\nc 0: 0-1 2-3 4-5\nc 1: 1-2 3-4 5-0\n"
+PINNED_INPUTS = {
+    "square": SQUARE,
+    "hex": HEX,
+    "fold": FOLD_SCRIPT,
+    "rp2": ("gem 1\ncolors 3\nvertices 4\n"
+            "c 0: 0-1 2-3\nc 1: 0-2 1-3\nc 2: 0-3 1-2\n"),
+    "relabeled": "gem 1\ncolors 2\nvertices 4\nc 0: 1-2 3-0\nc 1: 2-3 0-1\n",
+    "two": "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-1\n",
+    "bad": "gem 1\ncolors 2\nvertices 4\nc 0 0-1\n",
+}
+
+# argv -> (text stdout, --json stdout); "{name}" stands for the path of
+# PINNED_INPUTS[name], or of the catalogue gem "s2xs1" or "g1" (g1prime)
+PINNED_ANSWERS = {
+    "check {g1}": (
+        "ok vertices=40 colors=5 connected=true bipartite=true contracted=true"
+        " crystallization=true chi=0\n",
+        '{"bipartite": true, "chi": 0, "colors": 5, "connected": true,'
+        ' "contracted": true, "crystallization": true, "vertices": 40}\n'),
+    "check {square}": (
+        "ok vertices=4 colors=2 connected=true bipartite=true contracted=false"
+        " crystallization=false chi=0\n",
+        '{"bipartite": true, "chi": 0, "colors": 2, "connected": true,'
+        ' "contracted": false, "crystallization": false, "vertices": 4}\n'),
+    "genus {g1}": (
+        "perm=0,2,4,1,3 pairs=10,10,10,10,10 chi=-10 rho=6\n",
+        '{"chi": -10, "pairs": [10, 10, 10, 10, 10], "perm": [0, 2, 4, 1, 3],'
+        ' "rho": 6}\n'),
+    "genus {g1} --perm 0,1,2,3,4": (
+        "perm=0,1,2,3,4 pairs=8,8,8,8,8 chi=-20 rho=11\n",
+        '{"chi": -20, "pairs": [8, 8, 8, 8, 8], "perm": [0, 1, 2, 3, 4],'
+        ' "rho": 11}\n'),
+    "genus {rp2} --all": (
+        "perm=0,1,2 pairs=1,1,1 chi=1 rho=1/2\n"
+        "min perm=0,1,2 pairs=1,1,1 chi=1 rho=1/2\n",
+        '{"min": {"chi": 1, "pairs": [1, 1, 1], "perm": [0, 1, 2],'
+        ' "rho": "1/2"}, "reports": [{"chi": 1, "pairs": [1, 1, 1],'
+        ' "perm": [0, 1, 2], "rho": "1/2"}]}\n'),
+    "cycles {s2xs1} --pair 0,2": (
+        "count=2 lengths=4,4\n",
+        '{"count": 2, "lengths": [4, 4], "pair": [0, 2]}\n'),
+    "chi {g1}": ("0\n", '{"chi": 0}\n'),
+    "bound --chi 0 --rank 4": ("16\n", '{"bound": 16, "chi": 0, "rank": 4}\n'),
+    "wss {g1} --perm 0,2,4,1,3 --rank 2": (
+        "weak_semi_simple=true triples=3,3,3,3,3\n",
+        '{"perm": [0, 2, 4, 1, 3], "rank": 2, "triples": [3, 3, 3, 3, 3],'
+        ' "weak_semi_simple": true}\n'),
+    "wss {g1} --perm 0,1,2,3,4 --rank 2": (
+        "weak_semi_simple=false triples=4,4,4,4,4\n",
+        '{"perm": [0, 1, 2, 3, 4], "rank": 2, "triples": [4, 4, 4, 4, 4],'
+        ' "weak_semi_simple": false}\n'),
+    "iso {square} {relabeled}": (
+        "isomorphic=true colors=0,1\n",
+        '{"color_map": [0, 1], "isomorphic": true, "vertex_map": [0, 3, 2, 1]}\n'),
+    "iso {square} {relabeled} --color-perm": (
+        "isomorphic=true colors=0,1\n",
+        '{"color_map": [0, 1], "isomorphic": true, "vertex_map": [0, 3, 2, 1]}\n'),
+    "iso {square} {two}": ("isomorphic=false\n", '{"isomorphic": false}\n'),
+    "canon {square}": (
+        "2;4;1,2,0,3,3,0,2,1\n", '{"signature": "2;4;1,2,0,3,3,0,2,1"}\n'),
+    "canon {s2xs1} --color-perm": (
+        "4;8;1,1,2,3,0,0,4,5,4,6,0,4,6,5,5,0,2,7,1,2,7,3,3,1,3,2,7,7,5,4,6,6\n",
+        '{"signature": "4;8;1,1,2,3,0,0,4,5,4,6,0,4,6,5,5,0,2,7,1,2,7,3,3,1,3,'
+        '2,7,7,5,4,6,6"}\n'),
+    "small-cover classify": (
+        "class 1\nclass 2 5\nclass 3 6\nclass 4 7\n",
+        '{"classes": [[1], [2, 5], [3, 6], [4, 7]]}\n'),
+}
+
+
+def _moved_hex():
+    return run_script(parse_gem(HEX), parse_move_script(FOLD_SCRIPT)).gem
+
+
+# argv -> (text lines before the document, --json fields besides the
+# document, the document's JSON key, the library call that makes the document)
+PINNED_DOCUMENTS = {
+    "build s2xs1": ("", {"name": "s2xs1", "colors": 4, "vertices": 8},
+                    "gem", lambda: render_gem(s2xs1_standard())),
+    "build g1prime": ("", {"name": "g1prime", "colors": 5, "vertices": 40},
+                      "gem", lambda: render_gem(g1_prime())),
+    "build torus-cube --n 3": (
+        "", {"name": "torus-cube", "colors": 4, "vertices": 24},
+        "gem", lambda: render_gem(torus_gem(3))),
+    "build small-cover --lambda 2": (
+        "", {"name": "small-cover", "colors": 5, "vertices": 96},
+        "gem", lambda: render_gem(small_cover_gem(2))),
+    "build product-gem {s2xs1}": (
+        "", {"name": "product-gem", "colors": 5, "vertices": 64},
+        "gem", lambda: render_gem(product_gem(s2xs1_standard()))),
+    "export {square} --format dot": (
+        "", {"format": "dot"}, "text",
+        lambda: export_dot(parse_gem(SQUARE))),
+    "export {square} --format gluings": (
+        "", {"format": "gluings"}, "text",
+        lambda: export_gluings(parse_gem(SQUARE))),
+    "export {square} --format gem": (
+        "", {"format": "gem"}, "text", lambda: render_gem(parse_gem(SQUARE))),
+    "moves {hex} --script {fold}": (
+        "trace 6 4\n", {"trace": [6, 4]}, "gem",
+        lambda: render_gem(_moved_hex())),
+}
+
+# argv -> (exit code, stderr), the same in both formats, with nothing on
+# stdout
+PINNED_ERRORS = {
+    "build torus-cube": (1, "error: build torus-cube needs --n\n"),
+    "cycles {square} --pair 0,7": (1, "error: color 7 not in 0..1\n"),
+    "wss {s2xs1} --perm 0,1,2,3 --rank 1": (
+        1, "error: weak semi-simplicity check needs 5 colors, got 4\n"),
+    "check {bad}": (
+        2, "parse error: line 4, column 3: expected '<color>:', got '0'\n"),
+    "check {missing}": (
+        1, "error: [Errno 2] No such file or directory: '{missing}'\n"),
+    "cycles {square} --pair 01": (
+        2, "usage: gemkit cycles [-h] [--json] --pair PAIR file\n"
+           "gemkit cycles: error: argument --pair: bad color pair '01'\n"),
+}
+
+
+@pytest.fixture()
+def pinned_paths(tmp_path):
+    paths = {"missing": str(tmp_path / "missing.gem")}
+    inputs = dict(PINNED_INPUTS, s2xs1=render_gem(s2xs1_standard()),
+                  g1=render_gem(g1_prime()))
+    for name, text in inputs.items():
+        path = tmp_path / f"{name}.gem"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def run_pinned(capsys, paths, command, *extra):
+    """(exit code, stdout, stderr) of one call; argparse's exit included."""
+    argv = [word.format(**paths) for word in command.split()] + list(extra)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestPinnedOutput:
+    """Every command's exact stdout, stderr and exit code, as text and JSON."""
+
+    def test_every_command_is_pinned(self):
+        commands = {argv.split()[0] for table in (
+            PINNED_ANSWERS, PINNED_DOCUMENTS, PINNED_ERRORS) for argv in table}
+        assert commands == {"build", "check", "genus", "cycles", "chi",
+                            "bound", "wss", "moves", "iso", "canon",
+                            "export", "small-cover"}
+
+    @pytest.mark.parametrize("command", PINNED_ANSWERS)
+    def test_text(self, capsys, pinned_paths, command):
+        assert run_pinned(capsys, pinned_paths, command) \
+            == (0, PINNED_ANSWERS[command][0], "")
+
+    @pytest.mark.parametrize("command", PINNED_ANSWERS)
+    def test_json(self, capsys, pinned_paths, command):
+        assert run_pinned(capsys, pinned_paths, command, "--json") \
+            == (0, PINNED_ANSWERS[command][1], "")
+
+    @pytest.mark.parametrize("command", PINNED_DOCUMENTS)
+    def test_document_text(self, capsys, pinned_paths, command):
+        lines, _, _, document = PINNED_DOCUMENTS[command]
+        assert run_pinned(capsys, pinned_paths, command) \
+            == (0, lines + document(), "")
+
+    @pytest.mark.parametrize("command", PINNED_DOCUMENTS)
+    def test_document_json(self, capsys, pinned_paths, command):
+        _, fields, key, document = PINNED_DOCUMENTS[command]
+        obj = dict(fields, **{key: document()})
+        assert run_pinned(capsys, pinned_paths, command, "--json") \
+            == (0, json.dumps(obj, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("command", PINNED_DOCUMENTS)
+    def test_document_out_file(self, capsys, pinned_paths, tmp_path, command):
+        lines, _, _, document = PINNED_DOCUMENTS[command]
+        target = tmp_path / "out.txt"
+        assert run_pinned(capsys, pinned_paths, command, "--out", str(target)) \
+            == (0, lines, "")
+        assert target.read_text() == document()
+
+    @pytest.mark.parametrize("fmt", ["", "--json"])
+    @pytest.mark.parametrize("command", PINNED_ERRORS)
+    def test_error(self, capsys, pinned_paths, command, fmt):
+        code, err = PINNED_ERRORS[command]
+        assert run_pinned(capsys, pinned_paths, command, *fmt.split()) \
+            == (code, "", err.format(**pinned_paths))
