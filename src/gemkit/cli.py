@@ -2,9 +2,15 @@
 
 Subcommands mirror the library: build catalogue constructions, check and
 convert gem files, compute genus data, run move scripts, and compare
-graphs.  Output is line-oriented text; --json switches a command to one
-JSON object on stdout.  Exit codes: 0 success, 1 domain errors (validation
-and failed move or construction preconditions), 2 parse errors.
+graphs.  Each command returns its answer once, as a JSON object, the lines
+of its text form, and (for build, export and moves) a document: the gem,
+dot or gluings text.  `main` is the one place that writes output: under
+--json it prints the object as one JSON line, otherwise the text lines.
+The document goes to --out when given, under either format, before
+anything is printed; without --out it follows the text lines on stdout and
+is left out under --json, whose object already holds it.  Exit codes: 0 success, 1 domain errors
+(validation, failed move or construction preconditions, unreadable or
+unwritable files), 2 parse errors.
 """
 
 import argparse
@@ -17,8 +23,8 @@ from .core import euler_characteristic_from, face_counts_from
 from .errors import GemError, ParseError
 from .gemfile import export_dot, export_gluings, parse_gem, render_gem
 from .invariants import (all_genus_reports, bicolored_cycles, genus_for,
-                         genus_lower_bound, is_weak_semi_simple,
-                         regular_genus, weak_semi_simple_triples)
+                         genus_lower_bound, regular_genus,
+                         weak_semi_simple_triples)
 from .iso import canonical_signature, isomorphic
 from .moves import parse_move_script, run_script
 from .small_covers import classify_covers, small_cover_gem
@@ -28,18 +34,6 @@ from .torus_cube import torus_gem
 def _read_gem(path):
     with open(path, encoding="utf-8") as fh:
         return parse_gem(fh.read())
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(obj):
-    print(json.dumps(obj, sort_keys=True))
 
 
 def _frac(value):
@@ -75,38 +69,55 @@ def _report_obj(rep):
     }
 
 
-def _report_line(rep):
-    pairs = ",".join(str(c) for c in rep.pair_counts)
-    perm = ",".join(str(c) for c in rep.permutation)
-    return f"perm={perm} pairs={pairs} chi={_frac(rep.chi)} rho={_frac(rep.genus)}"
+def _words(obj):
+    """`key=value` words: lists joined by commas, booleans in lower case."""
+    def word(value):
+        if isinstance(value, (list, tuple)):
+            return ",".join(map(str, value))
+        return str(value).lower() if isinstance(value, bool) else str(value)
+    return " ".join(f"{key}={word(value)}" for key, value in obj.items())
+
+
+def _product(args):
+    if not args.file:
+        raise GemError("build product-gem needs a base gem file")
+    return product_gem(_read_gem(args.file))
+
+
+def _torus(args):
+    if args.n is None:
+        raise GemError("build torus-cube needs --n")
+    return torus_gem(args.n, budget=args.budget)
+
+
+def _small_cover(args):
+    if args.lam is None:
+        raise GemError("build small-cover needs --lambda")
+    if not 1 <= args.lam <= 7:
+        raise GemError(f"--lambda must be 1..7, got {args.lam}")
+    return small_cover_gem(args.lam)
+
+
+# build name -> the gem it makes from the parsed arguments
+_CATALOGUE = {
+    "s2xs1": lambda args: s2xs1_standard(),
+    "t3": lambda args: t3_standard(),
+    "g1prime": lambda args: g1_prime(),
+    "g2prime": lambda args: g2_prime(),
+    "product-gem": _product,
+    "torus-cube": _torus,
+    "small-cover": _small_cover,
+}
+
+# export format -> the text it makes from a gem
+_FORMATS = {"dot": export_dot, "gluings": export_gluings, "gem": render_gem}
 
 
 def _cmd_build(args):
-    name = args.name
-    if name == "product-gem":
-        if not args.file:
-            raise GemError("build product-gem needs a base gem file")
-        gem = product_gem(_read_gem(args.file))
-    elif name == "torus-cube":
-        if args.n is None:
-            raise GemError("build torus-cube needs --n")
-        gem = torus_gem(args.n, budget=args.budget)
-    elif name == "small-cover":
-        if args.lam is None:
-            raise GemError("build small-cover needs --lambda")
-        if not 1 <= args.lam <= 7:
-            raise GemError(f"--lambda must be 1..7, got {args.lam}")
-        gem = small_cover_gem(args.lam)
-    else:
-        gem = {"s2xs1": s2xs1_standard, "t3": t3_standard,
-               "g1prime": g1_prime, "g2prime": g2_prime}[name]()
+    gem = _CATALOGUE[args.name](args)
     text = render_gem(gem)
-    if args.json:
-        _emit_json({"name": name, "colors": gem.graph.n_colors,
-                    "vertices": gem.graph.num_vertices, "gem": text})
-    else:
-        _emit(text, args.out)
-    return 0
+    return ({"name": args.name, "colors": gem.graph.n_colors,
+             "vertices": gem.graph.num_vertices, "gem": text}, [], text)
 
 
 def _cmd_check(args):
@@ -126,82 +137,49 @@ def _cmd_check(args):
         "crystallization": connected and contracted,
         "chi": euler_characteristic_from(face_counts_from(counts, g.n_colors)),
     }
-    if args.json:
-        _emit_json(info)
-    else:
-        print("ok " + " ".join(f"{k}={str(v).lower()}" for k, v in info.items()))
-    return 0
+    return info, ["ok " + _words(info)], None
 
 
 def _cmd_genus(args):
     g = _read_gem(args.file).graph
     if args.perm is not None:
         rep = genus_for(g, args.perm)
-        if args.json:
-            _emit_json(_report_obj(rep))
-        else:
-            print(_report_line(rep))
-        return 0
-    if args.all:
+    elif args.all:
         reports = all_genus_reports(g)
-        best = min(reports, key=lambda r: (r.genus, r.permutation))
-        if args.json:
-            _emit_json({"reports": [_report_obj(r) for r in reports],
-                        "min": _report_obj(best)})
-        else:
-            for rep in reports:
-                print(_report_line(rep))
-            print("min " + _report_line(best))
-        return 0
-    rep = regular_genus(g)
-    if args.json:
-        _emit_json(_report_obj(rep))
+        best = _report_obj(min(reports, key=lambda r: (r.genus, r.permutation)))
+        objs = [_report_obj(r) for r in reports]
+        return ({"reports": objs, "min": best},
+                [_words(r) for r in objs] + ["min " + _words(best)], None)
     else:
-        print(_report_line(rep))
-    return 0
+        rep = regular_genus(g)
+    obj = _report_obj(rep)
+    return obj, [_words(obj)], None
 
 
 def _cmd_cycles(args):
     g = _read_gem(args.file).graph
     i, j = args.pair
     lengths = bicolored_cycles(g, i, j)
-    if args.json:
-        _emit_json({"pair": [i, j], "count": len(lengths),
-                    "lengths": list(lengths)})
-    else:
-        print(f"count={len(lengths)} lengths={','.join(map(str, lengths))}")
-    return 0
+    census = {"count": len(lengths), "lengths": list(lengths)}
+    return {"pair": [i, j], **census}, [_words(census)], None
 
 
 def _cmd_chi(args):
     chi = _read_gem(args.file).graph.euler_characteristic()
-    if args.json:
-        _emit_json({"chi": chi})
-    else:
-        print(chi)
-    return 0
+    return {"chi": chi}, [str(chi)], None
 
 
 def _cmd_bound(args):
     value = genus_lower_bound(args.chi, args.rank)
-    if args.json:
-        _emit_json({"chi": args.chi, "rank": args.rank, "bound": value})
-    else:
-        print(value)
-    return 0
+    return {"chi": args.chi, "rank": args.rank, "bound": value}, [str(value)], None
 
 
 def _cmd_wss(args):
-    g = _read_gem(args.file).graph
-    triples = weak_semi_simple_triples(g, args.perm)
-    ok = is_weak_semi_simple(g, args.perm, args.rank)
-    if args.json:
-        _emit_json({"perm": list(args.perm), "rank": args.rank,
-                    "triples": list(triples), "weak_semi_simple": ok})
-    else:
-        print(f"weak_semi_simple={str(ok).lower()} "
-              f"triples={','.join(map(str, triples))}")
-    return 0
+    triples = weak_semi_simple_triples(_read_gem(args.file).graph, args.perm)
+    answer = {"weak_semi_simple": all(c == args.rank + 1 for c in triples),
+              "triples": list(triples)}
+    return ({"perm": list(args.perm), "rank": args.rank, **answer},
+            [_words(answer)], None)
 
 
 def _cmd_moves(args):
@@ -210,66 +188,37 @@ def _cmd_moves(args):
         steps = parse_move_script(fh.read())
     result = run_script(gem, steps)
     text = render_gem(result.gem)
-    if args.json:
-        _emit_json({"trace": list(result.trace), "gem": text})
-    else:
-        print("trace " + " ".join(map(str, result.trace)))
-        _emit(text, args.out)
-    return 0
+    return ({"trace": list(result.trace), "gem": text},
+            ["trace " + " ".join(map(str, result.trace))], text)
 
 
 def _cmd_iso(args):
     g1 = _read_gem(args.file_a).graph
     g2 = _read_gem(args.file_b).graph
     found = isomorphic(g1, g2, allow_color_perm=args.color_perm)
-    if args.json:
-        if found is None:
-            _emit_json({"isomorphic": False})
-        else:
-            _emit_json({"isomorphic": True, "vertex_map": list(found[0]),
-                        "color_map": list(found[1])})
-    elif found is None:
-        print("isomorphic=false")
-    else:
-        print(f"isomorphic=true colors={','.join(map(str, found[1]))}")
-    return 0
+    if found is None:
+        return {"isomorphic": False}, [_words({"isomorphic": False})], None
+    vertex_map, color_map = found
+    return ({"isomorphic": True, "vertex_map": list(vertex_map),
+             "color_map": list(color_map)},
+            [_words({"isomorphic": True, "colors": color_map})], None)
 
 
 def _cmd_canon(args):
     sig = canonical_signature(_read_gem(args.file).graph,
                               allow_color_perm=args.color_perm)
-    if args.json:
-        _emit_json({"signature": sig})
-    else:
-        print(sig)
-    return 0
+    return {"signature": sig}, [sig], None
 
 
 def _cmd_export(args):
-    gem = _read_gem(args.file)
-    if args.format == "dot":
-        text = export_dot(gem)
-    elif args.format == "gluings":
-        text = export_gluings(gem)
-    else:
-        text = render_gem(gem)
-    if args.json:
-        _emit_json({"format": args.format, "text": text})
-    else:
-        _emit(text, args.out)
-    return 0
+    text = _FORMATS[args.format](_read_gem(args.file))
+    return {"format": args.format, "text": text}, [], text
 
 
 def _cmd_small_cover(args):
-    if args.action != "classify":
-        raise GemError(f"unknown small-cover action {args.action!r}")
     classes = classify_covers()
-    if args.json:
-        _emit_json({"classes": [list(c) for c in classes]})
-    else:
-        for group in classes:
-            print("class " + " ".join(map(str, group)))
-    return 0
+    return ({"classes": [list(c) for c in classes]},
+            ["class " + " ".join(map(str, group)) for group in classes], None)
 
 
 def _build_parser():
@@ -284,8 +233,7 @@ def _build_parser():
 
     p = sub.add_parser("build", parents=[common],
                        help="emit a catalogue construction as a gem file")
-    p.add_argument("name", choices=("s2xs1", "t3", "g1prime", "g2prime",
-                                    "product-gem", "torus-cube", "small-cover"))
+    p.add_argument("name", choices=tuple(_CATALOGUE))
     p.add_argument("file", nargs="?", help="base gem file (product-gem only)")
     p.add_argument("--n", type=int, help="torus dimension (torus-cube only)")
     p.add_argument("--budget", type=int, default=40320,
@@ -357,7 +305,7 @@ def _build_parser():
     p = sub.add_parser("export", parents=[common],
                        help="convert a gem file to dot, gluings, or gem")
     p.add_argument("file")
-    p.add_argument("--format", choices=("dot", "gluings", "gem"), required=True)
+    p.add_argument("--format", choices=tuple(_FORMATS), required=True)
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=_cmd_export)
 
@@ -372,13 +320,24 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        obj, lines, document = args.func(args)
+        out = getattr(args, "out", None)
+        if document is not None and out:
+            # written first, so a failed write leaves stdout empty
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(document)
+            document = None
+        if args.json:
+            # the object holds the document already
+            lines, document = [json.dumps(obj, sort_keys=True)], None
+        for line in lines:
+            print(line)
+        if document is not None:
+            sys.stdout.write(document)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except GemError as exc:
+    except (GemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0

@@ -12,6 +12,7 @@ its edges before being handed out.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib.resources import files
 
 from .core import ColoredGraph, LabeledGem, new_graph
@@ -21,7 +22,6 @@ from .invariants import bicolored_cycles
 from .moves import ScriptResult, parse_move_script, run_script
 
 _DATA = files("gemkit.data")
-_CACHE: dict = {}
 
 
 def _data_text(name: str) -> str:
@@ -53,31 +53,29 @@ def order_two_gem(n_colors: int = 4) -> LabeledGem:
     return LabeledGem(graph, ("p", "q"))
 
 
+@cache
 def s2xs1_standard() -> LabeledGem:
     """8-vertex crystallization of S^2 x S^1."""
-    if "s2xs1" not in _CACHE:
-        gem = parse_gem(_data_text("s2xs1.gem"))
-        _require(gem.graph.num_vertices == 8, "s2xs1: vertex count")
-        _require(gem.graph.is_crystallization(), "s2xs1: must be a crystallization")
-        _require(gem.graph.is_bipartite(), "s2xs1: must be bipartite")
-        _CACHE["s2xs1"] = gem
-    return _CACHE["s2xs1"]
+    gem = parse_gem(_data_text("s2xs1.gem"))
+    _require(gem.graph.num_vertices == 8, "s2xs1: vertex count")
+    _require(gem.graph.is_crystallization(), "s2xs1: must be a crystallization")
+    _require(gem.graph.is_bipartite(), "s2xs1: must be bipartite")
+    return gem
 
 
+@cache
 def t3_standard() -> LabeledGem:
     """24-vertex crystallization of the 3-torus."""
-    if "t3" not in _CACHE:
-        gem = parse_gem(_data_text("t3.gem"))
-        g = gem.graph
-        _require(g.num_vertices == 24, "t3: vertex count")
-        _require(g.is_crystallization(), "t3: must be a crystallization")
-        _require(g.is_bipartite(), "t3: must be bipartite")
-        for pair in ((0, 3), (0, 1), (1, 2), (2, 3)):
-            _check_cycle_census(g, pair, [6] * 4, "t3")
-        for pair in ((0, 2), (1, 3)):
-            _check_cycle_census(g, pair, [4] * 6, "t3")
-        _CACHE["t3"] = gem
-    return _CACHE["t3"]
+    gem = parse_gem(_data_text("t3.gem"))
+    g = gem.graph
+    _require(g.num_vertices == 24, "t3: vertex count")
+    _require(g.is_crystallization(), "t3: must be a crystallization")
+    _require(g.is_bipartite(), "t3: must be bipartite")
+    for pair in ((0, 3), (0, 1), (1, 2), (2, 3)):
+        _check_cycle_census(g, pair, [6] * 4, "t3")
+    for pair in ((0, 2), (1, 3)):
+        _check_cycle_census(g, pair, [4] * 6, "t3")
+    return gem
 
 
 # -- product with a circle ----------------------------------------------------
@@ -180,51 +178,49 @@ G2PRIME_DEPICTED = (
 )
 
 
+@cache
 def g1_prime_result() -> ScriptResult:
     """Reduction of the S^2 x S^1 product to its 40-vertex crystallization."""
-    if "g1p" not in _CACHE:
-        prod = product_gem(s2xs1_standard())
-        _require(prod.graph.num_vertices == 64, "g1prime: product size")
-        steps = parse_move_script(_data_text("g1prime.moves"))
-        result = run_script(prod, steps)
-        _require(result.trace == (64, 60, 56, 52, 48, 44, 40),
-                 f"g1prime: trace {result.trace}")
-        g = result.gem.graph
-        for pair in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)):
-            _require(g.residue_count(pair) == 10,
-                     f"g1prime: pair {pair} residue count")
-        for pair in ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)):
-            _require(g.residue_count(pair) == 8,
-                     f"g1prime: pair {pair} residue count")
-        _require(g.is_crystallization(), "g1prime: crystallization")
-        _require(g.is_bipartite(), "g1prime: bipartite")
-        _check_depicted(result.gem, G1PRIME_DEPICTED, "g1prime depicted edges")
-        _CACHE["g1p"] = result
-    return _CACHE["g1p"]
+    prod = product_gem(s2xs1_standard())
+    _require(prod.graph.num_vertices == 64, "g1prime: product size")
+    steps = parse_move_script(_data_text("g1prime.moves"))
+    result = run_script(prod, steps)
+    _require(result.trace == (64, 60, 56, 52, 48, 44, 40),
+             f"g1prime: trace {result.trace}")
+    g = result.gem.graph
+    for pair in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)):
+        _require(g.residue_count(pair) == 10,
+                 f"g1prime: pair {pair} residue count")
+    for pair in ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)):
+        _require(g.residue_count(pair) == 8,
+                 f"g1prime: pair {pair} residue count")
+    _require(g.is_crystallization(), "g1prime: crystallization")
+    _require(g.is_bipartite(), "g1prime: bipartite")
+    _check_depicted(result.gem, G1PRIME_DEPICTED, "g1prime depicted edges")
+    return result
 
 
 def g1_prime() -> LabeledGem:
     return g1_prime_result().gem
 
 
+@cache
 def g2_prime_result() -> ScriptResult:
     """Reduction of the 3-torus product to the 120-vertex 4-torus gem."""
-    if "g2p" not in _CACHE:
-        prod = product_gem(t3_standard())
-        _require(prod.graph.num_vertices == 192, "g2prime: product size")
-        steps = parse_move_script(_data_text("g2prime.moves"))
-        result = run_script(prod, steps)
-        _require(
-            result.trace == (192, 180, 168, 156, 152, 148, 144, 140, 136, 132, 128, 124, 120),
-            f"g2prime: trace {result.trace}")
-        g = result.gem.graph
-        for pair in ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3)):
-            _check_cycle_census(g, pair, [4] * 30, "g2prime")
-        _require(g.is_crystallization(), "g2prime: crystallization")
-        _require(g.is_bipartite(), "g2prime: bipartite")
-        _check_depicted(result.gem, G2PRIME_DEPICTED, "g2prime depicted edges")
-        _CACHE["g2p"] = result
-    return _CACHE["g2p"]
+    prod = product_gem(t3_standard())
+    _require(prod.graph.num_vertices == 192, "g2prime: product size")
+    steps = parse_move_script(_data_text("g2prime.moves"))
+    result = run_script(prod, steps)
+    _require(
+        result.trace == (192, 180, 168, 156, 152, 148, 144, 140, 136, 132, 128, 124, 120),
+        f"g2prime: trace {result.trace}")
+    g = result.gem.graph
+    for pair in ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3)):
+        _check_cycle_census(g, pair, [4] * 30, "g2prime")
+    _require(g.is_crystallization(), "g2prime: crystallization")
+    _require(g.is_bipartite(), "g2prime: bipartite")
+    _check_depicted(result.gem, G2PRIME_DEPICTED, "g2prime depicted edges")
+    return result
 
 
 def g2_prime() -> LabeledGem:

@@ -137,22 +137,21 @@ def weak_semi_simple_triples(graph: ColoredGraph, perm) -> tuple[int, ...]:
     order, the triples whose residues control whether the genus at `perm`
     can reach the lower bound.  (The consecutive triples of `perm` are the
     stride-2 triples of the dual order, so the two phrasings swap under the
-    pentagram duality of 5-cycles.)
+    pentagram duality of 5-cycles.)  Defined for 5-colored graphs only.
     """
     perm = check_cyclic_permutation(graph, perm)
-    k = graph.n_colors
+    if graph.n_colors != 5:
+        raise DimensionUnsupported(
+            f"weak semi-simplicity check needs 5 colors, got {graph.n_colors}")
     return tuple(
-        graph.residue_count((perm[i], perm[(i + 2) % k], perm[(i + 4) % k]))
-        for i in range(k))
+        graph.residue_count((perm[i], perm[(i + 2) % 5], perm[(i + 4) % 5]))
+        for i in range(5))
 
 
 def is_weak_semi_simple(graph: ColoredGraph, perm, rank: int) -> bool:
     """Whether all five stride-2 color triples of `perm` have rank+1 residues.
 
     When true (for some perm), the graph's manifold attains the genus lower
-    bound 2*chi + 5*rank - 4.  Defined for 5-colored graphs only.
+    bound 2*chi + 5*rank - 4.
     """
-    if graph.n_colors != 5:
-        raise DimensionUnsupported(
-            f"weak semi-simplicity check needs 5 colors, got {graph.n_colors}")
     return all(c == rank + 1 for c in weak_semi_simple_triples(graph, perm))

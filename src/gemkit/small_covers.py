@@ -17,6 +17,7 @@ gem down to a 52-vertex crystallization.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import LabeledGem, new_graph
 from .errors import AuditFailed, InvalidCharacteristicFunction
@@ -85,9 +86,8 @@ def validate_characteristic_function(masks):
 # (facet-5, facet-6) vectors, in catalogue order.
 CANONICAL_PAIRS = ((3, 12), (3, 15), (3, 13), (3, 14), (15, 12), (7, 12), (11, 12))
 
-_ENUM_CACHE = None
 
-
+@cache
 def enumerate_characteristic_functions():
     """All characteristic functions fixing the standard basis on facets 1..4.
 
@@ -95,21 +95,18 @@ def enumerate_characteristic_functions():
     catalogue: exactly seven assignments survive the nine vertex basis
     conditions.  Returns them as 6-tuples of 4-bit ints, catalogue order.
     """
-    global _ENUM_CACHE
-    if _ENUM_CACHE is None:
-        found = set()
-        for a in range(1, 16):
-            for b in range(1, 16):
-                try:
-                    validate_characteristic_function((1, 2, 4, 8, a, b))
-                except InvalidCharacteristicFunction:
-                    continue
-                found.add((a, b))
-        if found != set(CANONICAL_PAIRS):
-            raise AuditFailed(
-                f"characteristic function search found {sorted(found)}")
-        _ENUM_CACHE = tuple((1, 2, 4, 8, a, b) for a, b in CANONICAL_PAIRS)
-    return _ENUM_CACHE
+    found = set()
+    for a in range(1, 16):
+        for b in range(1, 16):
+            try:
+                validate_characteristic_function((1, 2, 4, 8, a, b))
+            except InvalidCharacteristicFunction:
+                continue
+            found.add((a, b))
+    if found != set(CANONICAL_PAIRS):
+        raise AuditFailed(
+            f"characteristic function search found {sorted(found)}")
+    return tuple((1, 2, 4, 8, a, b) for a, b in CANONICAL_PAIRS)
 
 
 def _basis_combo(basis, v):
@@ -326,7 +323,11 @@ COMPACT_LAYOUTS = (
      ("3", "4", "12", "1234"), ("13", "14", "2", "234")),
 )
 
-_MIDDLE_SIGNATURE = None
+
+@cache
+def _first_middle_signature():
+    """Canonical signature of the first cover's middle subgraph."""
+    return canonical_signature(middle_subgraph(small_cover_gem(1)).graph)
 
 
 def compact_form(gem):
@@ -338,7 +339,6 @@ def compact_form(gem):
     64 vertices, every {0,1}- and {3,4}-cycle of length 8, and a single
     isomorphism class shared by all covers.
     """
-    global _MIDDLE_SIGNATURE
     masks = infer_characteristic_function(gem)
     try:
         idx = CANONICAL_PAIRS.index(masks[4:]) + 1
@@ -352,13 +352,7 @@ def compact_form(gem):
         if set(bicolored_cycles(middle.graph, a, b)) != {8}:
             raise AuditFailed(
                 f"middle subgraph has a {a},{b} cycle of length other than 8")
-    if _MIDDLE_SIGNATURE is None:
-        if idx == 1:
-            _MIDDLE_SIGNATURE = canonical_signature(middle.graph)
-        else:
-            _MIDDLE_SIGNATURE = canonical_signature(
-                middle_subgraph(small_cover_gem(1)).graph)
-    if canonical_signature(middle.graph) != _MIDDLE_SIGNATURE:
+    if canonical_signature(middle.graph) != _first_middle_signature():
         raise AuditFailed("middle subgraph differs from the first cover's")
 
     rows = _word_partition(gem, (0, 1), 2)

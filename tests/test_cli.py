@@ -226,6 +226,24 @@ class TestMeasurement:
         assert code == 0
         assert out.strip() == "weak_semi_simple=true triples=3,3,3,3,3"
 
+    def test_wss_labels_each_triple_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "g1.gem"
+        path.write_text(render_gem(g1_prime()))
+        labelled = []
+        label = ColoredGraph.components
+
+        def counted(graph, colors=None):
+            labelled.append(colors)
+            return label(graph, colors)
+
+        monkeypatch.setattr(ColoredGraph, "components", counted)
+        code, out, _ = run(capsys, "wss", str(path),
+                           "--perm", "0,2,4,1,3", "--rank", "2")
+        assert code == 0
+        assert out == "weak_semi_simple=true triples=3,3,3,3,3\n"
+        assert labelled == [(0, 4, 3), (2, 1, 0), (4, 3, 2), (1, 0, 4),
+                            (3, 2, 1)]
+
 
 class TestMovesCommand:
     def test_run_script(self, capsys, tmp_path):
@@ -594,6 +612,29 @@ class TestPinnedOutput:
         assert run_pinned(capsys, pinned_paths, command, "--out", str(target)) \
             == (0, lines, "")
         assert target.read_text() == document()
+
+    @pytest.mark.parametrize("command", PINNED_DOCUMENTS)
+    def test_document_out_file_under_json(self, capsys, pinned_paths,
+                                          tmp_path, command):
+        # --out gets the document and stdout the same one JSON object
+        _, fields, key, document = PINNED_DOCUMENTS[command]
+        obj = dict(fields, **{key: document()})
+        target = tmp_path / "out.txt"
+        assert run_pinned(capsys, pinned_paths, command, "--json",
+                          "--out", str(target)) \
+            == (0, json.dumps(obj, sort_keys=True) + "\n", "")
+        assert target.read_text() == document()
+
+    @pytest.mark.parametrize("fmt", ["", "--json"])
+    @pytest.mark.parametrize("command", PINNED_DOCUMENTS)
+    def test_unwritable_out_file(self, capsys, pinned_paths, tmp_path,
+                                 command, fmt):
+        # a failed write prints no answer, not even the text lines
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_pinned(capsys, pinned_paths, command,
+                                    *fmt.split(), "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
 
     @pytest.mark.parametrize("fmt", ["", "--json"])
     @pytest.mark.parametrize("command", PINNED_ERRORS)

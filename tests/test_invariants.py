@@ -207,6 +207,8 @@ class TestWeakSemiSimple:
     def test_needs_five_colors(self, t3):
         with pytest.raises(DimensionUnsupported):
             is_weak_semi_simple(t3.graph, (0, 1, 2, 3), 2)
+        with pytest.raises(DimensionUnsupported):
+            weak_semi_simple_triples(t3.graph, (0, 1, 2, 3))
 
     def test_triples_are_stride_two(self, g1p):
         g = g1p.graph
