@@ -87,6 +87,8 @@ def _product(args):
 def _torus(args):
     if args.n is None:
         raise GemError("build torus-cube needs --n")
+    if args.budget is None:
+        return torus_gem(args.n)
     return torus_gem(args.n, budget=args.budget)
 
 
@@ -109,11 +111,22 @@ _CATALOGUE = {
     "small-cover": _small_cover,
 }
 
+# build argument -> (how it is written, the one name that reads it)
+_BUILD_OPTIONS = {
+    "file": ("a base gem file", "product-gem"),
+    "n": ("--n", "torus-cube"),
+    "budget": ("--budget", "torus-cube"),
+    "lam": ("--lambda", "small-cover"),
+}
+
 # export format -> the text it makes from a gem
 _FORMATS = {"dot": export_dot, "gluings": export_gluings, "gem": render_gem}
 
 
 def _cmd_build(args):
+    for dest, (written, reader) in _BUILD_OPTIONS.items():
+        if getattr(args, dest) is not None and args.name != reader:
+            raise GemError(f"build {args.name} does not take {written}")
     gem = _CATALOGUE[args.name](args)
     text = render_gem(gem)
     return ({"name": args.name, "colors": gem.graph.n_colors,
@@ -141,6 +154,8 @@ def _cmd_check(args):
 
 
 def _cmd_genus(args):
+    if args.perm is not None and args.all:
+        raise GemError("genus takes --perm or --all, not both")
     g = _read_gem(args.file).graph
     if args.perm is not None:
         rep = genus_for(g, args.perm)
@@ -236,8 +251,8 @@ def _build_parser():
     p.add_argument("name", choices=tuple(_CATALOGUE))
     p.add_argument("file", nargs="?", help="base gem file (product-gem only)")
     p.add_argument("--n", type=int, help="torus dimension (torus-cube only)")
-    p.add_argument("--budget", type=int, default=40320,
-                   help="vertex budget for torus-cube")
+    p.add_argument("--budget", type=int,
+                   help="vertex budget for torus-cube (default 40320)")
     p.add_argument("--lambda", dest="lam", type=int,
                    help="catalogue index 1..7 (small-cover only)")
     p.add_argument("--out", help="write the gem file here instead of stdout")

@@ -9,65 +9,79 @@ entries k and k+1.  Crossing the identified outer faces swaps the first
 and last entries instead, which is also what the long swap walk
 n, n-1, .., 2, 1, 2, .., n does.  The resulting (n+1)-colored graph on
 (n+1)! vertices is a crystallization of the n-torus.
+
+Vertex ids are the permutations in lexicographic order, so the swap colors
+follow from the block structure of that order rather than from a lookup
+per vertex.  The permutations sharing their first k-1 entries fill a block
+of L! consecutive ids, L = n+2-k, and inside every block swapping entries
+k and k+1 acts as the same involution s_L, which swaps the first two
+entries of an L-permutation.  s_L moves whole runs of (L-2)! ids: the run
+whose first two entries have ranks (c0, c1) goes to the run with ranks
+(c1 + [c1 >= c0], c0 - [c0 > c1]).  The 0-color is the swap walk composed
+on ids, and it is audited vertex by vertex against a direct swap of the
+first and last entries looked up by permutation.
 """
 
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 
-from .core import LabeledGem, graph_from_endpoints
+from .core import ColoredGraph, LabeledGem
 from .errors import AuditFailed, BudgetExceeded, DimensionUnsupported
 from .invariants import bicolored_cycles
 
 
-def _perm_label(p):
-    body = [str(x) for x in p]
-    if len(p) > 9:
-        return "p" + ".".join(body)
-    return "p" + "".join(body)
+def _swap_involution(n, k):
+    """Color k's involution on the (n+1)! ids: swap entries k and k+1."""
+    size = n + 2 - k
+    block = factorial(size)
+    run = factorial(size - 2)
+    s = [0] * block
+    for c0 in range(size):
+        for c1 in range(size - 1):
+            d0 = c1 + (c1 >= c0)
+            d1 = c0 - (c0 > c1)
+            src = (c0 * (size - 1) + c1) * run
+            dst = (d0 * (size - 1) + d1) * run
+            s[src:src + run] = range(dst, dst + run)
+    return [base + w for base in range(0, factorial(n + 1), block) for w in s]
 
 
 def torus_gem(n, budget=40320):
     """Gem of the n-torus on the (n+1)! permutations of {1,..,n+1}.
 
-    Vertices are the permutations in lexicographic order, labeled p<entries>.
-    For color k in 1..n the k-partner swaps entries k and k+1.  The
-    0-partner walks the palindromic swap sequence n, n-1, .., 2, 1, 2, .., n;
-    that composite equals swapping entries 1 and n+1, and both versions are
-    computed and compared vertex by vertex.
+    Vertices are the permutations in lexicographic order, labeled p<entries>
+    (entries joined by "." above 9 symbols).  For color k in 1..n the
+    k-partner swaps entries k and k+1; it is built by range arithmetic on
+    the blocks of ids that share their first k-1 entries.  The 0-partner
+    composes the palindromic swap walk n, n-1, .., 2, 1, 2, .., n on ids.
+    That composite must equal swapping entries 1 and n+1, which is looked
+    up directly for every vertex; any difference raises AuditFailed, as
+    does a result that is not bipartite.  ColoredGraph validates every
+    involution, and the budget is checked before anything is allocated.
     """
     if n < 1:
         raise DimensionUnsupported(f"torus dimension must be >= 1, got {n}")
     count = factorial(n + 1)
     if count > budget:
         raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
-    perms = list(permutations(range(1, n + 2)))
-    index = {p: v for v, p in enumerate(perms)}
-
+    swaps = [None] + [_swap_involution(n, k) for k in range(1, n + 1)]
     walk = list(range(n, 0, -1)) + list(range(2, n + 1))
-    zero = []
+    zero = swaps[walk[0]]
+    for k in walk[1:]:
+        zero = itemgetter(*zero)(swaps[k])
+
+    perms = list(permutations([str(x) for x in range(1, n + 2)]))
+    index = dict(zip(perms, range(count)))
     for v, p in enumerate(perms):
-        q = list(p)
-        for k in walk:
-            q[k - 1], q[k] = q[k], q[k - 1]
-        if q[0] != p[n] or q[n] != p[0] or q[1:n] != list(p[1:n]):
-            raise AuditFailed("swap walk disagrees with the direct 0-involution")
-        u = index[tuple(q)]
-        if v < u:
-            zero += (v, u)
-    endpoints = [zero]
-    for k in range(1, n + 1):
-        acc = []
-        for v, p in enumerate(perms):
-            q = list(p)
-            q[k - 1], q[k] = q[k], q[k - 1]
-            u = index[tuple(q)]
-            if v < u:
-                acc += (v, u)
-        endpoints.append(acc)
-    graph = graph_from_endpoints(endpoints, count)
+        if zero[v] != index[p[n:] + p[1:n] + p[:1]]:
+            raise AuditFailed(
+                f"swap walk disagrees with the direct 0-involution at vertex {v}")
+    graph = ColoredGraph([zero] + swaps[1:])
     if not graph.is_bipartite():
         raise AuditFailed("torus gem is not bipartite")
-    return LabeledGem(graph, tuple(_perm_label(p) for p in perms))
+    sep = "." if n + 1 > 9 else ""
+    return LabeledGem(graph, ["p" + sep.join(p) for p in perms])
 
 
 def stated_permutation(n):

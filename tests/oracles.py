@@ -3,7 +3,9 @@
 `per_subset_face_counts` sums one `ColoredGraph.components` labelling per
 color subset, and `per_subset_residue_counts` keeps each subset's count.
 `torus_residue_count` is the closed-form count for the n-torus gem, which
-uses no labeller at all.
+uses no labeller at all.  `lookup_torus_gem` builds that gem one vertex at
+a time: every swap copies the permutation and looks the result up by
+permutation, and the colors go through `graph_from_endpoints`.
 
 `brute_force_color_map` / `brute_force_isomorphic` search vertex bijections
 exhaustively.  `unpruned_signature` is the canonical signature computed
@@ -28,13 +30,15 @@ import re
 from itertools import combinations, permutations
 from math import factorial, prod
 
-from gemkit import (ColorCountMismatch, ColorOutOfRange, ColoredGraph,
-                    CombinedSpec, DipoleSpec, DuplicateVertexInColor,
+from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
+                    ColorOutOfRange, ColoredGraph, CombinedSpec,
+                    DimensionUnsupported, DipoleSpec, DuplicateVertexInColor,
                     GemError, GlueSpec, GraphValidationError, LabeledGem,
                     LoopEdge, MissingIColoredMatching, MoveError, MoveResult,
                     NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
                     ScriptResult, VertexCountMismatch, cancel_dipole)
+from gemkit.core import graph_from_endpoints
 
 
 def per_subset_residue_counts(graph):
@@ -79,6 +83,57 @@ def torus_residue_count(n, kept):
             runs.append(run)
             run = 0
     return factorial(k) // prod(factorial(r + 1) for r in runs)
+
+
+def _perm_label(p):
+    body = [str(x) for x in p]
+    if len(p) > 9:
+        return "p" + ".".join(body)
+    return "p" + "".join(body)
+
+
+def lookup_torus_gem(n, budget=40320):
+    """Gem of the n-torus on the (n+1)! permutations of {1,..,n+1}.
+
+    Vertices are the permutations in lexicographic order, labeled p<entries>.
+    For color k in 1..n the k-partner swaps entries k and k+1.  The
+    0-partner walks the palindromic swap sequence n, n-1, .., 2, 1, 2, .., n;
+    that composite equals swapping entries 1 and n+1, and both versions are
+    computed and compared vertex by vertex.
+    """
+    if n < 1:
+        raise DimensionUnsupported(f"torus dimension must be >= 1, got {n}")
+    count = factorial(n + 1)
+    if count > budget:
+        raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
+    perms = list(permutations(range(1, n + 2)))
+    index = {p: v for v, p in enumerate(perms)}
+
+    walk = list(range(n, 0, -1)) + list(range(2, n + 1))
+    zero = []
+    for v, p in enumerate(perms):
+        q = list(p)
+        for k in walk:
+            q[k - 1], q[k] = q[k], q[k - 1]
+        if q[0] != p[n] or q[n] != p[0] or q[1:n] != list(p[1:n]):
+            raise AuditFailed("swap walk disagrees with the direct 0-involution")
+        u = index[tuple(q)]
+        if v < u:
+            zero += (v, u)
+    endpoints = [zero]
+    for k in range(1, n + 1):
+        acc = []
+        for v, p in enumerate(perms):
+            q = list(p)
+            q[k - 1], q[k] = q[k], q[k - 1]
+            u = index[tuple(q)]
+            if v < u:
+                acc += (v, u)
+        endpoints.append(acc)
+    graph = graph_from_endpoints(endpoints, count)
+    if not graph.is_bipartite():
+        raise AuditFailed("torus gem is not bipartite")
+    return LabeledGem(graph, tuple(_perm_label(p) for p in perms))
 
 
 def brute_force_color_map(g1, g2, allow_color_perm=False):

@@ -343,3 +343,13 @@ def test_criterion_15_seven_torus_face_counts():
                 budget=6.0):
         assert g.euler_characteristic() == 0
         assert g.face_counts() == want
+
+
+def test_criterion_16_seven_torus_build():
+    with report(16, "build and render the 7-torus gem (40320 vertices)",
+                budget=1.5):
+        t7 = torus_gem(7)
+        text = render_gem(t7)
+        assert t7.graph.num_vertices == 40320
+        assert t7.graph.n_colors == 8
+        assert text.startswith("gem 1\ncolors 8\nvertices 40320\n")

@@ -393,6 +393,36 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("build", "s2xs1", "nope.gem", "--n", "3", "--lambda", "2"),
+        ("build", "s2xs1", "nope.gem"),
+        ("build", "t3", "--n", "3"),
+        ("build", "g1prime", "--budget", "100"),
+        ("build", "g2prime", "--lambda", "2"),
+        ("build", "torus-cube", "nope.gem", "--n", "3"),
+        ("build", "torus-cube", "--n", "3", "--lambda", "2"),
+        ("build", "small-cover", "--lambda", "2", "--budget", "100"),
+        ("build", "product-gem", "nope.gem", "--n", "3"),
+    ])
+    def test_build_option_the_name_ignores_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: build {argv[1]} does not take ")
+
+    def test_budget_is_read_by_torus_cube(self, capsys):
+        code, out, _ = run(capsys, "build", "torus-cube", "--n", "2",
+                           "--budget", "6")
+        assert code == 0
+        assert out.startswith("gem 1\ncolors 3\nvertices 6\n")
+
+    def test_genus_perm_with_all_is_one(self, capsys, square_file):
+        code, out, err = run(capsys, "genus", square_file, "--perm", "0,1",
+                             "--all")
+        assert code == 1
+        assert out == ""
+        assert err == "error: genus takes --perm or --all, not both\n"
+
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.gem"))
         assert code == 1

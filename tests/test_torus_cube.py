@@ -1,6 +1,7 @@
 """n-torus gems on permutation vertices, checked against an exact
 geometric oracle: the affine reflection tiling of the sum-zero hyperplane,
-with simplices taken modulo the integer translation lattice."""
+with simplices taken modulo the integer translation lattice, and against
+the per-vertex lookup builder in `oracles`."""
 
 import time
 from fractions import Fraction
@@ -8,10 +9,13 @@ from math import factorial
 
 import pytest
 
+import gemkit.torus_cube
 from gemkit import (AuditFailed, BudgetExceeded, ColoredGraph,
                     DimensionUnsupported, audit_cycle_lengths,
                     bicolored_cycles, expected_genus, genus_for, isomorphic,
-                    regular_genus, stated_permutation, torus_gem)
+                    regular_genus, render_gem, stated_permutation, torus_gem)
+
+from oracles import lookup_torus_gem
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -111,6 +115,35 @@ class TestGeometricOracle:
         assert oracle.num_vertices == factorial(n + 1)
         gem = torus_gem(n)
         assert isomorphic(oracle, gem.graph) is not None
+
+
+class TestLookupOracle:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_gem_as_lookup_builder(self, n):
+        fast, slow = torus_gem(n), lookup_torus_gem(n)
+        assert fast.graph.involutions == slow.graph.involutions
+        assert fast.labels == slow.labels
+
+    def test_seven_torus_file_is_byte_equal(self):
+        assert render_gem(torus_gem(7)) == render_gem(lookup_torus_gem(7))
+
+    def test_wrong_swap_color_fails_the_zero_audit(self, monkeypatch):
+        real = gemkit.torus_cube._swap_involution
+
+        def crossed(n, k):
+            # re-pair two 2-cycles (a b)(c d) as (a c)(b d): still a
+            # fixed-point-free involution, but not the swap of entries 1, 2
+            col = real(n, k)
+            if k == 1:
+                a, b = 0, col[0]
+                c = next(v for v in range(len(col)) if v not in (a, b))
+                d = col[c]
+                col[a], col[c], col[b], col[d] = c, a, d, b
+            return col
+
+        monkeypatch.setattr(gemkit.torus_cube, "_swap_involution", crossed)
+        with pytest.raises(AuditFailed, match="0-involution"):
+            torus_gem(3)
 
 
 class TestFamily:
