@@ -25,7 +25,7 @@ from .gemfile import export_dot, export_gluings, parse_gem, render_gem
 from .invariants import (GenusReport, all_genus_reports, bicolored_cycles,
                          check_cyclic_permutation, cyclic_permutations,
                          genus_for, genus_lower_bound, is_weak_semi_simple,
-                         regular_genus, weak_semi_simple_triples)
+                         pair_cycles, regular_genus, weak_semi_simple_triples)
 from .iso import canonical_signature, isomorphic
 from .moves import (CombinedSpec, DipoleSpec, GlueSpec, MoveResult,
                     ScriptResult, ScriptStep, add_dipole, cancel_dipole,

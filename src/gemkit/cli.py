@@ -333,7 +333,14 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # argparse fills build's optional base file only next to the name
+    if (args.command == "build" and args.file is None and extra
+            and not extra[0].startswith("-")):
+        args.file = extra.pop(0)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         obj, lines, document = args.func(args)
         out = getattr(args, "out", None)

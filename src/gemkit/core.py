@@ -13,6 +13,7 @@ Vertices are dense ints.  Human-readable names live in a side table
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from typing import NoReturn
 
@@ -109,7 +110,9 @@ class ColoredGraph:
         """Components of the spanning subgraph keeping only `colors` edges.
 
         colors=None means all colors.  Every vertex is kept, so dropping all
-        colors yields num_vertices singleton components.
+        colors yields num_vertices singleton components.  The first two
+        colors' cycles (one color: its edges) are joined across each
+        further color's edges, one _Level per color.
         """
         if colors is None:
             colors = range(self.n_colors)
@@ -117,25 +120,13 @@ class ColoredGraph:
             colors = sorted(set(colors))
             for c in colors:
                 self._check_color(c)
-        invs = [self.involutions[c] for c in colors]
-        labels = [-1] * self.num_vertices
-        count = 0
-        for start in range(self.num_vertices):
-            if labels[start] >= 0:
-                continue
-            # starts are taken in vertex order, so ids follow each
-            # component's smallest vertex
-            labels[start] = count
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for col in invs:
-                    w = col[v]
-                    if labels[w] < 0:
-                        labels[w] = count
-                        stack.append(w)
-            count += 1
-        return Components(tuple(labels), count)
+        if not colors:
+            return Components(tuple(range(self.num_vertices)), self.num_vertices)
+        invs = self.involutions
+        level = _Level.cycles(invs[colors[0]], invs[colors[:2][-1]])
+        for c in colors[2:]:
+            level = level.join(itemgetter(*invs[c]))
+        return Components(tuple(level.labels), level.count)
 
     def residue_count(self, colors) -> int:
         """Number of components after keeping only the given edge colors."""
@@ -178,21 +169,23 @@ class ColoredGraph:
         """Component count of the residue of every color subset.
 
         Keys are the 2^k sorted tuples of kept colors, () (num_vertices
-        singletons) and the full palette included.  One depth-first walk
-        visits them in increasing color order.  A subset's parent is the
-        subset without its largest color; its components are the parent's
-        components joined across the new color's edges, found by one flood
-        fill over them, so each subset reads each vertex once.  One-color
-        subsets come straight from the involution.  Subsets holding the last
-        color have no children, so they are counted and not kept.  A kept
-        level is flat (see _Level), and at most k - 1 are alive at once.
+        singletons) and the full palette included.  A one-color subset has
+        num_vertices / 2 components, its edges, and a two-color subset is
+        one walk of its bicolored cycles (_Level.cycles).  From there one
+        depth-first walk visits the larger subsets in increasing color
+        order: a subset's components are its parent's (the subset without
+        its largest color) joined across the new color's edges, so each
+        subset reads each vertex once.  Subsets holding the last color have
+        no children and are counted, not kept.  A kept level is flat (see
+        _Level), and at most k - 2 are alive at once.
         """
         nv = self.num_vertices
         last = self.n_colors - 1
+        invs = self.involutions
         # across[c](labels)[v] is the label of v's c-partner; with V >= 2
         # vertices every itemgetter here returns a tuple, never one item
-        across = [itemgetter(*col) for col in self.involutions]
-        counts = {(): nv}
+        across = [itemgetter(*col) for col in invs]
+        counts = {(): nv, **{(c,): nv // 2 for c in range(last + 1)}}
 
         def walk(kept, level):
             counts[kept] = level.count
@@ -200,9 +193,10 @@ class ColoredGraph:
                 walk(kept + (c,), level.join(across[c]))
             counts[kept + (last,)] = level.join(across[last], keep=False).count
 
-        for c in range(last):
-            walk((c,), _Level.matching(self.involutions[c]))
-        counts[(last,)] = nv // 2
+        for a in range(last):
+            for b in range(a + 1, last):
+                walk((a, b), _Level.cycles(invs[a], invs[b]))
+            counts[a, last] = _Level.cycles(invs[a], invs[last], keep=False).count
         return counts
 
     def face_counts(self) -> tuple[int, ...]:
@@ -244,32 +238,50 @@ class ColoredGraph:
         return ColoredGraph(invs)
 
 
+@dataclass(slots=True)
 class _Level:
-    """The components of one color subset, flat.
+    """The components of one color subset, flat, with ids in order of each
+    component's smallest vertex.
 
     order lists the vertices component by component, component i is
-    order[offsets[i]:offsets[i + 1]], and labels[v] is v's component.
+    order[offsets[i]:offsets[i + 1]], and labels[v] is v's component.  A
+    level kept only for its count has count alone; one made by cycles()
+    also has sizes, its components' vertex counts.
     """
 
-    __slots__ = ("order", "offsets", "labels", "count")
-
-    def __init__(self, order, offsets, labels, count):
-        self.order = order
-        self.offsets = offsets
-        self.labels = labels
-        self.count = count
+    order: list | None
+    offsets: list | None
+    labels: list | tuple | None
+    count: int
+    sizes: list | None = None
 
     @classmethod
-    def matching(cls, col) -> "_Level":
-        """One color: each edge v < col[v] is a component, in order of v."""
+    def cycles(cls, inv_i, inv_j, keep=True) -> "_Level":
+        """The {i, j}-colored cycles of the involutions inv_i and inv_j,
+        each walked v, inv_i[v], inv_j[inv_i[v]], ... from its smallest
+        vertex.  A doubled edge is a cycle of length 2; with inv_i == inv_j
+        every edge is one, the one-color matching.  With keep=False only
+        count and sizes, the cycle lengths, are made."""
+        labels = [None] * len(inv_i)
         order = []
-        labels = [0] * len(col)
-        for v, w in enumerate(col):
-            if v < w:
-                labels[v] = labels[w] = len(order) >> 1
-                order += (v, w)
-        # a list, not a range: its ints are made once, not on every read
-        return cls(order, list(range(0, len(col) + 1, 2)), labels, len(col) >> 1)
+        sizes = []
+        count = 0
+        for start in range(len(inv_i)):
+            if labels[start] is None:
+                length = 0
+                v = start
+                while labels[v] is None:
+                    w = inv_i[v]
+                    labels[v] = labels[w] = count
+                    if keep:
+                        order += (v, w)
+                    length += 2
+                    v = inv_j[w]
+                sizes.append(length)
+                count += 1
+        if not keep:
+            return cls(None, None, None, count, sizes)
+        return cls(order, [0, *accumulate(sizes)], labels, count, sizes)
 
     def join(self, across, keep=True) -> "_Level":
         """The level with one more color, whose `across` getter maps labels
@@ -289,8 +301,7 @@ class _Level:
             joined[start] = count
             stack = [start]
             for comp in stack:
-                a = offsets[comp]
-                b = offsets[comp + 1]
+                a, b = offsets[comp], offsets[comp + 1]
                 if keep:
                     new_order += order[a:b]
                 for nxt in beyond[a:b]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .core import ColoredGraph
+from .core import ColoredGraph, _Level
 from .errors import ColorOutOfRange, DimensionUnsupported, PermutationColorMismatch
 
 
@@ -67,34 +67,26 @@ def bicolored_cycles(graph: ColoredGraph, i: int, j: int) -> list[int]:
     """Lengths of the {i,j}-colored cycles, descending.
 
     The two matchings partition the vertices into even closed walks; a
-    doubled edge shows up as a cycle of length 2.
+    doubled edge shows up as a cycle of length 2.  The walk is the one
+    that labels two-color residues (core._Level.cycles).
     """
     graph._check_color(i)
     graph._check_color(j)
     if i == j:
         raise ColorOutOfRange(f"need two distinct colors, got {i},{j}")
-    inv_i = graph.involutions[i]
-    inv_j = graph.involutions[j]
-    seen = [False] * graph.num_vertices
-    lengths = []
-    for start in range(graph.num_vertices):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            seen[inv_i[v]] = True
-            length += 2
-            v = inv_j[inv_i[v]]
-        lengths.append(length)
-    return sorted(lengths, reverse=True)
+    level = _Level.cycles(graph.involutions[i], graph.involutions[j], keep=False)
+    return sorted(level.sizes, reverse=True)
 
 
-def _report(graph: ColoredGraph, perm, counts) -> GenusReport:
+def pair_cycles(graph: ColoredGraph) -> dict[tuple[int, int], list[int]]:
+    """{(i, j): bicolored_cycles(graph, i, j)} for every color pair i < j."""
+    return {(i, j): bicolored_cycles(graph, i, j)
+            for i, j in combinations(graph.colors(), 2)}
+
+
+def _report(perm, counts, num_vertices: int) -> GenusReport:
     """The report for `perm` from its consecutive-pair cycle counts."""
-    k = graph.n_colors
-    chi = Fraction(sum(counts)) + Fraction((1 - (k - 1)) * graph.num_vertices, 2)
+    chi = Fraction(sum(counts)) + Fraction((2 - len(perm)) * num_vertices, 2)
     return GenusReport(perm, counts, chi, 1 - chi / 2)
 
 
@@ -105,18 +97,23 @@ def genus_for(graph: ColoredGraph, perm) -> GenusReport:
     counts = tuple(
         len(bicolored_cycles(graph, perm[i], perm[(i + 1) % k]))
         for i in range(k))
-    return _report(graph, perm, counts)
+    return _report(perm, counts, graph.num_vertices)
 
 
 def all_genus_reports(graph: ColoredGraph) -> list[GenusReport]:
     """One report per canonical cyclic order, in cyclic_permutations order."""
-    k = graph.n_colors
-    cycles = {}
-    for i, j in combinations(range(k), 2):
-        cycles[i, j] = cycles[j, i] = len(bicolored_cycles(graph, i, j))
+    counts = {pair: len(lengths) for pair, lengths in pair_cycles(graph).items()}
+    return _score_orders(counts, graph.n_colors, graph.num_vertices)
+
+
+def _score_orders(counts, n_colors: int, num_vertices: int) -> list[GenusReport]:
+    """One report per canonical cyclic order, scored from a
+    {(i, j): cycle count} table over the pairs i < j."""
+    both = {**counts, **{(j, i): c for (i, j), c in counts.items()}}
     return [
-        _report(graph, p, tuple(cycles[p[i], p[(i + 1) % k]] for i in range(k)))
-        for p in cyclic_permutations(k)]
+        _report(p, tuple(both[a, b] for a, b in zip(p, p[1:] + p[:1])),
+                num_vertices)
+        for p in cyclic_permutations(n_colors)]
 
 
 def regular_genus(graph: ColoredGraph) -> GenusReport:

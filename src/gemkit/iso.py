@@ -17,9 +17,9 @@ that root's (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 Such automorphisms do not depend on the color order of the walk, so one
 partition serves every color bijection.
 
-isomorphic first compares the pair-cycle fingerprints under each candidate
-color map.  It then anchors one root per component of g1, its smallest
-vertex, and scans the roots of each same-size component of g2 until a code
+isomorphic first compares the pair-cycle tables (invariants.pair_cycles)
+under each candidate color map.  It then anchors one root per component of
+g1, its smallest vertex, and scans the roots of each same-size component of g2 until a code
 equals the anchor's, abandoning every walk at its first difference.  The
 pairing of discovery orders is the witness, replayed edge by edge before it
 is returned.
@@ -31,7 +31,7 @@ from itertools import permutations
 
 from .core import ColoredGraph
 from .errors import ColorCountMismatch
-from .invariants import bicolored_cycles
+from .invariants import pair_cycles
 
 
 def _code_from(graph: ColoredGraph, root: int, color_order, best=None,
@@ -119,23 +119,10 @@ def _graph_code(graph: ColoredGraph, comps, color_order, parent):
     return codes
 
 
-def _pair_fingerprint(graph: ColoredGraph):
-    """Cycle-length census for every color pair; cheap isomorphism filter."""
-    out = {}
-    for i in range(graph.n_colors):
-        for j in range(i + 1, graph.n_colors):
-            out[(i, j)] = tuple(bicolored_cycles(graph, i, j))
-    return out
-
-
-def _fingerprints_match(fp1, fp2, cmap) -> bool:
-    for (i, j), lengths in fp1.items():
-        a, b = cmap[i], cmap[j]
-        if a > b:
-            a, b = b, a
-        if fp2[(a, b)] != lengths:
-            return False
-    return True
+def _tables_match(table1, table2, cmap) -> bool:
+    """Whether cmap carries each pair's cycle lengths in table1 to table2's."""
+    return all(table2[min(cmap[i], cmap[j]), max(cmap[i], cmap[j])] == lengths
+               for (i, j), lengths in table1.items())
 
 
 def canonical_signature(graph: ColoredGraph, allow_color_perm: bool = False) -> str:
@@ -208,9 +195,9 @@ def isomorphic(g1: ColoredGraph, g2: ColoredGraph, allow_color_perm: bool = Fals
     if g1.num_vertices != g2.num_vertices:
         return None
     identity = tuple(range(g1.n_colors))
-    fp1, fp2 = _pair_fingerprint(g1), _pair_fingerprint(g2)
+    table1, table2 = pair_cycles(g1), pair_cycles(g2)
     cmaps = permutations(identity) if allow_color_perm else [identity]
-    cmaps = [cmap for cmap in cmaps if _fingerprints_match(fp1, fp2, cmap)]
+    cmaps = [cmap for cmap in cmaps if _tables_match(table1, table2, cmap)]
     if not cmaps:
         return None
     comps1 = g1.components().members()

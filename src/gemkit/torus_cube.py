@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from .core import ColoredGraph, LabeledGem
 from .errors import AuditFailed, BudgetExceeded, DimensionUnsupported
-from .invariants import bicolored_cycles
+from .invariants import pair_cycles
 
 
 def _swap_involution(n, k):
@@ -112,15 +112,9 @@ def audit_cycle_lengths(gem):
     share an entry position give 6-cycles, all others 4-cycles, so the
     second clause needs n >= 4.
     """
-    graph = gem.graph
-    n = graph.n_colors - 1
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if not set(bicolored_cycles(graph, i, j)) <= {4, 6}:
-                return False
-    order = stated_permutation(n)
-    for k in range(n + 1):
-        i, j = order[k], order[(k + 1) % (n + 1)]
-        if set(bicolored_cycles(graph, i, j)) != {4}:
-            return False
-    return True
+    cycles = pair_cycles(gem.graph)
+    if not all(set(lengths) <= {4, 6} for lengths in cycles.values()):
+        return False
+    order = stated_permutation(gem.graph.n_colors - 1)
+    return all(set(cycles[min(i, j), max(i, j)]) == {4}
+               for i, j in zip(order, order[1:] + order[:1]))

@@ -1,7 +1,10 @@
 """Test-only oracles for the residue, isomorphism, move and .gem file layers.
 
-`per_subset_face_counts` sums one `ColoredGraph.components` labelling per
-color subset, and `per_subset_residue_counts` keeps each subset's count.
+`flood_fill_labels` labels a residue by breadth-first flood fill, the one
+flood fill left in gemkit; `flood_fill_count` is its component count.
+`per_subset_face_counts` sums one flood fill per color subset, and
+`per_subset_residue_counts` keeps each subset's count.  `walked_cycle_lengths`
+walks each bicolored cycle one edge at a time through `ColoredGraph.partner`.
 `torus_residue_count` is the closed-form count for the n-torus gem, which
 uses no labeller at all.  `lookup_torus_gem` builds that gem one vertex at
 a time: every swap copies the permutation and looks the result up by
@@ -27,6 +30,7 @@ from `ColoredGraph.edges`.
 """
 
 import re
+from collections import deque
 from itertools import combinations, permutations
 from math import factorial, prod
 
@@ -41,21 +45,67 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
 from gemkit.core import graph_from_endpoints
 
 
+def flood_fill_labels(graph, colors):
+    """Component ids of the residue keeping `colors`, by breadth-first
+    flood fill, numbered in order of each component's smallest vertex."""
+    invs = [graph.involutions[c] for c in colors]
+    labels = [None] * graph.num_vertices
+    count = 0
+    for start in range(graph.num_vertices):
+        if labels[start] is not None:
+            continue
+        labels[start] = count
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for inv in invs:
+                w = inv[v]
+                if labels[w] is None:
+                    labels[w] = count
+                    queue.append(w)
+        count += 1
+    return tuple(labels)
+
+
+def flood_fill_count(graph, colors):
+    return max(flood_fill_labels(graph, colors)) + 1
+
+
+def walked_cycle_lengths(graph, i, j):
+    """Lengths of the {i, j}-colored cycles, descending: from each vertex
+    not yet seen, step along one edge at a time, alternating the two
+    colors, until the walk is back at its start."""
+    seen = set()
+    lengths = []
+    for start in range(graph.num_vertices):
+        if start in seen:
+            continue
+        v, colors, steps = start, (i, j), 0
+        while True:
+            seen.add(v)
+            v = graph.partner(v, colors[steps % 2])
+            steps += 1
+            if v == start:
+                break
+        lengths.append(steps)
+    return sorted(lengths, reverse=True)
+
+
 def per_subset_residue_counts(graph):
-    """{kept colors: component count}, one `components` labelling per subset."""
-    return {kept: graph.components(kept).count
+    """{kept colors: component count}, one flood fill per subset."""
+    return {kept: flood_fill_count(graph, kept)
             for size in range(graph.n_colors + 1)
             for kept in combinations(range(graph.n_colors), size)}
 
 
 def per_subset_face_counts(graph):
-    """face_counts summing one `components` labelling per proper subset."""
+    """face_counts summing one flood fill per proper subset."""
     all_colors = tuple(range(graph.n_colors))
     out = []
     for k in range(graph.n_colors):
         total = 0
         for kept in combinations(all_colors, graph.n_colors - 1 - k):
-            total += graph.components(kept).count
+            total += flood_fill_count(graph, kept)
         out.append(total)
     return tuple(out)
 

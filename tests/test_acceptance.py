@@ -19,7 +19,8 @@ from gemkit import (add_dipole, all_genus_reports, bicolored_cycles,
 from gemkit.cli import main
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
-from oracles import brute_force_isomorphic, torus_residue_count
+from oracles import (brute_force_isomorphic, flood_fill_labels,
+                     torus_residue_count)
 
 
 @contextmanager
@@ -211,8 +212,8 @@ def test_criterion_8_property_suites(s2xs1, t3, g1p, g2p, cover1, reduced1,
                 k = rng.randint(1, g.n_colors)
                 subsets.append(tuple(rng.sample(range(g.n_colors), k)))
             for colors in subsets:
-                assert g.residue_count(colors) \
-                    == flood_fill(g, colors), (name, colors)
+                assert g.components(colors).labels \
+                    == flood_fill_labels(g, colors), (name, colors)
 
         # isomorphism search vs brute force on small random graphs
         for _ in range(20):
@@ -240,25 +241,6 @@ def test_criterion_8_property_suites(s2xs1, t3, g1p, g2p, cover1, reduced1,
             for _ in range(rounds):
                 h, _ = shuffled_copy(rng, g)
                 assert canonical_signature(h) == sigs[name], name
-
-
-def flood_fill(graph, colors):
-    seen = [False] * graph.num_vertices
-    count = 0
-    for start in range(graph.num_vertices):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for c in colors:
-                w = graph.partner(v, c)
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
 
 
 def test_criterion_9_lower_bound_is_attained(g1p, g2p, reduced1):

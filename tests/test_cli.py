@@ -403,12 +403,34 @@ class TestExitCodes:
         ("build", "torus-cube", "--n", "3", "--lambda", "2"),
         ("build", "small-cover", "--lambda", "2", "--budget", "100"),
         ("build", "product-gem", "nope.gem", "--n", "3"),
+        ("build", "torus-cube", "--n", "2", "x.gem"),
+        ("build", "s2xs1", "--json", "nope.gem"),
     ])
     def test_build_option_the_name_ignores_is_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: build {argv[1]} does not take ")
+
+    @pytest.mark.parametrize("base_last", [False, True])
+    def test_build_base_file_before_or_after_options(self, capsys, tmp_path,
+                                                     base_last):
+        base = tmp_path / "base.gem"
+        base.write_text(render_gem(s2xs1_standard()))
+        out_file = tmp_path / "p.gem"
+        options = ["--out", str(out_file)]
+        args = options + [str(base)] if base_last else [str(base)] + options
+        assert run(capsys, "build", "product-gem", *args) == (0, "", "")
+        assert out_file.read_text() == render_gem(product_gem(s2xs1_standard()))
+
+    def test_build_second_file_is_two(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "product-gem", "a.gem", "--out",
+                  str(tmp_path / "p.gem"), "b.gem"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: b.gem\n")
+        assert not (tmp_path / "p.gem").exists()
 
     def test_budget_is_read_by_torus_cube(self, capsys):
         code, out, _ = run(capsys, "build", "torus-cube", "--n", "2",

@@ -1,6 +1,5 @@
 """Graph container: construction, validation, residues, basic predicates."""
 
-from collections import deque
 from itertools import combinations
 
 import pytest
@@ -10,8 +9,8 @@ from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
                     new_graph, order_two_gem, torus_gem)
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
-from oracles import (per_subset_face_counts, per_subset_residue_counts,
-                     torus_residue_count)
+from oracles import (flood_fill_labels, per_subset_face_counts,
+                     per_subset_residue_counts, torus_residue_count)
 
 
 def square_graph():
@@ -96,40 +95,26 @@ class TestComponents:
         assert square_graph().is_connected()
         assert not two_squares().is_connected()
 
-    def test_matches_flood_fill_on_random_graphs(self):
+    def test_matches_flood_fill_on_random_graphs(self, s2xs1, t3, g1p, cover1):
+        # every color subset, compared id for id: (), one color, pairs with
+        # and without doubled edges, and the full palette
         rng = make_rng(20260825)
-        for _ in range(25):
-            v = rng.choice((4, 6, 8, 10, 12))
-            k = rng.choice((2, 3, 4, 5, 6))
-            g = random_colored_graph(rng, v, k)
-            wanted = rng.sample(range(k), rng.randint(1, k))
-            labels = flood_fill_labels(g, wanted)
-            comp = g.components(wanted)
-            assert comp.labels == labels
-            assert comp.count == g.residue_count(wanted) == max(labels) + 1
-
-
-def flood_fill_labels(graph, colors):
-    """Independent oracle: breadth-first flood fill over the chosen colors.
-
-    Component ids are numbered in order of each component's smallest vertex.
-    """
-    label = [None] * graph.num_vertices
-    count = 0
-    for start in range(graph.num_vertices):
-        if label[start] is not None:
-            continue
-        queue = deque([start])
-        label[start] = count
-        while queue:
-            v = queue.popleft()
-            for c in colors:
-                w = graph.partner(v, c)
-                if label[w] is None:
-                    label[w] = count
-                    queue.append(w)
-        count += 1
-    return tuple(label)
+        graphs = [random_colored_graph(rng, rng.choice((2, 4, 6, 10, 12, 24)),
+                                       rng.randint(2, 6))
+                  for _ in range(25)]
+        base = random_colored_graph(rng, 12, 3)
+        # color 3 repeats color 0, so every {0, 3}-cycle is a doubled edge
+        graphs.append(ColoredGraph(base.involutions + base.involutions[:1]))
+        graphs += [gem.graph for gem in (s2xs1, t3, g1p, cover1, torus_gem(4))]
+        graphs += [shuffled_copy(rng, g)[0] for g in graphs]
+        for g in graphs:
+            for size in range(g.n_colors + 1):
+                for kept in combinations(range(g.n_colors), size):
+                    labels = flood_fill_labels(g, kept)
+                    comp = g.components(kept[::-1])
+                    assert comp.labels == labels, kept
+                    assert comp.count == g.residue_count(kept) == max(labels) + 1
+            assert g.components() == g.components(range(g.n_colors))
 
 
 class TestPredicates:

@@ -1,7 +1,7 @@
 """Genus machinery: cyclic orders, cycle censuses, chi and genus reports."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,9 +10,11 @@ from gemkit import (ColorOutOfRange, DimensionUnsupported, GenusReport,
                     bicolored_cycles, check_cyclic_permutation,
                     cyclic_permutations, genus_for, genus_lower_bound,
                     is_weak_semi_simple, new_graph, order_two_gem,
-                    reduced_cover, regular_genus, weak_semi_simple_triples)
+                    pair_cycles, reduced_cover, regular_genus,
+                    weak_semi_simple_triples)
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
+from oracles import flood_fill_count, walked_cycle_lengths
 
 
 class TestCyclicPermutations:
@@ -83,6 +85,20 @@ class TestBicoloredCycles:
         for pair in ((0, 4), (0, 7), (7, 0), (0, -1), (-1, 3)):
             with pytest.raises(ColorOutOfRange):
                 bicolored_cycles(s2xs1.graph, *pair)
+
+    def test_matches_walked_cycles(self, s2xs1, t3, g1p, cover1, torus4):
+        rng = make_rng(20261019)
+        graphs = [random_colored_graph(rng, rng.choice((2, 4, 6, 10, 24)),
+                                       rng.randint(2, 6))
+                  for _ in range(25)]
+        graphs += [gem.graph for gem in (s2xs1, t3, g1p, cover1, torus4)]
+        graphs += [shuffled_copy(rng, g)[0] for g in graphs]
+        for g in graphs:
+            table = pair_cycles(g)
+            assert list(table) == list(combinations(range(g.n_colors), 2))
+            for (i, j), lengths in table.items():
+                assert lengths == bicolored_cycles(g, i, j) \
+                    == bicolored_cycles(g, j, i) == walked_cycle_lengths(g, i, j)
 
     def test_torus3_census(self, t3):
         g = t3.graph
@@ -160,11 +176,12 @@ def canonical_orders(n_colors):
 
 
 def per_order_reports(graph):
-    """Oracle: each order scored from residue counts of its consecutive pairs."""
+    """Oracle: each order scored from flood-filled residue counts of its
+    consecutive pairs."""
     k = graph.n_colors
     out = []
     for perm in canonical_orders(k):
-        counts = tuple(graph.residue_count((perm[i], perm[(i + 1) % k]))
+        counts = tuple(flood_fill_count(graph, (perm[i], perm[(i + 1) % k]))
                        for i in range(k))
         chi = Fraction(sum(counts)) + Fraction((2 - k) * graph.num_vertices, 2)
         out.append(GenusReport(perm, counts, chi, 1 - chi / 2))
