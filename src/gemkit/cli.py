@@ -23,8 +23,8 @@ from .core import euler_characteristic_from, face_counts_from
 from .errors import GemError, ParseError
 from .gemfile import export_dot, export_gluings, parse_gem, render_gem
 from .invariants import (all_genus_reports, bicolored_cycles, genus_for,
-                         genus_lower_bound, regular_genus,
-                         weak_semi_simple_triples)
+                         genus_lower_bound, regular_genus, regular_genus_from,
+                         weak_semi_simple_from, weak_semi_simple_triples)
 from .iso import canonical_signature, isomorphic
 from .moves import parse_move_script, run_script
 from .small_covers import classify_covers, small_cover_gem
@@ -95,8 +95,6 @@ def _torus(args):
 def _small_cover(args):
     if args.lam is None:
         raise GemError("build small-cover needs --lambda")
-    if not 1 <= args.lam <= 7:
-        raise GemError(f"--lambda must be 1..7, got {args.lam}")
     return small_cover_gem(args.lam)
 
 
@@ -161,7 +159,7 @@ def _cmd_genus(args):
         rep = genus_for(g, args.perm)
     elif args.all:
         reports = all_genus_reports(g)
-        best = _report_obj(min(reports, key=lambda r: (r.genus, r.permutation)))
+        best = _report_obj(regular_genus_from(reports))
         objs = [_report_obj(r) for r in reports]
         return ({"reports": objs, "min": best},
                 [_words(r) for r in objs] + ["min " + _words(best)], None)
@@ -191,7 +189,7 @@ def _cmd_bound(args):
 
 def _cmd_wss(args):
     triples = weak_semi_simple_triples(_read_gem(args.file).graph, args.perm)
-    answer = {"weak_semi_simple": all(c == args.rank + 1 for c in triples),
+    answer = {"weak_semi_simple": weak_semi_simple_from(triples, args.rank),
               "triples": list(triples)}
     return ({"perm": list(args.perm), "rank": args.rank, **answer},
             [_words(answer)], None)

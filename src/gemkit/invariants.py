@@ -116,9 +116,14 @@ def _score_orders(counts, n_colors: int, num_vertices: int) -> list[GenusReport]
         for p in cyclic_permutations(n_colors)]
 
 
-def regular_genus(graph: ColoredGraph) -> GenusReport:
+def regular_genus_from(reports) -> GenusReport:
     """The minimizing report; ties broken by lexicographically least order."""
-    return min(all_genus_reports(graph), key=lambda r: (r.genus, r.permutation))
+    return min(reports, key=lambda r: (r.genus, r.permutation))
+
+
+def regular_genus(graph: ColoredGraph) -> GenusReport:
+    """The minimizing report over all_genus_reports(graph)."""
+    return regular_genus_from(all_genus_reports(graph))
 
 
 def genus_lower_bound(chi: int, rank: int) -> int:
@@ -145,10 +150,15 @@ def weak_semi_simple_triples(graph: ColoredGraph, perm) -> tuple[int, ...]:
         for i in range(5))
 
 
+def weak_semi_simple_from(triples, rank: int) -> bool:
+    """Whether every weak_semi_simple_triples() count equals rank + 1."""
+    return all(c == rank + 1 for c in triples)
+
+
 def is_weak_semi_simple(graph: ColoredGraph, perm, rank: int) -> bool:
     """Whether all five stride-2 color triples of `perm` have rank+1 residues.
 
     When true (for some perm), the graph's manifold attains the genus lower
     bound 2*chi + 5*rank - 4.
     """
-    return all(c == rank + 1 for c in weak_semi_simple_triples(graph, perm))
+    return weak_semi_simple_from(weak_semi_simple_triples(graph, perm), rank)

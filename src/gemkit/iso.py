@@ -39,8 +39,8 @@ def _code_from(graph: ColoredGraph, root: int, color_order, best=None,
     """Traversal code of root's component, abandoned early against best.
 
     Returns (code, discovery_order), or (None, None) once code > best is
-    certain (with exact, once code != best is).  color_order[r] is the
-    actual color explored in slot r.
+    certain (with exact, once code != best is).  best must come from a
+    component of root's size.  color_order[r] is the color of slot r.
     """
     invs = graph.involutions
     new_id = {root: 0}
@@ -67,9 +67,6 @@ def _code_from(graph: ColoredGraph, root: int, color_order, best=None,
                     checking = False
             code.append(wid)
             pos += 1
-    if checking and len(code) > len(best):
-        # longer code with equal prefix counts as larger (bigger component)
-        return None, None
     return code, order
 
 

@@ -120,6 +120,16 @@ def _meet(invs, colors, side_a, side_b) -> bool:
                     stack.append(w)
 
 
+def _check_dipole_colors(graph: ColoredGraph, colors) -> None:
+    """Raise unless `colors` are in range and number 1 to k - 1."""
+    for c in colors:
+        graph._check_color(c)
+    if not 1 <= len(colors) <= graph.n_colors - 1:
+        raise NotADipole(
+            f"a dipole involves between 1 and {graph.n_colors - 1} colors, "
+            f"got {len(colors)}")
+
+
 class _Workspace:
     """A graph that moves edit in place, under the ids it was loaded with."""
 
@@ -149,22 +159,16 @@ class _Workspace:
 
     def check_dipole(self, spec: DipoleSpec) -> None:
         v1, v2 = spec.v1, spec.v2
-        n_colors = self.graph.n_colors
         if v1 == v2:
             raise NotADipole("the two dipole vertices coincide")
-        for c in spec.colors:
-            self.graph._check_color(c)
-        if not 1 <= len(spec.colors) <= n_colors - 1:
-            raise NotADipole(
-                f"a dipole involves between 1 and {n_colors - 1} colors, "
-                f"got {len(spec.colors)}")
+        _check_dipole_colors(self.graph, spec.colors)
         self._require_live((v1, v2))
         joined = frozenset(c for c, col in enumerate(self.invs) if col[v1] == v2)
         if joined != spec.colors:
             raise NotADipole(
                 f"vertices {v1},{v2} are joined by colors {sorted(joined)}, "
                 f"not exactly {sorted(spec.colors)}")
-        rest = [c for c in range(n_colors) if c not in spec.colors]
+        rest = [c for c in range(self.graph.n_colors) if c not in spec.colors]
         if _meet(self.invs, rest, (v1,), (v2,)):
             raise NotADipole(
                 f"vertices {v1},{v2} share a residue once colors "
@@ -334,8 +338,6 @@ def find_dipoles(graph: ColoredGraph, order: int | None = None) -> list:
             cols = joined[v2]
             if order is not None and len(cols) != order:
                 continue
-            if len(cols) == graph.n_colors:
-                continue  # a 2-vertex component, not a dipole
             spec = DipoleSpec(v1, v2, frozenset(cols))
             try:
                 ws.check_dipole(spec)
@@ -358,12 +360,7 @@ def add_dipole(graph: ColoredGraph, at_vertex: int, colors) -> MoveResult:
     a dipole, whatever the ambient graph looks like.
     """
     colors = frozenset(colors)
-    for c in colors:
-        graph._check_color(c)
-    if not 1 <= len(colors) <= graph.n_colors - 1:
-        raise NotADipole(
-            f"a dipole involves between 1 and {graph.n_colors - 1} colors, "
-            f"got {len(colors)}")
+    _check_dipole_colors(graph, colors)
     if not 0 <= at_vertex < graph.num_vertices:
         raise MoveError(f"vertex {at_vertex} out of range")
     v1 = graph.num_vertices
@@ -510,19 +507,14 @@ def run_script(gem: LabeledGem, steps) -> ScriptResult:
     trace = [ws.size]
     for step_no, step in enumerate(steps, start=1):
         try:
+            groups = [tuple(map(ws.resolve, group)) for group in step.groups]
             if step.kind == "dipole":
-                (l1, l2), = step.groups
-                ws.cancel_dipole(DipoleSpec(
-                    ws.resolve(l1), ws.resolve(l2), frozenset(step.colors)))
+                (v1, v2), = groups
+                ws.cancel_dipole(DipoleSpec(v1, v2, frozenset(step.colors)))
             elif step.kind == "glue":
-                lam1 = tuple(map(ws.resolve, step.groups[0]))
-                lam2 = tuple(map(ws.resolve, step.groups[1]))
-                ws.glue(GlueSpec(step.colors[0], lam1, lam2))
+                ws.glue(GlueSpec(step.colors[0], *groups))
             elif step.kind == "combined":
-                k, i, j = step.colors
-                pair = tuple(map(ws.resolve, step.groups[0]))
-                image = tuple(map(ws.resolve, step.groups[1]))
-                ws.combined(CombinedSpec(k, i, j, pair, image))
+                ws.combined(CombinedSpec(*step.colors, *groups))
             else:
                 raise MoveError(f"unknown step kind {step.kind!r}")
         except GemError as exc:

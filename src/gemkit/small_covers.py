@@ -41,6 +41,8 @@ def _facet_contains(facet0, i, j):
 
 def facet_vertex_labels(facet):
     """Vertex labels (i+j, j) lying on the 1-based facet."""
+    if not isinstance(facet, int) or not 1 <= facet <= 6:
+        raise InvalidCharacteristicFunction(f"facet must be 1..6, got {facet!r}")
     return tuple((i + j, j) for i in range(3) for j in range(3)
                  if _facet_contains(facet - 1, i, j))
 
@@ -109,55 +111,50 @@ def enumerate_characteristic_functions():
     return tuple((1, 2, 4, 8, a, b) for a, b in CANONICAL_PAIRS)
 
 
-def _basis_combo(basis, v):
-    # the unique GF(2) combination of the 4 basis vectors giving v
-    for combo in range(16):
-        acc = 0
-        for k in range(4):
-            if combo >> k & 1:
-                acc ^= basis[k]
-        if acc == v:
-            return combo
-    raise InvalidCharacteristicFunction(f"{v} is not in the span of {basis}")
-
-
 def dj_equivalent(l1, l2):
     """Whether a linear automorphism of (Z/2)^4 maps one function to the other.
 
-    Facet labels stay fixed; only the group coordinates may move.  Facets
-    1..4 meet at a polytope vertex, so their vectors form a basis and force
-    the candidate map, which is then checked on facets 5 and 6.
+    Facet labels stay fixed; only the group coordinates may move.  Both
+    functions span (Z/2)^4, so a linear map sending each l1(F) to l2(F)
+    exists, and is invertible, exactly when the six 8-bit vectors
+    l1(F)l2(F) span four dimensions: they are then the graph of that map.
     """
     m1 = validate_characteristic_function(l1)
     m2 = validate_characteristic_function(l2)
-    for f in (4, 5):
-        combo = _basis_combo(m1[:4], m1[f])
-        image = 0
-        for k in range(4):
-            if combo >> k & 1:
-                image ^= m2[k]
-        if image != m2[f]:
-            return False
-    return True
+    return _gf2_rank(a << 4 | b for a, b in zip(m1, m2)) == 4
 
 
 # -- cover gems -------------------------------------------------------------------
 
 def mask_word(mask):
     """Word naming a (Z/2)^4 vector: '0' or its set coordinates, ascending."""
-    if mask == 0:
-        return "0"
-    return "".join(str(b + 1) for b in range(4) if mask >> b & 1)
+    if not isinstance(mask, int) or not 0 <= mask <= 15:
+        raise InvalidCharacteristicFunction(f"{mask!r} is not a (Z/2)^4 value")
+    return "".join(str(b + 1) for b in range(4) if mask >> b & 1) or "0"
+
+
+_WORD_MASKS = {mask_word(m): m for m in range(16)}
 
 
 def word_mask(word):
     """Inverse of mask_word."""
-    if word == "0":
-        return 0
-    out = 0
-    for ch in word:
-        out |= 1 << (int(ch) - 1)
-    return out
+    try:
+        return _WORD_MASKS[word]
+    except KeyError:
+        raise InvalidCharacteristicFunction(
+            f"{word!r} does not name a (Z/2)^4 value") from None
+
+
+# The cover gem's vertex labels T<word>^<sheet>, in vertex order.
+COVER_LABELS = tuple(
+    f"T{mask_word(w)}^{sheet}" for w in range(16) for sheet in range(1, 7))
+
+
+def _require_cover_labels(gem):
+    if set(gem.labels) != set(COVER_LABELS):
+        raise AuditFailed(
+            "not a small cover gem: its labels are not the 96 T<word>^<sheet>"
+            " labels")
 
 
 # Staircase triangulation of one polytope copy into six 4-simplices.  Per
@@ -178,13 +175,17 @@ def small_cover_gem(masks):
     """Build the 96-vertex 5-colored gem of the cover for `masks`.
 
     `masks` is a characteristic function (six facet vectors) or a 1-based
-    index into the canonical seven.  Gem vertices are the simplices of the
+    index into the canonical seven; an index outside 1..7 raises
+    InvalidCharacteristicFunction.  Gem vertices are the simplices of the
     16 polytope copies, labeled T<word>^<sheet> where <word> names the
     (Z/2)^4 copy and <sheet> the simplex 1..6.  Simplices glue along the
     staircase faces within a copy; a boundary face on facet F joins copy w
     to copy w + lambda(F).
     """
     if isinstance(masks, int):
+        if not 1 <= masks <= 7:
+            raise InvalidCharacteristicFunction(
+                f"catalogue index must be 1..7, got {masks}")
         masks = enumerate_characteristic_functions()[masks - 1]
     masks = validate_characteristic_function(masks)
 
@@ -208,17 +209,17 @@ def small_cover_gem(masks):
         raise AuditFailed(f"cover gem has complement residue counts {counts}")
     if graph.euler_characteristic() != 1 or graph.is_bipartite():
         raise AuditFailed("cover gem fails the basic invariant audit")
-    labels = tuple(
-        f"T{mask_word(w)}^{sheet}" for w in range(16) for sheet in range(1, 7))
-    return LabeledGem(graph, labels)
+    return LabeledGem(graph, COVER_LABELS)
 
 
 def infer_characteristic_function(gem):
     """Read the six facet vectors back off a cover gem.
 
     Sheet 1 crosses facets 6, 4, 2 and 1 with colors 0, 1, 3 and 4; sheets
-    3 and 4 cross facets 3 and 5 with colors 4 and 0.
+    3 and 4 cross facets 3 and 5 with colors 4 and 0.  Raises AuditFailed
+    unless the gem carries exactly the cover labels.
     """
+    _require_cover_labels(gem)
     graph = gem.graph
 
     def across(start, color):
@@ -273,8 +274,10 @@ def middle_subgraph(gem):
 
     Colors are renumbered 0..3 in that order.  Every kept-color edge at a
     kept vertex stays among sheets 2..5, so this is an induced 4-colored
-    gem in its own right.
+    gem in its own right.  Raises AuditFailed unless the gem carries
+    exactly the cover labels.
     """
+    _require_cover_labels(gem)
     graph = gem.graph
     keep = [v for v in range(graph.num_vertices)
             if 2 <= _label_sheet(gem.label_of(v)) <= 5]
@@ -374,7 +377,7 @@ def compact_form(gem):
 
 # -- reduction to a crystallization -----------------------------------------------
 
-def reduce_to_crystallization(gem, form=None):
+def reduce_to_crystallization(gem):
     """Glue a 96-vertex cover gem down to a 52-vertex crystallization.
 
     Four gluings: the {0,4}-cycle through T0^1 folds onto its color-2
@@ -383,8 +386,7 @@ def reduce_to_crystallization(gem, form=None):
     part of the third table column (sheets 2 and 3) folds onto its color-1
     partners.  Returns the script result; its trace is (96, 88, 80, 64, 52).
     """
-    if form is None:
-        form = compact_form(gem)
+    form = compact_form(gem)
     graph = gem.graph
 
     def partners(labels, color):
@@ -416,8 +418,7 @@ def reduce_to_crystallization(gem, form=None):
 
 def reduced_cover(index):
     """Build catalogue cover `index` (1-based) and reduce it."""
-    gem = small_cover_gem(index)
-    return reduce_to_crystallization(gem, compact_form(gem))
+    return reduce_to_crystallization(small_cover_gem(index))
 
 
 def classify_covers():

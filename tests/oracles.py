@@ -1,4 +1,5 @@
-"""Test-only oracles for the residue, isomorphism, move and .gem file layers.
+"""Test-only oracles for the residue, isomorphism, move, .gem file and
+small-cover layers.
 
 `flood_fill_labels` labels a residue by breadth-first flood fill, the one
 flood fill left in gemkit; `flood_fill_count` is its component count.
@@ -27,6 +28,10 @@ cancellations.
 token on its own and building the graph with `pairwise_new_graph`, which
 fills each color pair by pair.  `edges_render_gem` writes each color line
 from `ColoredGraph.edges`.
+
+`per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
+characteristic functions facet by facet: facets 1..4 carry a basis, which
+forces the candidate linear map, and the map is checked on facets 5 and 6.
 """
 
 import re
@@ -41,7 +46,8 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     LoopEdge, MissingIColoredMatching, MoveError, MoveResult,
                     NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
-                    ScriptResult, VertexCountMismatch, cancel_dipole)
+                    ScriptResult, VertexCountMismatch, cancel_dipole,
+                    validate_characteristic_function)
 from gemkit.core import graph_from_endpoints
 
 
@@ -681,3 +687,30 @@ def edges_render_gem(gem, comment=None):
         body = " ".join(f"{a}-{b}" for a, b in graph.edges(c))
         lines.append(f"c {c}: {body}")
     return "\n".join(lines) + "\n"
+
+
+def _basis_combo(basis, v):
+    # the unique GF(2) combination of the 4 basis vectors giving v
+    for combo in range(16):
+        acc = 0
+        for k in range(4):
+            if combo >> k & 1:
+                acc ^= basis[k]
+        if acc == v:
+            return combo
+    raise AssertionError(f"{v} is not in the span of {basis}")
+
+
+def per_facet_dj_equivalent(l1, l2):
+    """Whether the map forced by facets 1..4 carries l1 to l2 on facets 5, 6."""
+    m1 = validate_characteristic_function(l1)
+    m2 = validate_characteristic_function(l2)
+    for f in (4, 5):
+        combo = _basis_combo(m1[:4], m1[f])
+        image = 0
+        for k in range(4):
+            if combo >> k & 1:
+                image ^= m2[k]
+        if image != m2[f]:
+            return False
+    return True

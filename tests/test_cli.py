@@ -598,6 +598,20 @@ PINNED_ERRORS = {
     "cycles {square} --pair 01": (
         2, "usage: gemkit cycles [-h] [--json] --pair PAIR file\n"
            "gemkit cycles: error: argument --pair: bad color pair '01'\n"),
+    "cycles {square} --pair a,b": (
+        2, "usage: gemkit cycles [-h] [--json] --pair PAIR file\n"
+           "gemkit cycles: error: argument --pair: bad color pair 'a,b'\n"),
+    "genus {square} --perm 0,x": (
+        2, "usage: gemkit genus [-h] [--json] [--perm PERM] [--all] file\n"
+           "gemkit genus: error: argument --perm: bad permutation '0,x'\n"),
+    "build product-gem": (1, "error: build product-gem needs a base gem file\n"),
+    "build small-cover": (1, "error: build small-cover needs --lambda\n"),
+    "build small-cover --lambda 0": (
+        1, "error: catalogue index must be 1..7, got 0\n"),
+    "build small-cover --lambda 8": (
+        1, "error: catalogue index must be 1..7, got 8\n"),
+    "build torus-cube --n 8": (
+        1, "error: 362880 vertices exceed the budget of 40320\n"),
 }
 
 

@@ -58,6 +58,26 @@ class TestConstruction:
         with pytest.raises(VertexCountMismatch):
             new_graph(1, [[(0, 5)]], num_vertices=2)
 
+    def test_wrong_number_of_edge_lists_rejected(self):
+        with pytest.raises(ColorOutOfRange) as err:
+            new_graph(3, [[(0, 1)], [(0, 1)]])
+        assert str(err.value) == "got edge lists for 2 colors, expected 3"
+
+    @pytest.mark.parametrize("involutions, error, message", [
+        ([[1, 0, 3, 2], [1, 0]], VertexCountMismatch,
+         "color 1 defined on 2 vertices, expected 4"),
+        ([[7, 0, 3, 2], [1, 0, 3, 2]], VertexCountMismatch,
+         "color 0: partner 7 of vertex 0 out of range"),
+        ([[1, 0, 3, 2], [0, 2, 1, 3]], LoopEdge,
+         "color 1: vertex 0 matched to itself"),
+        ([[1, 2, 3, 0], [1, 0, 3, 2]], DuplicateVertexInColor,
+         "color 0: not an involution at vertices 0, 1"),
+    ], ids=["length", "range", "loop", "involution"])
+    def test_involution_refusals(self, involutions, error, message):
+        with pytest.raises(error) as err:
+            ColoredGraph(involutions)
+        assert str(err.value) == message
+
     def test_color_index_checked(self):
         g = square_graph()
         with pytest.raises(ColorOutOfRange):
@@ -218,6 +238,18 @@ class TestRelabelAndColorPermute:
         h = g.relabel([3, 0, 1, 2, 7, 4, 5, 6])
         assert h.residue_count((0, 1)) == 2
         assert h.is_bipartite() == g.is_bipartite()
+
+    def test_relabel_must_be_a_bijection(self):
+        with pytest.raises(VertexCountMismatch):
+            square_graph().relabel([0, 0, 1, 2])
+        with pytest.raises(VertexCountMismatch):
+            square_graph().relabel([0, 1, 2])
+
+    def test_color_permutation_must_be_a_bijection(self):
+        with pytest.raises(ColorOutOfRange):
+            square_graph().permute_colors([0, 0])
+        with pytest.raises(ColorOutOfRange):
+            square_graph().permute_colors([1, 2])
 
     def test_permute_colors(self):
         g = square_graph()

@@ -73,6 +73,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_gem("gem 1\ncolors 2\nc 0: 0-1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("gem 1\nvertices 2\n", "line 1, column 1: missing 'colors' line"),
+        ("gem 1\ncolors 2\n", "line 1, column 1: missing 'vertices' line"),
+    ], ids=["colors", "vertices"])
+    def test_missing_count_line_named(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_gem(text)
+        assert str(err.value) == message
+
     def test_structural_errors_use_validation_types(self):
         with pytest.raises(DuplicateVertexInColor):
             parse_gem("gem 1\ncolors 2\nvertices 4\n"

@@ -2,8 +2,8 @@
 
 import pytest
 
-from gemkit import (ColorCountMismatch, canonical_signature, isomorphic,
-                    new_graph, order_two_gem)
+from gemkit import (ColorCountMismatch, ColoredGraph, canonical_signature,
+                    isomorphic, new_graph, order_two_gem, pair_cycles)
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import (brute_force_color_map, brute_force_isomorphic,
@@ -277,3 +277,34 @@ class TestFastPathAgainstOracle:
             for perm in (False, True):
                 self.check_pair(g, twice, perm)
                 assert isomorphic(g, twice, allow_color_perm=perm) is None
+
+
+class TestEqualPairCycleTables:
+    """Non-isomorphic pairs that the pair-cycle filter lets through."""
+
+    def test_cube_against_two_tetrahedra(self):
+        # color c joins v and v xor 2^c; every color pair gives two 4-cycles
+        cube = ColoredGraph([[v ^ 1 << c for v in range(8)] for c in range(3)])
+        two_k4 = disjoint_union(K4, K4)
+        assert pair_cycles(cube) == pair_cycles(two_k4)
+        for perm in (False, True):
+            assert isomorphic(cube, two_k4, allow_color_perm=perm) is None
+            assert not brute_force_isomorphic(cube, two_k4, perm)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_connected_pairs(self, seed):
+        rng = make_rng(seed)
+        for v in (8, 10, 12):
+            while True:
+                g = random_colored_graph(rng, v, 3)
+                h = random_colored_graph(rng, v, 3)
+                if (g.is_connected() and h.is_connected()
+                        and pair_cycles(g) == pair_cycles(h)
+                        and not brute_force_isomorphic(g, h)):
+                    break
+            assert isomorphic(g, h) is None
+            fast = isomorphic(g, h, allow_color_perm=True)
+            assert (fast is not None) \
+                == brute_force_isomorphic(g, h, allow_color_perm=True)
+            if fast is not None:
+                assert_valid_witness(g, h, fast)

@@ -159,6 +159,15 @@ class TestPolyhedralGlue:
         with pytest.raises(PhiNotIsomorphism):
             polyhedral_glue(g, GlueSpec(2, (0, 1), (4, 5)))
 
+    def test_edge_without_preimage(self):
+        # color 0 joins 4-6 below, but 0-2 above is no color-0 edge
+        g = new_graph(3, [[(0, 1), (2, 3), (4, 6), (5, 7)],
+                          [(1, 2), (3, 0), (5, 6), (7, 4)],
+                          [(0, 4), (1, 5), (2, 6), (3, 7)]])
+        with pytest.raises(PhiNotIsomorphism) as err:
+            polyhedral_glue(g, GlueSpec(2, (0, 2), (4, 6)))
+        assert str(err.value) == "color 0: edge 4-6 has no preimage edge"
+
     def test_sides_must_be_separated_without_i(self):
         with pytest.raises(SameComponentInIHat):
             polyhedral_glue(projective_plane(), GlueSpec(0, (0,), (1,)))
@@ -167,6 +176,13 @@ class TestPolyhedralGlue:
         g = bridged_squares()
         with pytest.raises(PhiNotIsomorphism):
             polyhedral_glue(g, GlueSpec(2, (0, 1), (4,)))
+
+    def test_repeated_vertex_in_a_side(self):
+        g = bridged_squares()
+        for lam1, lam2 in (((0, 0), (4, 5)), ((0, 1), (4, 4))):
+            with pytest.raises(PhiNotIsomorphism) as err:
+                polyhedral_glue(g, GlueSpec(2, lam1, lam2))
+            assert str(err.value) == "repeated vertex inside a glue side"
 
 
 class TestCombinedMove:
@@ -267,6 +283,39 @@ glue 2 [a,b] -> [e,f]
             parse_move_script("dipole a b\n")
         with pytest.raises(ParseError):
             parse_move_script("glue 1 [a,b] -> [c]\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("dipole a b 0,x\n", "line 1, column 12: bad color list '0,x'"),
+        ("glue 1 a -> b\n",
+         "line 1, column 1: expected: glue <i> [u1,u2,...] -> [w1,w2,...]"),
+        ("combined 3 0,1 (a,b) (c,d)\n",
+         "line 1, column 1: expected: combined <k> {i,j} (v1,v2) (v1p,v2p)"),
+        ("glue 1 [a,] -> [b,c]\n",
+         "line 1, column 1: empty vertex label in list"),
+        ("combined 3 {0,1} (a) (c,d)\n",
+         "line 1, column 1: combined move pairs must list 2 vertices"),
+        ("combined 3 {0,1} (a,b) (c,d,e)\n",
+         "line 1, column 1: combined move pairs must list 2 vertices"),
+    ], ids=["bad-colors", "glue-line", "combined-line", "empty-label",
+            "short-pair", "long-image"])
+    def test_parse_refusals(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_move_script(text)
+        assert str(err.value) == message
+
+    def test_render_every_kind(self):
+        text = ("dipole x y 0,2\n"
+                "glue 1 [p,q] -> [r,s]\n"
+                "combined 3 {0,1} (a,b) (c,d)\n")
+        assert render_move_script(parse_move_script(text)) == text
+        with pytest.raises(ValueError):
+            render_move_script([ScriptStep("twist", (0,), (("a",),))])
+
+    def test_unknown_step_kind_refused(self):
+        step = ScriptStep("twist", (0,), (("a",),), 4)
+        with pytest.raises(MoveError) as err:
+            run_script(self.bridged_gem(), [step])
+        assert str(err.value) == "step 1 (line 4): unknown step kind 'twist'"
 
     def test_run_errors_name_step_and_line(self):
         gem = self.bridged_gem()

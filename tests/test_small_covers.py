@@ -6,15 +6,16 @@ from gemkit import (AuditFailed, InvalidCharacteristicFunction, LabeledGem,
                     bicolored_cycles, canonical_signature, classify_covers,
                     compact_form, dj_equivalent,
                     enumerate_characteristic_functions, facet_vertex_labels,
-                    genus_for, infer_characteristic_function, isomorphic,
-                    is_weak_semi_simple, mask_word, middle_subgraph, parse_gem,
-                    reduce_to_crystallization, reduced_cover, regular_genus,
-                    small_cover_gem, validate_characteristic_function,
-                    word_mask)
+                    g1_prime, genus_for, infer_characteristic_function,
+                    isomorphic, is_weak_semi_simple, mask_word,
+                    middle_subgraph, parse_gem, reduce_to_crystallization,
+                    reduced_cover, regular_genus, small_cover_gem,
+                    validate_characteristic_function, word_mask)
 from gemkit.constructions import _data_text
-from gemkit.small_covers import CANONICAL_PAIRS
+from gemkit.small_covers import CANONICAL_PAIRS, COVER_LABELS
 
 from conftest import make_rng
+from oracles import per_facet_dj_equivalent
 
 
 class TestPolytope:
@@ -31,6 +32,11 @@ class TestPolytope:
         assert set(on) == {(i + j, j) for i in range(3) for j in range(3)}
         for v, facets in on.items():
             assert len(facets) == 4, v
+
+    @pytest.mark.parametrize("facet", [0, 7, -1])
+    def test_facet_outside_one_to_six_refused(self, facet):
+        with pytest.raises(InvalidCharacteristicFunction):
+            facet_vertex_labels(facet)
 
 
 class TestCharacteristicFunctions:
@@ -66,6 +72,16 @@ class TestCharacteristicFunctions:
         assert mask_word(0) == "0"
         assert mask_word(13) == "134"
 
+    @pytest.mark.parametrize("mask", [16, -1])
+    def test_mask_outside_zero_to_fifteen_refused(self, mask):
+        with pytest.raises(InvalidCharacteristicFunction):
+            mask_word(mask)
+
+    @pytest.mark.parametrize("word", ["9", "", "21", "00", "01", "5"])
+    def test_word_that_does_not_round_trip_refused(self, word):
+        with pytest.raises(InvalidCharacteristicFunction):
+            word_mask(word)
+
     def test_linear_images_are_equivalent(self):
         rng = make_rng(41)
         lams = enumerate_characteristic_functions()
@@ -84,6 +100,28 @@ class TestCharacteristicFunctions:
             for b in range(a + 1, 7):
                 assert not dj_equivalent(lams[a], lams[b]), (a + 1, b + 1)
 
+    def test_rank_test_matches_per_facet_oracle(self):
+        lams = enumerate_characteristic_functions()
+        for l1 in lams:
+            for l2 in lams:
+                assert dj_equivalent(l1, l2) == per_facet_dj_equivalent(l1, l2)
+        rng = make_rng(17)
+        answers = []
+        for trial in range(2000):
+            # theta * lams[a] over all theta and a is every valid function
+            # once, since facets 1..4 carry a basis that fixes theta
+            l1 = random_image(rng, lams[rng.randrange(7)])
+            if trial % 2:
+                l2 = random_image(rng, l1)
+            else:
+                l2 = random_image(rng, lams[rng.randrange(7)])
+            assert validate_characteristic_function(l2) == l2
+            answer = dj_equivalent(l1, l2)
+            assert answer == per_facet_dj_equivalent(l1, l2), (l1, l2)
+            answers.append(answer)
+        assert all(answers[1::2])
+        assert 0 < sum(answers[0::2]) < 1000
+
 
 def random_invertible_map(rng):
     """A random element of GL(4, Z/2) as a lookup table on 0..15."""
@@ -98,6 +136,12 @@ def random_invertible_map(rng):
             table[v] = img
         if len(set(table)) == 16:
             return table
+
+
+def random_image(rng, lam):
+    """lam moved by a random element of GL(4, Z/2)."""
+    theta = random_invertible_map(rng)
+    return tuple(theta[m] for m in lam)
 
 
 class TestCoverGems:
@@ -120,6 +164,13 @@ class TestCoverGems:
             for pair in ((0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)):
                 assert bicolored_cycles(g, *pair) == [4] * 24, (i, pair)
 
+    @pytest.mark.parametrize("build", [small_cover_gem, reduced_cover])
+    @pytest.mark.parametrize("index", [0, 8, -1])
+    def test_index_outside_catalogue_refused(self, build, index):
+        with pytest.raises(InvalidCharacteristicFunction) as err:
+            build(index)
+        assert str(err.value) == f"catalogue index must be 1..7, got {index}"
+
     def test_accepts_masks_directly(self):
         lam = enumerate_characteristic_functions()[0]
         assert small_cover_gem(lam).graph == small_cover_gem(1).graph
@@ -128,6 +179,20 @@ class TestCoverGems:
         assert cover1.graph.num_vertices == 96
         assert cover1.has_label("T0^1")
         assert cover1.has_label("T1234^6")
+        assert cover1.labels == COVER_LABELS
+        assert len(set(COVER_LABELS)) == 96
+
+    def test_labels_in_another_vertex_order(self, cover1):
+        rng = make_rng(29)
+        perm = list(range(96))
+        rng.shuffle(perm)
+        labels = [None] * 96
+        for v, w in enumerate(perm):
+            labels[w] = cover1.labels[v]
+        moved = LabeledGem(cover1.graph.relabel(perm), labels)
+        assert infer_characteristic_function(moved) \
+            == enumerate_characteristic_functions()[0]
+        assert compact_form(moved) == compact_form(cover1)
 
     def test_infer_round_trip(self):
         lams = enumerate_characteristic_functions()
@@ -262,9 +327,18 @@ class TestReduction:
             assert is_weak_semi_simple(g, (0, 3, 2, 1, 4), 2)
 
     def test_explicit_form_argument(self, cover1):
-        form = compact_form(cover1)
-        result = reduce_to_crystallization(cover1, form)
+        result = reduce_to_crystallization(cover1)
         assert result.trace == (96, 88, 80, 64, 52)
+        assert result.gem.graph == reduced_cover(1).gem.graph
+        assert result.gem.labels == reduced_cover(1).gem.labels
+
+
+@pytest.mark.parametrize("read", [compact_form, infer_characteristic_function,
+                                  reduce_to_crystallization, middle_subgraph])
+def test_gem_that_is_not_a_cover_refused(read):
+    with pytest.raises(AuditFailed) as err:
+        read(g1_prime())
+    assert "not a small cover gem" in str(err.value)
 
 
 class TestClassification:

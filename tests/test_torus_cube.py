@@ -11,7 +11,7 @@ import pytest
 
 import gemkit.torus_cube
 from gemkit import (AuditFailed, BudgetExceeded, ColoredGraph,
-                    DimensionUnsupported, audit_cycle_lengths,
+                    DimensionUnsupported, LabeledGem, audit_cycle_lengths,
                     bicolored_cycles, expected_genus, genus_for, isomorphic,
                     regular_genus, render_gem, stated_permutation, torus_gem)
 
@@ -186,6 +186,14 @@ class TestFamily:
         for k in range(5):
             pair = (perm[k], perm[(k + 1) % 5])
             assert set(bicolored_cycles(g, *pair)) == {4}
+
+    def test_cycle_lengths_audit_refusals(self, s2xs1, torus4):
+        # s2xs1 has 2-cycles; recoloring torus4 puts 6-cycles on a
+        # consecutive pair of the stated order
+        assert not audit_cycle_lengths(s2xs1)
+        recolored = LabeledGem(torus4.graph.permute_colors((0, 1, 2, 4, 3)))
+        assert set(bicolored_cycles(recolored.graph, 2, 4)) == {6}
+        assert not audit_cycle_lengths(recolored)
 
 
 class TestStatedPermutation:
