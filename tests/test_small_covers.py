@@ -89,8 +89,7 @@ class TestCharacteristicFunctions:
             assert dj_equivalent(lam, lam)
         for _ in range(10):
             lam = lams[rng.randrange(7)]
-            theta = random_invertible_map(rng)
-            image = tuple(theta[m] for m in lam)
+            image = random_image(rng, lam)
             assert dj_equivalent(lam, image)
             assert dj_equivalent(image, lam)
 
