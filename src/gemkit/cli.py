@@ -16,6 +16,7 @@ unwritable files), 2 parse errors.
 import argparse
 import json
 import sys
+from functools import cache
 
 from .constructions import (g1_prime, g2_prime, product_gem, s2xs1_standard,
                             t3_standard)
@@ -234,6 +235,8 @@ def _cmd_small_cover(args):
             ["class " + " ".join(map(str, group)) for group in classes], None)
 
 
+# built once per process; parse_known_args leaves the parser as it was
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gemkit",

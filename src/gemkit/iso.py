@@ -17,6 +17,16 @@ that root's (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 Such automorphisms do not depend on the color order of the walk, so one
 partition serves every color bijection.
 
+Over the color bijections (color maps), the least code found so far under
+any map bounds every later walk of a connected graph.  Two maps pi0 and pi
+whose sorted code lists tie give a color automorphism sigma, with
+sigma[pi0[s]] = pi[s]: the pairing of their discovery orders carries each
+pi0[s]-edge to a pi[s]-edge.  The least codes under pi' and sigma.pi' are
+then equal for every pi', so the search keeps the set of walked maps
+spread under the automorphisms found so far and skips every map in it;
+it never builds the group itself.  More than MAX_COLOR_MAPS maps (9 or
+more colors) raise BudgetExceeded before any walk, in isomorphic too.
+
 isomorphic first compares the pair-cycle tables (invariants.pair_cycles)
 under each candidate color map.  It then anchors one root per component of
 g1, its smallest vertex, and scans the roots of each same-size component of g2 until a code
@@ -28,10 +38,15 @@ is returned.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
+from operator import itemgetter
 
 from .core import ColoredGraph
-from .errors import ColorCountMismatch
+from .errors import BudgetExceeded, ColorCountMismatch
 from .invariants import pair_cycles
+
+# the most color maps a color-permuted search enumerates: 8 colors
+MAX_COLOR_MAPS = factorial(8)
 
 
 def _code_from(graph: ColoredGraph, root: int, color_order, best=None,
@@ -77,15 +92,20 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def _min_component_code(graph: ColoredGraph, vertices, color_order, parent):
+def _min_component_code(graph: ColoredGraph, vertices, color_order, parent,
+                         bound=None):
     """Lexicographically least traversal code over roots in one component.
 
     parent is a union-find forest over all vertices whose classes are
-    automorphism orbits; every tie with the best code merges the orbits of
-    the automorphism it gives.
+    automorphism orbits; every tie with a code found under this color order
+    merges the orbits of the automorphism it gives.  bound, the least code
+    of this component under another color order, abandons every walk that
+    exceeds it.  A tie with bound is not a color-preserving automorphism
+    but a color automorphism, which makes bound the least code here too, so
+    the search stops there.  Returns None when every root's code exceeds
+    bound.
     """
-    best = None
-    best_order = None
+    best, best_order = bound, None
     tried = set()  # orbit representatives holding a root tried here
     for root in vertices:
         rep = _find(parent, root)
@@ -95,6 +115,8 @@ def _min_component_code(graph: ColoredGraph, vertices, color_order, parent):
         code, order = _code_from(graph, root, color_order, best)
         if code is None:
             continue
+        if code == bound:
+            return code
         if code != best:
             best, best_order = code, order
             continue
@@ -105,15 +127,76 @@ def _min_component_code(graph: ColoredGraph, vertices, color_order, parent):
                 parent[rb] = ra
                 if rb in tried:
                     tried.add(ra)
-    return tuple(best)
+    return None if best_order is None else best
 
 
-def _graph_code(graph: ColoredGraph, comps, color_order, parent):
-    """Component codes sorted by (length, code)."""
+def _graph_code(graph: ColoredGraph, comps, color_order, parent, bound=None):
+    """Component codes sorted by (length, code).
+
+    bound, the least code of the graph's one component under another color
+    order, abandons the walks that exceed it; None when all of them do.
+    """
+    if bound is not None:
+        code = _min_component_code(graph, comps[0], color_order, parent, bound)
+        return None if code is None else [code]
     codes = [_min_component_code(graph, comp, color_order, parent)
              for comp in comps]
     codes.sort(key=lambda code: (len(code), code))
     return codes
+
+
+def _color_maps(n_colors: int):
+    """Every color map in lexicographic order, refused beyond MAX_COLOR_MAPS."""
+    if factorial(n_colors) > MAX_COLOR_MAPS:
+        raise BudgetExceeded(
+            f"{n_colors}! color maps exceed the budget of {MAX_COLOR_MAPS}")
+    return permutations(range(n_colors))
+
+
+def _spread(covered: set, maps, generators) -> None:
+    """Add to covered every map that generators, applied on the left, reach
+    from maps."""
+    stack = list(maps)
+    while stack:
+        compose = itemgetter(*stack.pop())  # sigma -> sigma.pi
+        for sigma in generators:
+            image = compose(sigma)
+            if image not in covered:
+                covered.add(image)
+                stack.append(image)
+
+
+def _least_color_map_codes(graph: ColoredGraph, comps, parent):
+    """Component codes under the color map whose sorted code list is least.
+
+    Each walk of a connected graph is bounded by the least code found so
+    far, under any map.  When the code lists under pi0 and pi tie, pairing
+    their discovery orders is a color automorphism sigma with
+    sigma[pi0[s]] = pi[s].  The least codes under sigma.pi' and pi' are
+    then equal for every pi', so each map that the automorphisms found so
+    far carry a walked map to is skipped.
+    """
+    best = best_map = None
+    generators: list[tuple] = []
+    covered: set[tuple] = set()  # walked maps and their images
+    for cmap in _color_maps(graph.n_colors):
+        if cmap in covered:
+            continue
+        bound = best[0] if best is not None and len(comps) == 1 else None
+        codes = _graph_code(graph, comps, cmap, parent, bound)
+        covered.add(cmap)
+        _spread(covered, [cmap], generators)
+        if codes is None:
+            continue
+        if best is None or codes < best:
+            best, best_map = codes, cmap
+        elif codes == best:
+            sigma = [0] * graph.n_colors
+            for c0, c in zip(best_map, cmap):
+                sigma[c0] = c
+            generators.append(tuple(sigma))
+            _spread(covered, list(covered), generators)
+    return best
 
 
 def _tables_match(table1, table2, cmap) -> bool:
@@ -124,12 +207,14 @@ def _tables_match(table1, table2, cmap) -> bool:
 
 def canonical_signature(graph: ColoredGraph, allow_color_perm: bool = False) -> str:
     """Hashable string equal for two graphs iff they are isomorphic
-    (optionally up to a bijection of the palette)."""
+    (optionally up to a bijection of the palette).
+
+    With allow_color_perm, more than 8 colors raise BudgetExceeded.
+    """
     comps = graph.components().members()
     parent = list(range(graph.num_vertices))
     if allow_color_perm:
-        codes = min(_graph_code(graph, comps, cmap, parent)
-                    for cmap in permutations(range(graph.n_colors)))
+        codes = _least_color_map_codes(graph, comps, parent)
     else:
         codes = _graph_code(graph, comps, tuple(range(graph.n_colors)), parent)
     body = "|".join(",".join(map(str, code)) for code in codes)
@@ -184,16 +269,17 @@ def isomorphic(g1: ColoredGraph, g2: ColoredGraph, allow_color_perm: bool = Fals
     Returns (vertex_map, color_map) with vertex_map[v1] = v2 and
     color_map[c1] = c2, or None.  Color maps are tried in lexicographic
     order, so color_map is the first one that admits an isomorphism.  The
-    witness is verified edge-by-edge before being returned.
+    witness is verified edge-by-edge before being returned.  With
+    allow_color_perm, more than 8 colors raise BudgetExceeded.
     """
     if g1.n_colors != g2.n_colors:
         raise ColorCountMismatch(
             f"cannot compare graphs with {g1.n_colors} and {g2.n_colors} colors")
+    identity = tuple(range(g1.n_colors))
+    cmaps = _color_maps(g1.n_colors) if allow_color_perm else [identity]
     if g1.num_vertices != g2.num_vertices:
         return None
-    identity = tuple(range(g1.n_colors))
     table1, table2 = pair_cycles(g1), pair_cycles(g2)
-    cmaps = permutations(identity) if allow_color_perm else [identity]
     cmaps = [cmap for cmap in cmaps if _tables_match(table1, table2, cmap)]
     if not cmaps:
         return None

@@ -412,6 +412,30 @@ class ScriptStep:
     line: int = 0
 
 
+# step kind -> (number of colors, None for any; number of labels in each
+# group, None for any; the shape in words)
+_STEP_SHAPES = {
+    "dipole": (None, (2,), "one pair of labels"),
+    "glue": (1, (None, None), "one color and two label lists"),
+    "combined": (3, (2, 2), "three colors and two pairs of labels"),
+}
+
+
+def _check_step(step_no: int, step: ScriptStep) -> None:
+    """Raise MoveError, naming the step, unless it has its kind's shape."""
+    where = f"step {step_no} (line {step.line})"
+    if step.kind not in _STEP_SHAPES:
+        raise MoveError(f"{where}: unknown step kind {step.kind!r}")
+    n_colors, sizes, words = _STEP_SHAPES[step.kind]
+    if ((n_colors is not None and len(step.colors) != n_colors)
+            or len(step.groups) != len(sizes)
+            or any(size is not None and len(group) != size
+                   for size, group in zip(sizes, step.groups))):
+        raise MoveError(
+            f"{where}: a {step.kind} step takes {words}, got colors "
+            f"{step.colors!r} and label groups {step.groups!r}")
+
+
 @dataclass(frozen=True)
 class ScriptResult:
     gem: LabeledGem
@@ -481,19 +505,18 @@ def parse_move_script(text: str) -> list:
 
 def render_move_script(steps) -> str:
     lines = []
-    for s in steps:
+    for step_no, s in enumerate(steps, start=1):
+        _check_step(step_no, s)
         if s.kind == "dipole":
             (l1, l2), = s.groups
             lines.append(f"dipole {l1} {l2} {','.join(map(str, s.colors))}")
         elif s.kind == "glue":
             lam1, lam2 = s.groups
             lines.append(f"glue {s.colors[0]} [{','.join(lam1)}] -> [{','.join(lam2)}]")
-        elif s.kind == "combined":
+        else:
             k, i, j = s.colors
             pair, image = s.groups
             lines.append(f"combined {k} {{{i},{j}}} ({','.join(pair)}) ({','.join(image)})")
-        else:
-            raise ValueError(f"unknown step kind {s.kind!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -506,6 +529,7 @@ def run_script(gem: LabeledGem, steps) -> ScriptResult:
     ws = _Workspace(gem.graph, gem.labels)
     trace = [ws.size]
     for step_no, step in enumerate(steps, start=1):
+        _check_step(step_no, step)
         try:
             groups = [tuple(map(ws.resolve, group)) for group in step.groups]
             if step.kind == "dipole":
@@ -513,10 +537,8 @@ def run_script(gem: LabeledGem, steps) -> ScriptResult:
                 ws.cancel_dipole(DipoleSpec(v1, v2, frozenset(step.colors)))
             elif step.kind == "glue":
                 ws.glue(GlueSpec(step.colors[0], *groups))
-            elif step.kind == "combined":
-                ws.combined(CombinedSpec(*step.colors, *groups))
             else:
-                raise MoveError(f"unknown step kind {step.kind!r}")
+                ws.combined(CombinedSpec(*step.colors, *groups))
         except GemError as exc:
             raise type(exc)(f"step {step_no} (line {step.line}): {exc}") from exc
         trace.append(ws.size)

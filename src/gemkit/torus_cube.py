@@ -20,11 +20,17 @@ whose first two entries have ranks (c0, c1) goes to the run with ranks
 (c1 + [c1 >= c0], c0 - [c0 > c1]).  The 0-color is the swap walk composed
 on ids, and it is audited vertex by vertex against a direct swap of the
 first and last entries looked up by permutation.
+
+Bipartiteness is certified by the sign of each permutation: every color
+swaps two entries, so it must join vertices of opposite sign.  The signs
+of lexicographic order follow from the same blocks: the permutations whose
+first entry has rank d fill the d-th run of (L-1)! ids, and that entry
+starts d inversions.
 """
 
 from itertools import permutations
 from math import factorial
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .core import ColoredGraph, LabeledGem
 from .errors import AuditFailed, BudgetExceeded, DimensionUnsupported
@@ -47,6 +53,14 @@ def _swap_involution(n, k):
     return [base + w for base in range(0, factorial(n + 1), block) for w in s]
 
 
+def _lex_signs(m):
+    """Inversion parity of each permutation of m symbols, lexicographically."""
+    sign = [0]
+    for size in range(2, m + 1):
+        sign = [s ^ (d & 1) for d in range(size) for s in sign]
+    return sign
+
+
 def torus_gem(n, budget=40320):
     """Gem of the n-torus on the (n+1)! permutations of {1,..,n+1}.
 
@@ -57,7 +71,8 @@ def torus_gem(n, budget=40320):
     composes the palindromic swap walk n, n-1, .., 2, 1, 2, .., n on ids.
     That composite must equal swapping entries 1 and n+1, which is looked
     up directly for every vertex; any difference raises AuditFailed, as
-    does a result that is not bipartite.  ColoredGraph validates every
+    does a color that joins two permutations of the same sign (the
+    certificate that the gem is bipartite).  ColoredGraph validates every
     involution, and the budget is checked before anything is allocated.
     """
     if n < 1:
@@ -77,9 +92,12 @@ def torus_gem(n, budget=40320):
         if zero[v] != index[p[n:] + p[1:n] + p[:1]]:
             raise AuditFailed(
                 f"swap walk disagrees with the direct 0-involution at vertex {v}")
-    graph = ColoredGraph([zero] + swaps[1:])
-    if not graph.is_bipartite():
-        raise AuditFailed("torus gem is not bipartite")
+    involutions = [zero] + swaps[1:]
+    sign = _lex_signs(n + 1)
+    for col in involutions:
+        if any(map(eq, itemgetter(*col)(sign), sign)):
+            raise AuditFailed("torus gem is not bipartite")
+    graph = ColoredGraph(involutions)
     sep = "." if n + 1 > 9 else ""
     return LabeledGem(graph, ["p" + sep.join(p) for p in perms])
 

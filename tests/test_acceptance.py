@@ -335,3 +335,13 @@ def test_criterion_16_seven_torus_build():
         assert t7.graph.num_vertices == 40320
         assert t7.graph.n_colors == 8
         assert text.startswith("gem 1\ncolors 8\nvertices 40320\n")
+
+
+def test_criterion_17_six_torus_color_permuted_canonical_form():
+    g = torus_gem(6).graph
+    h, _ = shuffled_copy(make_rng(17), g)
+    h = h.permute_colors((4, 6, 1, 0, 5, 2, 3))
+    with report(17, "canon --color-perm of the 6-torus gem (5040 maps)",
+                budget=10.0):
+        assert canonical_signature(g, allow_color_perm=True) \
+            == canonical_signature(h, allow_color_perm=True)

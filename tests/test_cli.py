@@ -313,6 +313,19 @@ class TestComparison:
         assert sorted(obj["vertex_map"]) == [0, 1, 2, 3]
         assert obj["color_map"] == [0, 1]
 
+    @pytest.mark.parametrize("command", ["canon", "iso"])
+    def test_color_perm_over_eight_colors_is_one(self, capsys, tmp_path,
+                                                 command):
+        nine = tmp_path / "nine.gem"
+        nine.write_text("gem 1\ncolors 9\nvertices 2\n"
+                        + "".join(f"c {c}: 0-1\n" for c in range(9)))
+        files = [str(nine)] * (2 if command == "iso" else 1)
+        code, out, err = run(capsys, command, *files, "--color-perm")
+        assert (code, out) == (1, "")
+        assert err == ("error: 9! color maps exceed the budget of 40320\n")
+        code, out, _ = run(capsys, command, *files)
+        assert code == 0
+
 
 class TestExportCommand:
     def test_formats(self, capsys, square_file, tmp_path):

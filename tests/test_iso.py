@@ -2,8 +2,10 @@
 
 import pytest
 
-from gemkit import (ColorCountMismatch, ColoredGraph, canonical_signature,
-                    isomorphic, new_graph, order_two_gem, pair_cycles)
+import gemkit.iso
+from gemkit import (BudgetExceeded, ColorCountMismatch, ColoredGraph,
+                    canonical_signature, isomorphic, new_graph, order_two_gem,
+                    pair_cycles)
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import (brute_force_color_map, brute_force_isomorphic,
@@ -225,6 +227,35 @@ class TestFastPathAgainstOracle:
                 assert canonical_signature(h, allow_color_perm=True) \
                     == sig, name
 
+    def test_color_perm_ties_across_maps(self):
+        # recolored copies tie across color maps; a union of two recolored
+        # copies of one component ties in its whole sorted code list
+        rng = make_rng(111)
+        for k in range(2, 7):
+            for _ in range(6):
+                g = random_colored_graph(rng, rng.choice((2, 4, 6)), k)
+                copies = [self.variants(rng, g)[-1] for _ in range(2)]
+                for h in copies + [disjoint_union(*copies),
+                                   disjoint_union(g, copies[0], g)]:
+                    assert canonical_signature(h, allow_color_perm=True) \
+                        == unpruned_signature(h, allow_color_perm=True)
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_color_automorphisms_skip_maps(self, monkeypatch, parts):
+        # every color map of the 2-vertex gem ties, so the automorphisms
+        # found in a few walks cover all 5! maps
+        g = disjoint_union(*[order_two_gem(5).graph] * parts)
+        real, walks = gemkit.iso._graph_code, []
+
+        def counted(*args):
+            walks.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(gemkit.iso, "_graph_code", counted)
+        assert canonical_signature(g, allow_color_perm=True) \
+            == unpruned_signature(g, allow_color_perm=True)
+        assert len(walks) <= 8
+
     def check_pair(self, g, h, perm):
         found = isomorphic(g, h, allow_color_perm=perm)
         first = brute_force_color_map(g, h, allow_color_perm=perm)
@@ -308,3 +339,27 @@ class TestEqualPairCycleTables:
                 == brute_force_isomorphic(g, h, allow_color_perm=True)
             if fast is not None:
                 assert_valid_witness(g, h, fast)
+
+
+# two vertices joined by all 9 colors: 9! color maps, over the budget
+NINE_COLORS = new_graph(9, [[(0, 1)]] * 9)
+
+
+class TestColorMapBudget:
+    def test_nine_colors_refused_before_any_walk(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a color map was tried")
+
+        for name in ("_code_from", "_tables_match", "pair_cycles"):
+            monkeypatch.setattr(gemkit.iso, name, refused)
+        with pytest.raises(BudgetExceeded, match="9! color maps"):
+            canonical_signature(NINE_COLORS, allow_color_perm=True)
+        with pytest.raises(BudgetExceeded, match="9! color maps"):
+            isomorphic(NINE_COLORS, NINE_COLORS, allow_color_perm=True)
+
+    def test_fixed_colors_and_eight_colors_answer(self):
+        assert isomorphic(NINE_COLORS, NINE_COLORS) is not None
+        eight = new_graph(8, [[(0, 1)]] * 8)
+        assert canonical_signature(eight, allow_color_perm=True) \
+            == canonical_signature(eight)
+        assert isomorphic(eight, eight, allow_color_perm=True) is not None

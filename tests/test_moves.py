@@ -308,7 +308,7 @@ glue 2 [a,b] -> [e,f]
                 "glue 1 [p,q] -> [r,s]\n"
                 "combined 3 {0,1} (a,b) (c,d)\n")
         assert render_move_script(parse_move_script(text)) == text
-        with pytest.raises(ValueError):
+        with pytest.raises(MoveError):
             render_move_script([ScriptStep("twist", (0,), (("a",),))])
 
     def test_unknown_step_kind_refused(self):
@@ -316,6 +316,29 @@ glue 2 [a,b] -> [e,f]
         with pytest.raises(MoveError) as err:
             run_script(self.bridged_gem(), [step])
         assert str(err.value) == "step 1 (line 4): unknown step kind 'twist'"
+
+    @pytest.mark.parametrize("step, words", [
+        (ScriptStep("combined", (0, 1), (("a", "b"), ("e", "f")), 3),
+         "a combined step takes three colors and two pairs of labels"),
+        (ScriptStep("combined", (2, 0, 1), (("a", "b", "c"), ("e", "f")), 3),
+         "a combined step takes three colors and two pairs of labels"),
+        (ScriptStep("dipole", (0,), (("a", "b", "c"),), 3),
+         "a dipole step takes one pair of labels"),
+        (ScriptStep("dipole", (0,), (("a", "b"), ("c", "d")), 3),
+         "a dipole step takes one pair of labels"),
+        (ScriptStep("glue", (), (("a", "b"), ("e", "f")), 3),
+         "a glue step takes one color and two label lists"),
+        (ScriptStep("glue", (2,), (("a", "b"),), 3),
+         "a glue step takes one color and two label lists"),
+    ], ids=["combined-two-colors", "combined-long-pair", "dipole-three-labels",
+            "dipole-two-pairs", "glue-no-color", "glue-one-side"])
+    def test_misshapen_step_refused(self, step, words):
+        good = parse_move_script(self.GOOD)
+        for call in (lambda: run_script(self.bridged_gem(), good + [step]),
+                     lambda: render_move_script(good + [step])):
+            with pytest.raises(MoveError) as err:
+                call()
+            assert str(err.value).startswith(f"step 2 (line 3): {words}, got")
 
     def test_run_errors_name_step_and_line(self):
         gem = self.bridged_gem()

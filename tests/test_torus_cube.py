@@ -146,6 +146,28 @@ class TestLookupOracle:
             torus_gem(3)
 
 
+class TestSignCertificate:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_signs_are_inversion_parities(self, n):
+        labels = torus_gem(n).labels
+        parities = [sum(a > b for i, a in enumerate(label[1:])
+                        for b in label[2 + i:]) % 2 for label in labels]
+        assert gemkit.torus_cube._lex_signs(n + 1) == parities
+
+    def test_color_that_keeps_the_sign_fails(self, monkeypatch):
+        real = gemkit.torus_cube._lex_signs
+
+        def flipped(m):
+            # vertex 0 takes its neighbours' sign, so each color keeps it
+            sign = real(m)
+            sign[0] ^= 1
+            return sign
+
+        monkeypatch.setattr(gemkit.torus_cube, "_lex_signs", flipped)
+        with pytest.raises(AuditFailed, match="^torus gem is not bipartite$"):
+            torus_gem(3)
+
+
 class TestFamily:
     def test_shapes(self):
         for n in (1, 2, 3, 4):
