@@ -8,13 +8,20 @@ that each array really is a fixed-point-free involution.
 
 Vertices are dense ints.  Human-readable names live in a side table
 (LabeledGem), never inside the graph itself.
+
+One int object per vertex id: every entry of every involution equal to v
+is the same int object, so a graph on V vertices holds V ints however many
+colors it has.  ColoredGraph owns the rule.  Its validator reads each color
+through itemgetter over its own tuple(range(V)) and stores what it reads,
+so every constructor (parse, the torus and catalogue builders, moves,
+relabel, recoloring) gets shared ids without doing anything itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import NoReturn
 
 from .errors import (
@@ -50,27 +57,32 @@ class ColoredGraph:
     __slots__ = ("n_colors", "num_vertices", "involutions", "_hash")
 
     def __init__(self, involutions):
-        invs = tuple(tuple(col) for col in involutions)
+        invs = [tuple(col) for col in involutions]
         if len(invs) < 2:
             raise ColorOutOfRange(f"need at least 2 colors, got {len(invs)}")
         nv = len(invs[0])
         if nv == 0 or nv % 2:
             raise OddVertexCount(f"number of vertices must be even and positive, got {nv}")
+        ids = tuple(range(nv))
         for c, col in enumerate(invs):
-            if len(col) != nv:
-                raise VertexCountMismatch(
-                    f"color {c} defined on {len(col)} vertices, expected {nv}")
-            for v, w in enumerate(col):
-                if not 0 <= w < nv:
-                    raise VertexCountMismatch(f"color {c}: partner {w} of vertex {v} out of range")
-                if w == v:
-                    raise LoopEdge(f"color {c}: vertex {v} matched to itself")
-                if col[w] != v:
-                    raise DuplicateVertexInColor(
-                        f"color {c}: not an involution at vertices {v}, {w}")
+            # shared == col puts every partner in 0..V-1 (itemgetter wraps a
+            # -1 to V-1, which fails here) and makes shared hold the objects
+            # of ids, so the other two tests compare by identity: col is its
+            # own inverse, with no fixed point.  nv >= 2, so each itemgetter
+            # returns a tuple.
+            try:
+                take = itemgetter(*col)
+                shared = take(ids)
+                ok = (shared == col and take(shared) == ids
+                      and not any(map(is_, shared, ids)))
+            except (IndexError, TypeError):
+                ok = False
+            if not ok:
+                _raise_first_bad_vertex(c, col, nv)
+            invs[c] = shared
         self.n_colors = len(invs)
         self.num_vertices = nv
-        self.involutions = invs
+        self.involutions = tuple(invs)
         self._hash = None
 
     # -- basics --------------------------------------------------------------
@@ -349,25 +361,47 @@ def new_graph(n_colors: int, pairs_per_color, num_vertices: int | None = None) -
 def graph_from_endpoints(endpoints_per_color, num_vertices: int) -> ColoredGraph:
     """Build a graph from one flat endpoint list a0, b0, a1, b1, ... per color.
 
-    A color whose endpoints are num_vertices distinct ids in range is a
-    perfect matching and fills its involution directly.  Only a color that
+    The colors are built one at a time, so an iterator of endpoint lists
+    can let each list go once its involution is made.  A color whose
+    num_vertices endpoints are in range and leave no -1 in the [-1] * V
+    fill names every vertex once: a perfect matching.  Only a color that
     fails that verdict is walked pair by pair, in color order, to raise the
     error of its first bad pair.
     """
     if num_vertices <= 0 or num_vertices % 2:
         raise OddVertexCount(f"number of vertices must be even and positive, got {num_vertices}")
-    invs = []
-    for c, flat in enumerate(endpoints_per_color):
-        if not (len(flat) == num_vertices and min(flat) >= 0
-                and max(flat) < num_vertices and len(set(flat)) == num_vertices):
-            _raise_first_bad_pair(c, flat, num_vertices)
-        col = [0] * num_vertices
-        ends = iter(flat)
-        for a, b in zip(ends, ends):
-            col[a] = b
-            col[b] = a
-        invs.append(col)
-    return ColoredGraph(invs)
+    return ColoredGraph(_matching(c, flat, num_vertices)
+                        for c, flat in enumerate(endpoints_per_color))
+
+
+def _matching(c: int, flat, num_vertices: int) -> tuple:
+    """Color c's involution from its flat endpoint list (graph_from_endpoints)."""
+    if not (len(flat) == num_vertices and min(flat) >= 0 and max(flat) < num_vertices):
+        _raise_first_bad_pair(c, flat, num_vertices)
+    col = [-1] * num_vertices
+    ends = iter(flat)
+    for a, b in zip(ends, ends):
+        col[a] = b
+        col[b] = a
+    if -1 in col:
+        _raise_first_bad_pair(c, flat, num_vertices)
+    return tuple(col)
+
+
+def _raise_first_bad_vertex(c: int, col: tuple, nv: int) -> NoReturn:
+    """Raise the error for color c's first vertex whose partner breaks the
+    involution, checking the vertices in order."""
+    if len(col) != nv:
+        raise VertexCountMismatch(f"color {c} defined on {len(col)} vertices, expected {nv}")
+    for v, w in enumerate(col):
+        if not 0 <= w < nv:
+            raise VertexCountMismatch(f"color {c}: partner {w} of vertex {v} out of range")
+        if w == v:
+            raise LoopEdge(f"color {c}: vertex {v} matched to itself")
+        if col[w] != v:
+            raise DuplicateVertexInColor(f"color {c}: not an involution at vertices {v}, {w}")
+    # every int partner that passes the loop passes the check in __init__
+    raise TypeError(f"color {c}: partners must be ints")
 
 
 def _raise_first_bad_pair(c: int, flat, num_vertices: int) -> NoReturn:
@@ -402,11 +436,15 @@ class LabeledGem:
         if len(labels) != graph.num_vertices:
             raise VertexCountMismatch(
                 f"{len(labels)} labels for {graph.num_vertices} vertices")
-        index = {}
-        for v, name in enumerate(labels):
-            if name in index:
-                raise VertexCountMismatch(f"duplicate vertex label {name!r}")
-            index[name] = v
+        # inv[inv[v]] is v, so the index holds the graph's own id objects
+        inv = graph.involutions[0]
+        index = dict(zip(labels, itemgetter(*inv)(inv)))
+        if len(index) < len(labels):
+            seen = set()
+            for name in labels:
+                if name in seen:
+                    raise VertexCountMismatch(f"duplicate vertex label {name!r}")
+                seen.add(name)
         self.graph = graph
         self.labels = labels
         self._index = index

@@ -22,11 +22,20 @@ integers are read in one pass into a flat endpoint list per color.  Only a
 line that fails is scanned token by token, to name the bad token and its
 column.  Syntax problems raise ParseError (with line/column); structural
 problems (bad matchings, id clashes) raise the usual validation errors.
+
+Vertex ids are interned as each line is read: the 'vertices' line makes
+one tuple(range(V)), and every endpoint and label id in range is replaced
+by its object there, so a file holds one int per vertex rather than one per
+token.  A count larger than the text's length cannot be matched by the
+edge lines that follow, so it allocates nothing and is refused at the end.
+The colors are handed to graph_from_endpoints one at a time, and each
+endpoint list is freed once its involution is built.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .core import ColoredGraph, LabeledGem, graph_from_endpoints
 from .errors import ColorOutOfRange, ParseError, VertexCountMismatch
@@ -77,9 +86,24 @@ def _pair_ends(raw: str, line_no: int) -> list[int]:
     return ends
 
 
+def _shared_ends(body: str, ids: tuple) -> list | tuple | None:
+    """The endpoints of a well-formed edge-line body.  When all are in
+    range each is the int object ids holds for it, so a file's ids share
+    one object each; otherwise they stay as read, for the matching check
+    to refuse.  None when a number is too long for int()."""
+    try:
+        ends = list(map(int, body.replace("-", " ").split()))
+    except ValueError:
+        return None
+    if ends and max(ends) < len(ids):
+        return itemgetter(*ends)(ids)
+    return ends
+
+
 def parse_gem(text: str) -> LabeledGem:
     n_colors = None
     num_vertices = None
+    ids: tuple[int, ...] = ()
     labels: dict[int, str] = {}
     endpoints: dict[int, list[int]] = {}
     saw_header = False
@@ -107,13 +131,10 @@ def parse_gem(text: str) -> LabeledGem:
                     f"line {line_no}: color {color} not in 0..{n_colors - 1}")
             body = head[2] if len(head) == 3 else ""
             bucket = endpoints.setdefault(color, [])
-            if _PAIRS.fullmatch(body):
-                try:
-                    bucket.extend(map(int, body.replace("-", " ").split()))
-                    continue
-                except ValueError:
-                    pass  # an id too long for int(); the token scan names it
-            bucket.extend(_pair_ends(raw, line_no))
+            ends = _shared_ends(body, ids) if _PAIRS.fullmatch(body) else None
+            if ends is None:  # the token scan names the bad or too-long token
+                ends = _pair_ends(raw, line_no)
+            bucket.extend(ends)
             continue
         toks = code.split()
         if not saw_header:
@@ -130,6 +151,9 @@ def parse_gem(text: str) -> LabeledGem:
             if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError("expected: vertices <count>", line_no, _column(raw, 0))
             num_vertices = _number(toks[1], raw, line_no, 1)
+            # each color's pairs name every vertex, so a count the text
+            # cannot hold is refused later, and its ids are never made
+            ids = tuple(range(num_vertices)) if num_vertices <= len(text) else ()
             continue
         if word == "label":
             if len(toks) != 3 or not toks[1].isdecimal():
@@ -143,7 +167,7 @@ def parse_gem(text: str) -> LabeledGem:
                     line_no, _column(raw, 1))
             if vid in labels:
                 raise ParseError(f"vertex {vid} labeled twice", line_no, _column(raw, 1))
-            labels[vid] = toks[2]
+            labels[ids[vid] if vid < len(ids) else vid] = toks[2]
             continue
         raise ParseError(f"unknown statement {word!r}", line_no, _column(raw, 0))
     if not saw_header:
@@ -159,8 +183,9 @@ def parse_gem(text: str) -> LabeledGem:
         if missing > 0:
             raise VertexCountMismatch(
                 f"color {c}: {missing} of {num_vertices} vertices have no edge")
+    # popped one color at a time, so each list goes once its color is built
     graph = graph_from_endpoints(
-        [endpoints.get(c, []) for c in range(n_colors)], num_vertices)
+        (endpoints.pop(c, []) for c in range(n_colors)), num_vertices)
     full_labels = [labels.get(v, str(v)) for v in range(num_vertices)]
     return LabeledGem(graph, full_labels)
 

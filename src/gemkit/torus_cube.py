@@ -17,9 +17,13 @@ of L! consecutive ids, L = n+2-k, and inside every block swapping entries
 k and k+1 acts as the same involution s_L, which swaps the first two
 entries of an L-permutation.  s_L moves whole runs of (L-2)! ids: the run
 whose first two entries have ranks (c0, c1) goes to the run with ranks
-(c1 + [c1 >= c0], c0 - [c0 > c1]).  The 0-color is the swap walk composed
-on ids, and it is audited vertex by vertex against a direct swap of the
-first and last entries looked up by permutation.
+(c1 + [c1 >= c0], c0 - [c0 > c1]).  Each run is copied from one shared
+tuple of ids, so the gem holds one int object per vertex.  The 0-color is
+the swap walk composed on ids.  It is audited vertex by vertex without a
+lookup table: the labels read through the 0-color (each vertex's
+0-partner's label) must equal, in order, the labels of the permutations
+with their first and last entries swapped, streamed from the same
+lexicographic enumeration that names the vertices.
 
 Bipartiteness is certified by the sign of each permutation: every color
 swaps two entries, so it must join vertices of opposite sign.  The signs
@@ -28,17 +32,18 @@ first entry has rank d fill the d-th run of (L-1)! ids, and that entry
 starts d inversions.
 """
 
-from itertools import permutations
+from itertools import compress, permutations
 from math import factorial
-from operator import eq, itemgetter
+from operator import eq, itemgetter, ne
 
 from .core import ColoredGraph, LabeledGem
 from .errors import AuditFailed, BudgetExceeded, DimensionUnsupported
 from .invariants import pair_cycles
 
 
-def _swap_involution(n, k):
-    """Color k's involution on the (n+1)! ids: swap entries k and k+1."""
+def _swap_involution(ids, n, k):
+    """Color k's involution on the (n+1)! ids: swap entries k and k+1.
+    Its entries are the objects of ids, one int object per vertex id."""
     size = n + 2 - k
     block = factorial(size)
     run = factorial(size - 2)
@@ -50,7 +55,12 @@ def _swap_involution(n, k):
             src = (c0 * (size - 1) + c1) * run
             dst = (d0 * (size - 1) + d1) * run
             s[src:src + run] = range(dst, dst + run)
-    return [base + w for base in range(0, factorial(n + 1), block) for w in s]
+    # block >= 2, so the getter returns a tuple
+    swap = itemgetter(*s)
+    col = []
+    for base in range(0, len(ids), block):
+        col += swap(ids[base:base + block])
+    return col
 
 
 def _lex_signs(m):
@@ -69,37 +79,39 @@ def torus_gem(n, budget=40320):
     k-partner swaps entries k and k+1; it is built by range arithmetic on
     the blocks of ids that share their first k-1 entries.  The 0-partner
     composes the palindromic swap walk n, n-1, .., 2, 1, 2, .., n on ids.
-    That composite must equal swapping entries 1 and n+1, which is looked
-    up directly for every vertex; any difference raises AuditFailed, as
-    does a color that joins two permutations of the same sign (the
-    certificate that the gem is bipartite).  ColoredGraph validates every
-    involution, and the budget is checked before anything is allocated.
+    That composite must equal swapping entries 1 and n+1: the label of
+    every vertex's 0-partner is compared with the label of its permutation
+    so swapped.  Any difference raises AuditFailed, as does a color that
+    joins two permutations of the same sign (the certificate that the gem
+    is bipartite).  ColoredGraph validates every involution, and the budget
+    is checked before anything is allocated.
     """
     if n < 1:
         raise DimensionUnsupported(f"torus dimension must be >= 1, got {n}")
     count = factorial(n + 1)
     if count > budget:
         raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
-    swaps = [None] + [_swap_involution(n, k) for k in range(1, n + 1)]
+    ids = tuple(range(count))
+    swaps = [None] + [_swap_involution(ids, n, k) for k in range(1, n + 1)]
     walk = list(range(n, 0, -1)) + list(range(2, n + 1))
     zero = swaps[walk[0]]
     for k in walk[1:]:
         zero = itemgetter(*zero)(swaps[k])
 
-    perms = list(permutations([str(x) for x in range(1, n + 2)]))
-    index = dict(zip(perms, range(count)))
-    for v, p in enumerate(perms):
-        if zero[v] != index[p[n:] + p[1:n] + p[:1]]:
-            raise AuditFailed(
-                f"swap walk disagrees with the direct 0-involution at vertex {v}")
+    symbols = [str(x) for x in range(1, n + 2)]
+    sep = "." if n + 1 > 9 else ""
+    labels = ["p" + sep.join(p) for p in permutations(symbols)]
+    direct = ("p" + sep.join(p[n:] + p[1:n] + p[:1]) for p in permutations(symbols))
+    bad = next(compress(ids, map(ne, itemgetter(*zero)(labels), direct)), None)
+    if bad is not None:
+        raise AuditFailed(
+            f"swap walk disagrees with the direct 0-involution at vertex {bad}")
     involutions = [zero] + swaps[1:]
     sign = _lex_signs(n + 1)
     for col in involutions:
         if any(map(eq, itemgetter(*col)(sign), sign)):
             raise AuditFailed("torus gem is not bipartite")
-    graph = ColoredGraph(involutions)
-    sep = "." if n + 1 > 9 else ""
-    return LabeledGem(graph, ["p" + sep.join(p) for p in perms])
+    return LabeledGem(ColoredGraph(involutions), labels)
 
 
 def stated_permutation(n):

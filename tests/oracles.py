@@ -24,6 +24,10 @@ and `stepwise_combined_move` are its single moves.
 `combined_move_factored` performs the combined move as two dipole
 cancellations.
 
+`looped_involutions` validates ColoredGraph input one vertex at a time,
+the way ColoredGraph did before it checked each color in one pass, and
+returns the involutions it accepts unchanged.
+
 `token_parse_gem` reads a .gem file one token at a time, checking each pair
 token on its own and building the graph with `pairwise_new_graph`, which
 fills each color pair by pair.  `edges_render_gem` writes each color line
@@ -532,6 +536,30 @@ def combined_move_factored(graph, spec, labels=None):
         -1 if r1.vertex_map[v] == -1 else r2.vertex_map[r1.vertex_map[v]]
         for v in range(graph.num_vertices))
     return MoveResult(r2.graph, vmap)
+
+
+def looped_involutions(involutions):
+    """ColoredGraph's checks vertex by vertex, in order: the involutions as
+    given (as tuples), or the first refusal."""
+    invs = tuple(tuple(col) for col in involutions)
+    if len(invs) < 2:
+        raise ColorOutOfRange(f"need at least 2 colors, got {len(invs)}")
+    nv = len(invs[0])
+    if nv == 0 or nv % 2:
+        raise OddVertexCount(f"number of vertices must be even and positive, got {nv}")
+    for c, col in enumerate(invs):
+        if len(col) != nv:
+            raise VertexCountMismatch(
+                f"color {c} defined on {len(col)} vertices, expected {nv}")
+        for v, w in enumerate(col):
+            if not 0 <= w < nv:
+                raise VertexCountMismatch(f"color {c}: partner {w} of vertex {v} out of range")
+            if w == v:
+                raise LoopEdge(f"color {c}: vertex {v} matched to itself")
+            if col[w] != v:
+                raise DuplicateVertexInColor(
+                    f"color {c}: not an involution at vertices {v}, {w}")
+    return invs
 
 
 def pairwise_new_graph(n_colors, pairs_per_color, num_vertices=None):

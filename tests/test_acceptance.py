@@ -4,7 +4,9 @@ Each test prints a single pass/fail line (visible with -s or in the
 captured-output section) and enforces its own wall-clock budget.
 """
 
+import gc
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -345,3 +347,51 @@ def test_criterion_17_six_torus_color_permuted_canonical_form():
                 budget=10.0):
         assert canonical_signature(g, allow_color_perm=True) \
             == canonical_signature(h, allow_color_perm=True)
+
+
+def traced_peak_mb(call):
+    """call()'s result and the peak of its Python allocations in MB
+    (tracemalloc), above what was traced when it started."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# Peaks of one int object per vertex id, measured in BENCH_16.json on
+# Python 3.11: 18.5 MB to parse the relabelled t7 and 13.3 MB to build t7.
+# With one int per endpoint they were 25.7 and 26.6 MB.  The gates leave
+# about 20% for other interpreters (3.10, 3.12).
+PARSE_T7_PEAK_MB = 22.0
+BUILD_T7_PEAK_MB = 16.0
+
+
+def test_criterion_18_seven_torus_parse_memory():
+    t7 = torus_gem(7)
+    perm = list(range(t7.graph.num_vertices))
+    make_rng(18).shuffle(perm)
+    names = [None] * len(perm)
+    for v, name in enumerate(t7.labels):
+        names[perm[v]] = name
+    text = render_gem(LabeledGem(t7.graph.relabel(perm), names))
+    del t7
+    with report(18, "parse the relabelled 7-torus gem within its memory gate",
+                budget=10.0):
+        gem, peak = traced_peak_mb(lambda: parse_gem(text))
+        assert render_gem(gem) == text
+        assert peak < PARSE_T7_PEAK_MB, f"peak {peak:.1f} MB"
+
+
+def test_criterion_19_seven_torus_build_memory():
+    with report(19, "build the 7-torus gem within its memory gate", budget=10.0):
+        t7, peak = traced_peak_mb(lambda: torus_gem(7))
+        assert t7.graph.num_vertices == 40320
+        assert peak < BUILD_T7_PEAK_MB, f"peak {peak:.1f} MB"

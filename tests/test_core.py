@@ -5,12 +5,15 @@ from itertools import combinations
 import pytest
 
 from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
-                    LabeledGem, LoopEdge, OddVertexCount, VertexCountMismatch,
-                    new_graph, order_two_gem, torus_gem)
+                    LabeledGem, LoopEdge, OddVertexCount, ScriptStep,
+                    VertexCountMismatch, add_dipole, new_graph, order_two_gem,
+                    parse_gem, product_gem, render_gem, run_script,
+                    small_cover_gem, torus_gem)
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
-from oracles import (flood_fill_labels, per_subset_face_counts,
-                     per_subset_residue_counts, torus_residue_count)
+from oracles import (flood_fill_labels, looped_involutions,
+                     per_subset_face_counts, per_subset_residue_counts,
+                     torus_residue_count)
 
 
 def square_graph():
@@ -221,6 +224,115 @@ class TestResidueWalkAgainstOracle:
         g = square_graph()
         assert g.residue_counts() == {(): 4, (0,): 2, (1,): 2, (0, 1): 1}
         assert two_squares().residue_counts()[(0, 1)] == 2
+
+
+def _outcome(build, involutions):
+    """("ok", the involutions) or (the exception type, its message)."""
+    try:
+        return "ok", tuple(build(involutions))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _corrupt(rng, involutions, kind):
+    """The involutions as lists with one seeded corruption of one color."""
+    invs = [list(col) for col in involutions]
+    nv = len(invs[0])
+    c = rng.randrange(len(invs))
+    col = invs[c]
+    v = rng.randrange(nv)
+    if kind == "out-of-range":
+        col[v] = nv + rng.randrange(3)
+    elif kind == "minus-one":
+        # half the time at the partner of V - 1, which itemgetter's wrap of
+        # -1 to V - 1 would take for a sound involution
+        col[col[nv - 1] if rng.random() < 0.5 else v] = -1
+    elif kind == "fixed-point":
+        # half the time both ends of an edge, which leaves an involution
+        if rng.random() < 0.5:
+            col[col[v]] = col[v]
+        col[v] = v
+    elif kind == "non-involution":
+        col[v] = rng.choice([w for w in range(nv) if w not in (v, col[v])])
+    elif kind == "short":
+        invs[c] = col[:rng.randrange(nv)]
+    elif kind == "bool":
+        col[v] = rng.random() < 0.5
+    elif kind == "float":
+        col[v] = float(col[v])
+    return invs
+
+
+class TestValidatorAgainstLoop:
+    """ColoredGraph checks each color in one pass; the per-vertex loop it
+    replaced (oracles.looped_involutions) must give the same refusal, type
+    and message, or the same involutions."""
+
+    @pytest.mark.parametrize("kind", [
+        "valid", "out-of-range", "minus-one", "fixed-point", "non-involution",
+        "short", "bool", "float"])
+    def test_random_graphs(self, kind):
+        rng = make_rng(f"validator:{kind}")
+        refused = 0
+        for _ in range(30):
+            g = random_colored_graph(rng, rng.choice([4, 6, 10, 40, 300]),
+                                     rng.randint(2, 5))
+            invs = _corrupt(rng, g.involutions, kind)
+            new = _outcome(lambda i: ColoredGraph(i).involutions, invs)
+            assert new == _outcome(looped_involutions, invs)
+            if new[0] == "ok":
+                assert all(type(w) is int for col in new[1] for w in col)
+            else:
+                refused += 1
+        assert refused == 0 if kind == "valid" else refused > 0
+
+    @pytest.mark.parametrize("involutions", [
+        [], [[1, 0]], [[], []], [[1, 0, 3], [1, 0, 3]], [[1, 0], ()],
+        [[1, 0], [1]], [[1, 0], [1, 0, 3, 2]], [[1, 0], [-1, -2]],
+        [[1, 0], [-1, 0]], [[1, 0], ["1", 0]], [[1, 0], [None, 0]],
+        [[True, False], [1, 0]], [[1, 0], [1.0, 0]], [[1, 0], [2.0, 0]],
+        [(1, 0), (1, 0), (0, 1)],
+    ])
+    def test_edge_cases(self, involutions):
+        assert (_outcome(lambda i: ColoredGraph(i).involutions, involutions)
+                == _outcome(looped_involutions, involutions))
+
+
+class TestSharedIds:
+    """Every builder's graph holds one int object per vertex id.  Graphs of
+    more than 256 vertices show it; below that CPython shares small ints
+    anyway."""
+
+    @staticmethod
+    def distinct_ints(graph):
+        return len({id(w) for col in graph.involutions for w in col})
+
+    def test_builders(self, t3):
+        rng = make_rng("shared ids")
+        t5 = torus_gem(5)
+        relabelled, perm = shuffled_copy(rng, t5.graph)
+        names = [None] * t5.graph.num_vertices
+        for v, name in enumerate(t5.labels):
+            names[perm[v]] = name
+        grown, steps = t5.graph, []
+        for d in range(3):
+            grown = add_dipole(grown, rng.randrange(grown.num_vertices), (d, 4)).graph
+            steps.append(ScriptStep("dipole", (d, 4), ((f"d{d}a", f"d{d}b"),), 3 - d))
+        labels = list(t5.labels) + [f"d{d}{s}" for d in range(3) for s in "ab"]
+        graphs = {
+            "parse_gem": parse_gem(render_gem(LabeledGem(relabelled, names))).graph,
+            "torus_gem": t5.graph,
+            "product_gem": product_gem(t3).graph,
+            "small_cover_gem": small_cover_gem(2).graph,
+            "relabel": relabelled,
+            "permute_colors": relabelled.permute_colors((3, 0, 5, 1, 4, 2)),
+            "add_dipole": grown,
+            "run_script": run_script(LabeledGem(grown, labels), steps[::-1]).gem.graph,
+            "new_graph": random_colored_graph(rng, 400, 4),
+        }
+        for name, graph in graphs.items():
+            assert self.distinct_ints(graph) == graph.num_vertices, name
+        assert graphs["run_script"] == t5.graph
 
 
 class TestRelabelAndColorPermute:

@@ -130,10 +130,10 @@ class TestLookupOracle:
     def test_wrong_swap_color_fails_the_zero_audit(self, monkeypatch):
         real = gemkit.torus_cube._swap_involution
 
-        def crossed(n, k):
+        def crossed(ids, n, k):
             # re-pair two 2-cycles (a b)(c d) as (a c)(b d): still a
             # fixed-point-free involution, but not the swap of entries 1, 2
-            col = real(n, k)
+            col = real(ids, n, k)
             if k == 1:
                 a, b = 0, col[0]
                 c = next(v for v in range(len(col)) if v not in (a, b))
