@@ -1,5 +1,6 @@
 """The .gem text format and the DOT / gluing-table exports."""
 
+import tracemalloc
 from importlib.resources import files
 
 import pytest
@@ -99,6 +100,18 @@ class TestParse:
                       "c 0: 0-1\nc 1: 0-1\n")
         assert str(err.value) == \
             "color 0: 99999999998 of 100000000000 vertices have no edge"
+
+    def test_count_the_text_cannot_hold_allocates_nothing(self):
+        # 200000 ids would take about 7 MB; the text holds 52 characters
+        text = "gem 1\ncolors 2\nvertices 200000\nlabel 7 x\nc 0: 0-1\nc 1: 0-1\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(VertexCountMismatch):
+                parse_gem(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_vertex_count_message_matches_new_graph(self):
         text = "gem 1\ncolors 2\nvertices 6\nc 0: 0-1 2-3 4-5\nc 1: 0-1\n"
