@@ -20,7 +20,8 @@ from .errors import (AuditFailed, BaseNotCrystallization, BudgetExceeded,
                      MissingIColoredMatching, MoveError, NotADipole,
                      OddVertexCount, ParseError, PermutationColorMismatch,
                      PhiNotIsomorphism, PreconditionFailed, ResultInvalid,
-                     SameComponentInIHat, VertexCountMismatch)
+                     SameComponentInIHat, UnknownLabel,
+                     VertexCountMismatch)
 from .gemfile import export_dot, export_gluings, parse_gem, render_gem
 from .invariants import (GenusReport, all_genus_reports, bicolored_cycles,
                          check_cyclic_permutation, cyclic_permutations,

@@ -29,6 +29,7 @@ from .errors import (
     DuplicateVertexInColor,
     LoopEdge,
     OddVertexCount,
+    UnknownLabel,
     VertexCountMismatch,
 )
 
@@ -89,6 +90,7 @@ class ColoredGraph:
 
     def partner(self, v: int, color: int) -> int:
         self._check_color(color)
+        self._check_vertex(v)
         return self.involutions[color][v]
 
     def colors(self) -> range:
@@ -103,6 +105,11 @@ class ColoredGraph:
     def _check_color(self, color: int) -> None:
         if not 0 <= color < self.n_colors:
             raise ColorOutOfRange(f"color {color} not in 0..{self.n_colors - 1}")
+
+    def _check_vertex(self, v: int) -> None:
+        # a negative id would index from the end of the involution
+        if not 0 <= v < self.num_vertices:
+            raise VertexCountMismatch(f"vertex {v} not in 0..{self.num_vertices - 1}")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredGraph)
@@ -453,9 +460,10 @@ class LabeledGem:
         try:
             return self._index[label]
         except KeyError:
-            raise KeyError(f"no vertex labeled {label!r}") from None
+            raise UnknownLabel(f"no vertex labeled {label!r}") from None
 
     def label_of(self, v: int) -> str:
+        self.graph._check_vertex(v)
         return self.labels[v]
 
     def has_label(self, label: str) -> bool:

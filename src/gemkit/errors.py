@@ -36,6 +36,13 @@ class ColorOutOfRange(GraphValidationError):
     pass
 
 
+class UnknownLabel(GemError, KeyError):
+    """No vertex carries the label.  Also a KeyError, as for a missing key;
+    its message is printed as given, not quoted as a KeyError's key is."""
+
+    __str__ = GemError.__str__
+
+
 # -- invariants --------------------------------------------------------------
 
 class PermutationColorMismatch(GemError):

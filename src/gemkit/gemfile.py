@@ -16,6 +16,13 @@ Counts, vertex ids and colors are decimal digits (str.isdecimal), so a
 superscript digit is a syntax error, not an int() failure; so is a number
 longer than int() reads (sys.get_int_max_str_digits(), 4300 by default).
 
+Lines end where str.splitlines ends them: at "\n", "\r\n" and "\r", and
+also at "\v", "\f", "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029"; line
+numbers in errors count those lines.  Neither the parser nor the renderer
+keeps a list of the file's lines: the parser splits the text about 64 KB at
+a time, and the renderer joins the label lines into one string before it
+builds the edge lines.
+
 The parser reads a line at a time.  A line is split on whitespace; the body
 of an edge line gets one verdict from a single regular expression and its
 integers are read in one pass into a flat endpoint list per color.  Only a
@@ -100,14 +107,30 @@ def _shared_ends(body: str, ids: tuple) -> list | tuple | None:
     return ends
 
 
+def _lines(text: str, block: int = 1 << 16):
+    """The lines of text.splitlines(), without a list of them all: the text
+    is split a block of about `block` characters at a time, each block cut
+    just after a "\n", where every line break rule agrees a line ends."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + block) + 1 or size
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_gem(text: str) -> LabeledGem:
+    """The gem a .gem text describes.  Lines end where str.splitlines ends
+    them, and are split from the text a block at a time, not all at once.
+    Raises ParseError, with line and column, for a syntax fault, and the
+    validation errors (VertexCountMismatch, LoopEdge, ...) for a well-formed
+    text that does not describe a gem."""
     n_colors = None
     num_vertices = None
     ids: tuple[int, ...] = ()
     labels: dict[int, str] = {}
     endpoints: dict[int, list[int]] = {}
     saw_header = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         code = raw.split("#", 1)[0]
         # at most three pieces, so an edge line's pairs stay one string
         head = code.split(None, 2)
@@ -201,13 +224,16 @@ def render_gem(gem: LabeledGem | ColoredGraph, comment: str | None = None) -> st
     lines.append("gem 1")
     lines.append(f"colors {graph.n_colors}")
     lines.append(f"vertices {graph.num_vertices}")
-    for v, name in enumerate(gem.labels):
-        if name != str(v):
-            lines.append(f"label {v} {name}")
+    # the label lines as one string, not one string object per line
+    labels = "\n".join([f"label {v} {name}"
+                        for v, name in enumerate(gem.labels) if name != str(v)])
+    if labels:
+        lines.append(labels)
     for c, col in enumerate(graph.involutions):
         body = " ".join([f"{v}-{w}" for v, w in enumerate(col) if v < w])
         lines.append(f"c {c}: {body}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _dot_quote(name: str) -> str:
@@ -232,7 +258,8 @@ def export_dot(gem: LabeledGem | ColoredGraph, name: str = "gem") -> str:
                 f"  {_dot_quote(gem.labels[a])} -- {_dot_quote(gem.labels[b])}"
                 f" [color=\"{rgb}\" penwidth=1.6];")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def export_gluings(gem: LabeledGem | ColoredGraph) -> str:
@@ -250,4 +277,5 @@ def export_gluings(gem: LabeledGem | ColoredGraph) -> str:
         partners = "\t".join(
             gem.labels[graph.involutions[c][v]] for c in range(graph.n_colors))
         rows.append(f"{gem.labels[v]}\t{partners}")
-    return "\n".join(rows) + "\n"
+    rows.append("")
+    return "\n".join(rows)

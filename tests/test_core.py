@@ -5,10 +5,10 @@ from itertools import combinations
 import pytest
 
 from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
-                    LabeledGem, LoopEdge, OddVertexCount, ScriptStep,
-                    VertexCountMismatch, add_dipole, new_graph, order_two_gem,
-                    parse_gem, product_gem, render_gem, run_script,
-                    small_cover_gem, torus_gem)
+                    GemError, LabeledGem, LoopEdge, OddVertexCount,
+                    ScriptStep, UnknownLabel, VertexCountMismatch, add_dipole,
+                    new_graph, order_two_gem, parse_gem, product_gem,
+                    render_gem, run_script, small_cover_gem, torus_gem)
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import (flood_fill_labels, looped_involutions,
@@ -87,6 +87,19 @@ class TestConstruction:
             g.partner(0, 2)
         with pytest.raises(ColorOutOfRange):
             g.edges(-1)
+
+    @pytest.mark.parametrize("v", [-1, -24, 24, 25])
+    def test_vertex_id_checked(self, v):
+        # on t3 (24 vertices) -1 used to answer for vertex 23, 24 IndexError
+        gem = torus_gem(3)
+        with pytest.raises(VertexCountMismatch) as err:
+            gem.graph.partner(v, 0)
+        assert str(err.value) == f"vertex {v} not in 0..23"
+        with pytest.raises(VertexCountMismatch) as err:
+            gem.label_of(v)
+        assert str(err.value) == f"vertex {v} not in 0..23"
+        assert gem.graph.partner(23, 0) == gem.graph.involutions[0][23]
+        assert gem.label_of(23) == gem.labels[23]
 
     def test_direct_involution_form(self):
         g = ColoredGraph([[1, 0, 3, 2], [3, 2, 1, 0]])
@@ -384,6 +397,14 @@ class TestLabeledGem:
         assert not gem.has_label("e")
         with pytest.raises(KeyError):
             gem.vertex("nope")
+
+    def test_unknown_label_is_a_gem_error_and_a_key_error(self):
+        gem = LabeledGem(square_graph(), ["a", "b", "c", "d"])
+        with pytest.raises(UnknownLabel) as err:
+            gem.vertex("nope")
+        assert isinstance(err.value, GemError)
+        assert isinstance(err.value, KeyError)
+        assert str(err.value) == "no vertex labeled 'nope'"
 
     def test_labels_must_be_unique(self):
         with pytest.raises(VertexCountMismatch):

@@ -10,6 +10,7 @@ from gemkit import (ColorOutOfRange, DuplicateVertexInColor, GemError,
                     export_gluings, g1_prime, new_graph, order_two_gem,
                     parse_gem, render_gem, small_cover_gem, t3_standard,
                     torus_gem)
+from gemkit.gemfile import _lines
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import edges_render_gem, pairwise_new_graph, token_parse_gem
@@ -200,7 +201,11 @@ def built(build, *args, **kwargs):
         return type(exc), str(exc)
 
 
-MUTATION_ALPHABET = "0123456789- \t\r\n#:clabe\u00b2\u0663\x1c"
+MUTATION_ALPHABET = ("0123456789- \t\r\n#:clabe\u00b2\u0663\x1c"
+                     "\x0b\x0c\x85\u2028")
+
+# every line break of str.splitlines other than "\n"
+OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 HAND_CASES = [
     # CRLF line endings
@@ -243,6 +248,23 @@ HAND_CASES = [
     "gem 1 extra\n",
     "c 0: 0-1\n",
     "gem 1\ngem 1\n",
+    # each other line break between two statements; the fault on the last
+    # line shows that its number counts the break
+    *(f"gem 1{brk}colors 2\nvertices 2{brk}c 0: 0-1\nc 1: 0-1\n"
+      for brk in OTHER_BREAKS),
+    *(f"gem 1{brk}colors 2{brk}vertices 2\nc 0: 0-1{brk}c 1: 0-x\n"
+      for brk in OTHER_BREAKS),
+    # a break directly before "\n" ends an empty line
+    "gem 1\x1c\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-x\n",
+    "gem 1\r\r\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-x\n",
+    "gem 1\ncolors 2\u2028\nvertices 2\nc 0: 0-1\x85\nc 1: 0-1\n label\n",
+    # a last line with no newline, bare and after a break
+    "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-1",
+    "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-1\x1c",
+    "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-x\r",
+    # blank lines only
+    "\n\n\n",
+    "\n \r\n\t\x0c\n\u2029",
 ]
 
 
@@ -268,6 +290,17 @@ class TestParseAgainstOracle:
     def test_hand_cases(self):
         for text in HAND_CASES:
             assert outcome(parse_gem, text) == outcome(token_parse_gem, text), text
+
+    def test_lines_match_splitlines_at_small_block_sizes(self):
+        # the default block is larger than every hand case and mutation,
+        # so cut them at each "\n" and at a few sizes in between too
+        rng = make_rng(13)
+        texts = HAND_CASES + [_mutate(rng, text)
+                              for text in HAND_CASES * 5 if text]
+        for text in texts:
+            for block in (0, 1, 7, 20):
+                assert list(_lines(text, block)) == text.splitlines(), \
+                    (repr(text), block)
 
     def test_seeded_mutations(self):
         sources = [files("gemkit").joinpath("data").joinpath(name).read_text()
