@@ -21,7 +21,7 @@ from .errors import (AuditFailed, BaseNotCrystallization, BudgetExceeded,
                      OddVertexCount, ParseError, PermutationColorMismatch,
                      PhiNotIsomorphism, PreconditionFailed, ResultInvalid,
                      SameComponentInIHat, UnknownLabel,
-                     VertexCountMismatch)
+                     UnwritableLabel, VertexCountMismatch)
 from .gemfile import export_dot, export_gluings, parse_gem, render_gem
 from .invariants import (GenusReport, all_genus_reports, bicolored_cycles,
                          check_cyclic_permutation, cyclic_permutations,

@@ -32,9 +32,18 @@ from .small_covers import classify_covers, small_cover_gem
 from .torus_cube import torus_gem
 
 
-def _read_gem(path):
+def _read_text(path):
+    """The file's text, read whole, so a byte that is not UTF-8 is named by
+    its offset in the file, as a ParseError."""
     with open(path, encoding="utf-8") as fh:
-        return parse_gem(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
+def _read_gem(path):
+    return parse_gem(_read_text(path))
 
 
 def _frac(value):
@@ -198,8 +207,7 @@ def _cmd_wss(args):
 
 def _cmd_moves(args):
     gem = _read_gem(args.file)
-    with open(args.script, encoding="utf-8") as fh:
-        steps = parse_move_script(fh.read())
+    steps = parse_move_script(_read_text(args.script))
     result = run_script(gem, steps)
     text = render_gem(result.gem)
     return ({"trace": list(result.trace), "gem": text},

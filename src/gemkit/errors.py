@@ -111,6 +111,11 @@ class AuditFailed(GemError):
 
 # -- file format -------------------------------------------------------------
 
+class UnwritableLabel(GemError):
+    """A vertex label the .gem format cannot hold: empty, or with whitespace
+    or '#'.  render_gem raises it before writing anything."""
+
+
 class ParseError(Exception):
     """Gem-file or move-script syntax error. Carries 1-based line/column."""
 

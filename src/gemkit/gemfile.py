@@ -19,16 +19,25 @@ longer than int() reads (sys.get_int_max_str_digits(), 4300 by default).
 Lines end where str.splitlines ends them: at "\n", "\r\n" and "\r", and
 also at "\v", "\f", "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029"; line
 numbers in errors count those lines.  Neither the parser nor the renderer
-keeps a list of the file's lines: the parser splits the text about 64 KB at
+keeps a list of the file's lines: the parser reads the text about 64 KB at
 a time, and the renderer joins the label lines into one string before it
 builds the edge lines.
 
-The parser reads a line at a time.  A line is split on whitespace; the body
-of an edge line gets one verdict from a single regular expression and its
-integers are read in one pass into a flat endpoint list per color.  Only a
-line that fails is scanned token by token, to name the bad token and its
-column.  Syntax problems raise ParseError (with line/column); structural
-problems (bad matchings, id clashes) raise the usual validation errors.
+The parser reads the layout render_gem writes in bulk, and every other
+line one statement at a time.  Within a block, a run of lines of the form
+'label <digits> <name>' (the name one token, with no '#'), each ended by a
+"\n", gets one regular-expression verdict: its pairs are read with one
+findall, its ids with one pass of int, and it is range- and
+duplicate-checked and added as a whole.  A run that fails a check is read
+again a line at a time, which names the fault.  An edge line whose pairs
+are one space apart, in digits, gets one verdict too, and its integers are
+read by the json module's C scanner.  Any other edge line, or one whose
+numbers json refuses (a leading zero, or longer than int() reads), is
+scanned token by token, which reads what is well formed and names the
+first bad token and its column.  Syntax problems raise ParseError (with
+line/column); structural problems (bad matchings, id clashes) raise the
+usual validation errors.  render_gem refuses a label the parser would read
+back as something else, with UnwritableLabel, before it writes anything.
 
 Vertex ids are interned as each line is read: the 'vertices' line makes
 one tuple(range(V)), and every endpoint and label id in range is replaced
@@ -41,16 +50,25 @@ endpoint list is freed once its involution is built.
 
 from __future__ import annotations
 
+import json
 import re
 from operator import itemgetter
 
 from .core import ColoredGraph, LabeledGem, graph_from_endpoints
-from .errors import ColorOutOfRange, ParseError, VertexCountMismatch
+from .errors import (ColorOutOfRange, ParseError, UnwritableLabel,
+                     VertexCountMismatch)
 
 _TOKEN = re.compile(r"\S+")
 _PAIR = re.compile(r"^(\d+)-(\d+)$")
-# the body of an edge line: a-b pairs, whitespace between pairs
-_PAIRS = re.compile(r"\s*(?:\d+-\d+(?:\s+\d+-\d+)*)?\s*")
+# the layout render_gem writes: label lines, each a decimal id and a name
+# with no whitespace (so no line break either) and no '#'; and an edge
+# line's body, a-b pairs one space apart
+_NAME = re.compile(r"[^\s#]+")
+_LABEL_RUN = re.compile(rf"(?:label [0-9]+ {_NAME.pattern}\n)+")
+_LABEL = re.compile(rf"label ([0-9]+) ({_NAME.pattern})")
+_CANONICAL_PAIRS = re.compile(r"[0-9]+-[0-9]+(?: [0-9]+-[0-9]+)*")
+# characters parse_gem reads at a time, before cutting after the next "\n"
+_BLOCK = 1 << 16
 
 # Colorblind-friendly fixed palette for DOT edges, color index -> RGB.
 DOT_PALETTE = (
@@ -93,34 +111,74 @@ def _pair_ends(raw: str, line_no: int) -> list[int]:
     return ends
 
 
-def _shared_ends(body: str, ids: tuple) -> list | tuple | None:
-    """The endpoints of a well-formed edge-line body.  When all are in
-    range each is the int object ids holds for it, so a file's ids share
-    one object each; otherwise they stay as read, for the matching check
-    to refuse.  None when a number is too long for int()."""
-    try:
-        ends = list(map(int, body.replace("-", " ").split()))
-    except ValueError:
-        return None
+def _edge_ends(body: str, raw: str, line_no: int, ids: tuple) -> list | tuple:
+    """The endpoints of an edge line, whose pairs are body.  Pairs one space
+    apart in digits are read by the json module's C scanner; any other body,
+    or a number json refuses (a leading zero, or longer than int() reads),
+    goes to the token scan, which names a bad token.  When all are in range
+    each is the int object ids holds for it, so a file's ids share one
+    object each; otherwise they stay as read, for the matching check to
+    refuse."""
+    ends = None
+    if _CANONICAL_PAIRS.fullmatch(body):
+        try:
+            ends = json.loads("[" + body.replace("-", ",").replace(" ", ",") + "]")
+        except ValueError:
+            pass
+    if ends is None:
+        ends = _pair_ends(raw, line_no)
     if ends and max(ends) < len(ids):
         return itemgetter(*ends)(ids)
     return ends
 
 
-def _lines(text: str, block: int = 1 << 16):
-    """The lines of text.splitlines(), without a list of them all: the text
-    is split a block of about `block` characters at a time, each block cut
-    just after a "\n", where every line break rule agrees a line ends."""
+def _add_labels(labels: dict, ids: tuple, run: re.Match) -> int:
+    """Add a run of canonical label lines to labels at once and return its
+    number of lines; 0, adding nothing, when an id is too long for int(),
+    out of range or labelled twice, for the lines to be read one at a time
+    and the fault named."""
+    pairs = _LABEL.findall(run.string, run.start(), run.end())
+    try:
+        vids = list(map(int, map(itemgetter(0), pairs)))
+    except ValueError:
+        return 0
+    if max(vids) >= len(ids):
+        return 0
+    named = dict(zip(map(ids.__getitem__, vids), map(itemgetter(1), pairs)))
+    if len(named) < len(pairs) or not labels.keys().isdisjoint(named):
+        return 0
+    labels.update(named)
+    return len(pairs)
+
+
+def _chunks(text: str, block: int):
+    """The text a block of about `block` characters at a time, each block
+    cut just after a "\n", where every line break rule agrees a line ends.
+    Within a block, each run of canonical label lines that starts after a
+    "\n" (or at the start) comes as its re.Match, and the text around the
+    runs as a list of its lines; together they hold text.splitlines()."""
     start, size = 0, len(text)
     while start < size:
         end = text.find("\n", start + block) + 1 or size
-        yield from text[start:end].splitlines()
+        pos = at = start
+        while (at := text.find("label ", at, end)) >= 0:
+            run = ((at == 0 or text[at - 1] == "\n")
+                   and _LABEL_RUN.match(text, at, end))
+            if run:
+                if pos < at:
+                    yield text[pos:at].splitlines()
+                yield run
+                pos = at = run.end()
+            else:
+                at += 1
+        if pos < end:
+            yield text[pos:end].splitlines()
         start = end
 
 
 def parse_gem(text: str) -> LabeledGem:
     """The gem a .gem text describes.  Lines end where str.splitlines ends
-    them, and are split from the text a block at a time, not all at once.
+    them, and are read from the text a block at a time, not all at once.
     Raises ParseError, with line and column, for a syntax fault, and the
     validation errors (VertexCountMismatch, LoopEdge, ...) for a well-formed
     text that does not describe a gem."""
@@ -130,69 +188,75 @@ def parse_gem(text: str) -> LabeledGem:
     labels: dict[int, str] = {}
     endpoints: dict[int, list[int]] = {}
     saw_header = False
-    for line_no, raw in enumerate(_lines(text), start=1):
-        code = raw.split("#", 1)[0]
-        # at most three pieces, so an edge line's pairs stay one string
-        head = code.split(None, 2)
-        if not head:
-            continue
-        word = head[0]
-        if word == "c" and saw_header:
-            if n_colors is None or num_vertices is None:
-                raise ParseError(
-                    "'colors' and 'vertices' must come before edge lines",
-                    line_no, _column(raw, 0))
-            if len(head) < 2:
-                raise ParseError("expected: c <color>: a-b ...", line_no, _column(raw, 0))
-            ctok = head[1]
-            if not ctok.endswith(":") or not ctok[:-1].isdecimal():
-                raise ParseError(f"expected '<color>:', got {ctok!r}",
-                                 line_no, _column(raw, 1))
-            color = _number(ctok[:-1], raw, line_no, 1)
-            if color >= n_colors:
-                raise ColorOutOfRange(
-                    f"line {line_no}: color {color} not in 0..{n_colors - 1}")
-            body = head[2] if len(head) == 3 else ""
-            bucket = endpoints.setdefault(color, [])
-            ends = _shared_ends(body, ids) if _PAIRS.fullmatch(body) else None
-            if ends is None:  # the token scan names the bad or too-long token
-                ends = _pair_ends(raw, line_no)
-            bucket.extend(ends)
-            continue
-        toks = code.split()
-        if not saw_header:
-            if toks != ["gem", "1"]:
-                raise ParseError("file must start with 'gem 1'", line_no, _column(raw, 0))
-            saw_header = True
-            continue
-        if word == "colors":
-            if len(toks) != 2 or not toks[1].isdecimal():
-                raise ParseError("expected: colors <count>", line_no, _column(raw, 0))
-            n_colors = _number(toks[1], raw, line_no, 1)
-            continue
-        if word == "vertices":
-            if len(toks) != 2 or not toks[1].isdecimal():
-                raise ParseError("expected: vertices <count>", line_no, _column(raw, 0))
-            num_vertices = _number(toks[1], raw, line_no, 1)
-            # each color's pairs name every vertex, so a count the text
-            # cannot hold is refused later, and its ids are never made
-            ids = tuple(range(num_vertices)) if num_vertices <= len(text) else ()
-            continue
-        if word == "label":
-            if len(toks) != 3 or not toks[1].isdecimal():
-                raise ParseError("expected: label <id> <name>", line_no, _column(raw, 0))
-            if num_vertices is None:
-                raise ParseError("'vertices' must come before labels", line_no, _column(raw, 0))
-            vid = _number(toks[1], raw, line_no, 1)
-            if vid >= num_vertices:
-                raise ParseError(
-                    f"label for vertex {vid} but only {num_vertices} vertices",
-                    line_no, _column(raw, 1))
-            if vid in labels:
-                raise ParseError(f"vertex {vid} labeled twice", line_no, _column(raw, 1))
-            labels[ids[vid] if vid < len(ids) else vid] = toks[2]
-            continue
-        raise ParseError(f"unknown statement {word!r}", line_no, _column(raw, 0))
+    line_no = 0
+    for chunk in _chunks(text, _BLOCK):
+        if type(chunk) is not list:  # a run of canonical label lines
+            count = _add_labels(labels, ids, chunk) if ids else 0
+            if count:
+                line_no += count
+                continue
+            chunk = chunk.group().splitlines()
+        for raw in chunk:
+            line_no += 1
+            code = raw.split("#", 1)[0]
+            # at most three pieces, so an edge line's pairs stay one string
+            head = code.split(None, 2)
+            if not head:
+                continue
+            word = head[0]
+            if word == "c" and saw_header:
+                if n_colors is None or num_vertices is None:
+                    raise ParseError(
+                        "'colors' and 'vertices' must come before edge lines",
+                        line_no, _column(raw, 0))
+                if len(head) < 2:
+                    raise ParseError("expected: c <color>: a-b ...", line_no, _column(raw, 0))
+                ctok = head[1]
+                if not ctok.endswith(":") or not ctok[:-1].isdecimal():
+                    raise ParseError(f"expected '<color>:', got {ctok!r}",
+                                     line_no, _column(raw, 1))
+                color = _number(ctok[:-1], raw, line_no, 1)
+                if color >= n_colors:
+                    raise ColorOutOfRange(
+                        f"line {line_no}: color {color} not in 0..{n_colors - 1}")
+                body = head[2] if len(head) == 3 else ""
+                endpoints.setdefault(color, []).extend(
+                    _edge_ends(body, raw, line_no, ids))
+                continue
+            toks = code.split()
+            if not saw_header:
+                if toks != ["gem", "1"]:
+                    raise ParseError("file must start with 'gem 1'", line_no, _column(raw, 0))
+                saw_header = True
+                continue
+            if word == "colors":
+                if len(toks) != 2 or not toks[1].isdecimal():
+                    raise ParseError("expected: colors <count>", line_no, _column(raw, 0))
+                n_colors = _number(toks[1], raw, line_no, 1)
+                continue
+            if word == "vertices":
+                if len(toks) != 2 or not toks[1].isdecimal():
+                    raise ParseError("expected: vertices <count>", line_no, _column(raw, 0))
+                num_vertices = _number(toks[1], raw, line_no, 1)
+                # each color's pairs name every vertex, so a count the text
+                # cannot hold is refused later, and its ids are never made
+                ids = tuple(range(num_vertices)) if num_vertices <= len(text) else ()
+                continue
+            if word == "label":
+                if len(toks) != 3 or not toks[1].isdecimal():
+                    raise ParseError("expected: label <id> <name>", line_no, _column(raw, 0))
+                if num_vertices is None:
+                    raise ParseError("'vertices' must come before labels", line_no, _column(raw, 0))
+                vid = _number(toks[1], raw, line_no, 1)
+                if vid >= num_vertices:
+                    raise ParseError(
+                        f"label for vertex {vid} but only {num_vertices} vertices",
+                        line_no, _column(raw, 1))
+                if vid in labels:
+                    raise ParseError(f"vertex {vid} labeled twice", line_no, _column(raw, 1))
+                labels[ids[vid] if vid < len(ids) else vid] = toks[2]
+                continue
+            raise ParseError(f"unknown statement {word!r}", line_no, _column(raw, 0))
     if not saw_header:
         raise ParseError("empty file; expected 'gem 1' header", 1, 1)
     if n_colors is None:
@@ -209,7 +273,10 @@ def parse_gem(text: str) -> LabeledGem:
     # popped one color at a time, so each list goes once its color is built
     graph = graph_from_endpoints(
         (endpoints.pop(c, []) for c in range(n_colors)), num_vertices)
-    full_labels = [labels.get(v, str(v)) for v in range(num_vertices)]
+    if len(labels) == num_vertices > 1:  # every vertex labelled, one gather
+        full_labels = itemgetter(*range(num_vertices))(labels)
+    else:
+        full_labels = [labels.get(v, str(v)) for v in range(num_vertices)]
     return LabeledGem(graph, full_labels)
 
 
@@ -218,22 +285,23 @@ def render_gem(gem: LabeledGem | ColoredGraph, comment: str | None = None) -> st
     if isinstance(gem, ColoredGraph):
         gem = LabeledGem(gem)
     graph = gem.graph
-    lines = []
-    if comment:
-        lines.extend(f"# {c}".rstrip() for c in comment.splitlines())
-    lines.append("gem 1")
-    lines.append(f"colors {graph.n_colors}")
-    lines.append(f"vertices {graph.num_vertices}")
-    # the label lines as one string, not one string object per line
-    labels = "\n".join([f"label {v} {name}"
-                        for v, name in enumerate(gem.labels) if name != str(v)])
-    if labels:
-        lines.append(labels)
+    parts = [f"# {c}".rstrip() + "\n" for c in comment.splitlines()] if comment else []
+    parts.append(f"gem 1\ncolors {graph.n_colors}\nvertices {graph.num_vertices}\n")
+    # the label lines as one string, not one string object per line; before
+    # anything is written, every line must be in a run the parser reads back
+    labels = "".join([f"label {v} {name}\n"
+                      for v, name in enumerate(gem.labels) if name != str(v)])
+    if any(type(chunk) is list for chunk in _chunks(labels, _BLOCK)):
+        v, name = next((v, name) for v, name in enumerate(gem.labels)
+                       if not _NAME.fullmatch(name))
+        raise UnwritableLabel(
+            f"vertex {v} has label {name!r}; a .gem label must be non-empty, "
+            "with no whitespace and no '#'")
+    parts.append(labels)
     for c, col in enumerate(graph.involutions):
         body = " ".join([f"{v}-{w}" for v, w in enumerate(col) if v < w])
-        lines.append(f"c {c}: {body}")
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+        parts.append(f"c {c}: {body}\n")
+    return "".join(parts)
 
 
 def _dot_quote(name: str) -> str:

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import gemkit
-from gemkit import (ColoredGraph, add_dipole, export_dot, export_gluings,
-                    g1_prime, parse_gem, parse_move_script, product_gem,
-                    render_gem, run_script, s2xs1_standard, small_cover_gem,
-                    t3_standard, torus_gem)
+from gemkit import (ColoredGraph, LabeledGem, add_dipole, export_dot,
+                    export_gluings, g1_prime, parse_gem, parse_move_script,
+                    product_gem, render_gem, run_script, s2xs1_standard,
+                    small_cover_gem, t3_standard, torus_gem)
 from gemkit.cli import main
 
 SQUARE = "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n"
@@ -457,6 +457,40 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: genus takes --perm or --all, not both\n"
+
+    def test_gem_file_not_utf8_is_two(self, capsys, tmp_path):
+        # the offset is the file's, past the decoder's first buffer and CRLFs
+        bad = tmp_path / "bad.gem"
+        bad.write_bytes(b"# " + b"x" * 20000 + b"\r\ngem 1\r\nlabel 0 a\xffb\n")
+        code, out, err = run(capsys, "chi", str(bad))
+        assert (code, out, err) == (
+            2, "", "parse error: byte 20020 is not UTF-8 (invalid start byte)\n")
+
+    def test_move_script_not_utf8_is_two(self, capsys, tmp_path, square_file):
+        script = tmp_path / "bad.moves"
+        script.write_bytes(b"# caf\xc3(\ndipole 0 1 0\n")
+        code, out, err = run(capsys, "moves", square_file, "--script", str(script))
+        assert (code, out, err) == (
+            2, "", "parse error: byte 5 is not UTF-8 (invalid continuation byte)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("export", "{base}", "--format", "gem", "--out", "{out}"),
+        ("build", "product-gem", "{base}", "--out", "{out}"),
+    ], ids=["export", "build"])
+    def test_unwritable_label_is_one_and_writes_nothing(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # no file gemkit reads holds such a label, so the reader is replaced
+        base = s2xs1_standard()
+        labels = list(base.labels)
+        labels[5] = "x#y"
+        monkeypatch.setattr("gemkit.cli._read_gem",
+                            lambda path: LabeledGem(base.graph, labels))
+        out_file = tmp_path / "out.gem"
+        argv = [a.format(base="base.gem", out=out_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: vertex 5 has label 'x#y")
+        assert not out_file.exists()
 
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.gem"))

@@ -332,8 +332,11 @@ class TestSharedIds:
             grown = add_dipole(grown, rng.randrange(grown.num_vertices), (d, 4)).graph
             steps.append(ScriptStep("dipole", (d, 4), ((f"d{d}a", f"d{d}b"),), 3 - d))
         labels = list(t5.labels) + [f"d{d}{s}" for d in range(3) for s in "ab"]
+        text = render_gem(LabeledGem(relabelled, names))
         graphs = {
-            "parse_gem": parse_gem(render_gem(LabeledGem(relabelled, names))).graph,
+            "parse_gem": parse_gem(text).graph,
+            # tabs between the pairs: every edge line goes to the token scan
+            "parse_gem, token scan": parse_gem(text.replace(" ", "\t")).graph,
             "torus_gem": t5.graph,
             "product_gem": product_gem(t3).graph,
             "small_cover_gem": small_cover_gem(2).graph,

@@ -6,11 +6,12 @@ from importlib.resources import files
 import pytest
 
 from gemkit import (ColorOutOfRange, DuplicateVertexInColor, GemError,
-                    ParseError, VertexCountMismatch, export_dot,
-                    export_gluings, g1_prime, new_graph, order_two_gem,
-                    parse_gem, render_gem, small_cover_gem, t3_standard,
-                    torus_gem)
-from gemkit.gemfile import _lines
+                    LabeledGem, ParseError, UnwritableLabel,
+                    VertexCountMismatch, export_dot, export_gluings, g1_prime,
+                    new_graph, order_two_gem, parse_gem, render_gem,
+                    small_cover_gem, t3_standard, torus_gem)
+from gemkit import gemfile
+from gemkit.gemfile import _chunks
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import edges_render_gem, pairwise_new_graph, token_parse_gem
@@ -265,6 +266,35 @@ HAND_CASES = [
     # blank lines only
     "\n\n\n",
     "\n \r\n\t\x0c\n\u2029",
+    # runs of canonical label lines: a duplicate inside one run, and of an
+    # earlier label read on its own; an out-of-range id mid-run; a leading
+    # zero; a run before 'vertices'; an id too long for int(); and runs
+    # after a count the text cannot hold, read line by line
+    "gem 1\ncolors 2\nvertices 4\nlabel 0 a\nlabel 1 b\nlabel 0 c\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nlabel 2 a # alone\nlabel 1 b\nlabel 2 c\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nlabel 0 a\nlabel 9 b\nlabel 1 c\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 8\nlabel 1 y\nlabel 007 x\nlabel 00 z\n"
+    "c 0: 0-1 2-3 4-5 6-7\nc 1: 1-2 3-4 5-6 7-0\n",
+    "gem 1\ncolors 2\nlabel 0 a\nlabel 1 b\nvertices 2\nc 0: 0-1\nc 1: 0-1\n",
+    "gem 1\ncolors 2\nvertices 4\nlabel 0 a\nlabel " + "1" * 5000 + " b\nlabel 1 c\n"
+    "c 0: 0-1 2-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 999999\nlabel 0 a\nlabel 1 b\nc 0: 0-1\nc 1: 0-1\n",
+    "gem 1\ncolors 2\nvertices 999999\nlabel 0 a\nlabel 0 b\nc 0: 0-1\nc 1: 0-1\n",
+    # label lines inside a comment and after another statement's text
+    "gem 1\ncolors 2\nvertices 2\n# label 0 a\nlabel 1 b\nc 0: 0-1\nc 1: 0-1\n",
+    "gem 1\ncolors 2\nvertices 2 label 0 a\nlabel 1 b\nc 0: 0-1\nc 1: 0-1\n",
+    # a run of labels for every vertex, and one whose last line has no "\n"
+    "gem 1\ncolors 2\nvertices 4\nlabel 3 d\nlabel 0 a\nlabel 2 c\nlabel 1 b\n"
+    "c 0: 0-1 2-3\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-1\nlabel 0 a\nlabel 1 b",
+    # edge lines that look canonical but that json refuses or the token
+    # scan reads: leading zeros, an endpoint too long for int(), one out of
+    # range, Arabic-Indic digits, and tabs between pairs
+    "gem 1\ncolors 2\nvertices 4\nc 0: 00-1 2-03\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-" + "3" * 5000 + "\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-40000000000000000000000\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 \u0662-\u0663\nc 1: 1-2 3-0\n",
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1\t2-3\nc 1: 1-2 \t3-0\n",
 ]
 
 
@@ -284,6 +314,20 @@ def _mutate(rng, text):
     return "".join(chars)
 
 
+def seeded_mutations():
+    """The shipped data files and t2-t5, each followed by 150 mutations."""
+    sources = [files("gemkit").joinpath("data").joinpath(name).read_text()
+               for name in ("cover1.gem", "g1prime.gem", "g2prime.gem",
+                            "s2xs1.gem", "t3.gem")]
+    sources += [render_gem(torus_gem(n)) for n in range(2, 6)]
+    rng = make_rng(7)
+    texts = []
+    for source in sources:
+        texts.append(source)
+        texts += [_mutate(rng, source) for _ in range(150)]
+    return texts
+
+
 class TestParseAgainstOracle:
     """parse_gem and new_graph against the token-at-a-time oracles."""
 
@@ -299,23 +343,26 @@ class TestParseAgainstOracle:
                               for text in HAND_CASES * 5 if text]
         for text in texts:
             for block in (0, 1, 7, 20):
-                assert list(_lines(text, block)) == text.splitlines(), \
-                    (repr(text), block)
+                lines = [line for chunk in _chunks(text, block)
+                         for line in (chunk if type(chunk) is list
+                                      else chunk.group().splitlines())]
+                assert lines == text.splitlines(), (repr(text), block)
+
+    @pytest.mark.parametrize("block", [0, 1, 7, 20])
+    def test_parse_at_small_block_sizes(self, monkeypatch, block):
+        # runs of label lines cut at block edges, as the default block
+        # is larger than every hand case and most mutations
+        monkeypatch.setattr(gemfile, "_BLOCK", block)
+        for text in HAND_CASES + seeded_mutations():
+            assert outcome(parse_gem, text) == outcome(token_parse_gem, text), \
+                repr(text[:200])
 
     def test_seeded_mutations(self):
-        sources = [files("gemkit").joinpath("data").joinpath(name).read_text()
-                   for name in ("cover1.gem", "g1prime.gem", "g2prime.gem",
-                                "s2xs1.gem", "t3.gem")]
-        sources += [render_gem(torus_gem(n)) for n in range(2, 6)]
-        rng = make_rng(7)
         kinds = set()
-        for source in sources:
-            assert outcome(parse_gem, source) == outcome(token_parse_gem, source)
-            for _ in range(150):
-                text = _mutate(rng, source)
-                got = outcome(parse_gem, text)
-                assert got == outcome(token_parse_gem, text), repr(text[:200])
-                kinds.add(got[0] if len(got) == 4 else "parsed")
+        for text in seeded_mutations():
+            got = outcome(parse_gem, text)
+            assert got == outcome(token_parse_gem, text), repr(text[:200])
+            kinds.add(got[0] if len(got) == 4 else "parsed")
         # the mutations reach both verdicts and several error classes
         assert {"parsed", ParseError, VertexCountMismatch} <= kinds
 
@@ -375,6 +422,38 @@ class TestRender:
             assert render_gem(copy) == edges_render_gem(copy)
         note = "made by hand\n\nsecond paragraph "
         assert render_gem(g1p, comment=note) == edges_render_gem(g1p, comment=note)
+
+    @pytest.mark.parametrize("name", [
+        "x#y", "a b", "", "#", "a\tb", "a\nb", "a\x1cb", "\u2028", "a\xa0b"])
+    def test_label_the_parser_cannot_read_back_refused(self, name):
+        gem = torus_gem(2)
+        labels = list(gem.labels)
+        labels[3] = name
+        with pytest.raises(UnwritableLabel) as err:
+            render_gem(LabeledGem(gem.graph, labels))
+        assert str(err.value) == (
+            f"vertex 3 has label {name!r}; a .gem label must be non-empty, "
+            "with no whitespace and no '#'")
+
+    def test_accepted_labels_round_trip(self):
+        rng = make_rng(19)
+        alphabet = MUTATION_ALPHABET + "xy\xa0\u200b\u00e9\U0001f600"
+        graph = torus_gem(2).graph
+        refused = 0
+        for _ in range(400):
+            names = {"".join(rng.choices(alphabet, k=rng.randint(0, 3)))
+                     for _ in range(graph.num_vertices)}
+            if len(names) < graph.num_vertices:
+                continue
+            gem = LabeledGem(graph, sorted(names))
+            try:
+                text = render_gem(gem)
+            except UnwritableLabel:
+                refused += 1
+                continue
+            assert parse_gem(text).labels == gem.labels, names
+        # both verdicts are reached
+        assert 0 < refused < 400
 
     def test_default_labels_stay_implicit(self):
         text = render_gem(torus_gem(2))
