@@ -273,11 +273,7 @@ def parse_gem(text: str) -> LabeledGem:
     # popped one color at a time, so each list goes once its color is built
     graph = graph_from_endpoints(
         (endpoints.pop(c, []) for c in range(n_colors)), num_vertices)
-    if len(labels) == num_vertices > 1:  # every vertex labelled, one gather
-        full_labels = itemgetter(*range(num_vertices))(labels)
-    else:
-        full_labels = [labels.get(v, str(v)) for v in range(num_vertices)]
-    return LabeledGem(graph, full_labels)
+    return LabeledGem(graph, [labels.get(v, str(v)) for v in range(num_vertices)])
 
 
 def render_gem(gem: LabeledGem | ColoredGraph, comment: str | None = None) -> str:
@@ -287,17 +283,18 @@ def render_gem(gem: LabeledGem | ColoredGraph, comment: str | None = None) -> st
     graph = gem.graph
     parts = [f"# {c}".rstrip() + "\n" for c in comment.splitlines()] if comment else []
     parts.append(f"gem 1\ncolors {graph.n_colors}\nvertices {graph.num_vertices}\n")
-    # the label lines as one string, not one string object per line; before
-    # anything is written, every line must be in a run the parser reads back
-    labels = "".join([f"label {v} {name}\n"
-                      for v, name in enumerate(gem.labels) if name != str(v)])
-    if any(type(chunk) is list for chunk in _chunks(labels, _BLOCK)):
+    # before anything is written, every label must be one token the parser
+    # reads back, the name of its label-run lines: non-empty, and (since
+    # _NAME is one character class repeated) joined they match _NAME too
+    if not (all(gem.labels) and _NAME.fullmatch("".join(gem.labels))):
         v, name = next((v, name) for v, name in enumerate(gem.labels)
                        if not _NAME.fullmatch(name))
         raise UnwritableLabel(
             f"vertex {v} has label {name!r}; a .gem label must be non-empty, "
             "with no whitespace and no '#'")
-    parts.append(labels)
+    # the label lines as one string, not one string object per line
+    parts.append("".join([f"label {v} {name}\n"
+                          for v, name in enumerate(gem.labels) if name != str(v)]))
     for c, col in enumerate(graph.involutions):
         body = " ".join([f"{v}-{w}" for v, w in enumerate(col) if v < w])
         parts.append(f"c {c}: {body}\n")

@@ -287,6 +287,9 @@ HAND_CASES = [
     "gem 1\ncolors 2\nvertices 4\nlabel 3 d\nlabel 0 a\nlabel 2 c\nlabel 1 b\n"
     "c 0: 0-1 2-3\nc 1: 1-2 3-0\n",
     "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-1\nlabel 0 a\nlabel 1 b",
+    # a second 'vertices' line lowers the count below ids already labelled
+    "gem 1\ncolors 2\nvertices 4\nlabel 2 a\nlabel 3 b\nvertices 2\nc 0: 0-1\nc 1: 0-1\n",
+    "gem 1\ncolors 2\nvertices 4\nlabel 0 a\nlabel 3 b\nvertices 2\nc 0: 0-1\nc 1: 0-1\n",
     # edge lines that look canonical but that json refuses or the token
     # scan reads: leading zeros, an endpoint too long for int(), one out of
     # range, Arabic-Indic digits, and tabs between pairs
@@ -423,10 +426,14 @@ class TestRender:
         note = "made by hand\n\nsecond paragraph "
         assert render_gem(g1p, comment=note) == edges_render_gem(g1p, comment=note)
 
+    @pytest.mark.parametrize("default", [False, True])
     @pytest.mark.parametrize("name", [
-        "x#y", "a b", "", "#", "a\tb", "a\nb", "a\x1cb", "\u2028", "a\xa0b"])
-    def test_label_the_parser_cannot_read_back_refused(self, name):
+        "x#y", "a b", "", "#", "a\tb", "a\nb", "a\x1cb", "\u2028", "a\xa0b",
+        "a\nlabel 5 b"])
+    def test_label_the_parser_cannot_read_back_refused(self, name, default):
         gem = torus_gem(2)
+        if default:  # only vertex 3's label is written
+            gem = LabeledGem(gem.graph)
         labels = list(gem.labels)
         labels[3] = name
         with pytest.raises(UnwritableLabel) as err:
