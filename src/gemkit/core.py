@@ -11,10 +11,18 @@ Vertices are dense ints.  Human-readable names live in a side table
 
 One int object per vertex id: every entry of every involution equal to v
 is the same int object, so a graph on V vertices holds V ints however many
-colors it has.  ColoredGraph owns the rule.  Its validator reads each color
-through itemgetter over its own tuple(range(V)) and stores what it reads,
-so every constructor (parse, the torus and catalogue builders, moves,
-relabel, recoloring) gets shared ids without doing anything itself.
+colors it has.  ColoredGraph owns the rule, on two paths.  Its validator,
+the one public constructor (the torus builder, moves, relabel), reads each
+color through itemgetter over its own tuple(range(V)) and stores what it
+reads, so those callers get shared ids without doing anything themselves.
+graph_from_endpoints (parse, new_graph) has each color's matching proven
+once, by _matching, and stores the proven columns without a second
+validation: a color whose V endpoints all lie in 0..V-1 and leave no -1
+in the [-1] * V fill names every vertex exactly once, so each pair joins
+two distinct vertices no other pair touches, and the column is a
+fixed-point-free involution.  Its callers hand it the int objects of one
+tuple(range(V)), so the columns share ids as they are.  permute_colors
+reorders a graph's own columns and takes the same unvalidated path.
 """
 
 from __future__ import annotations
@@ -81,9 +89,24 @@ class ColoredGraph:
             if not ok:
                 _raise_first_bad_vertex(c, col, nv)
             invs[c] = shared
+        self._store(tuple(invs))
+
+    @classmethod
+    def _of_matchings(cls, involutions) -> "ColoredGraph":
+        """The graph whose columns are already proven fixed-point-free
+        involutions on the int objects of one tuple(range(V)), with V even
+        and positive; only their number is checked."""
+        invs = tuple(involutions)
+        if len(invs) < 2:
+            raise ColorOutOfRange(f"need at least 2 colors, got {len(invs)}")
+        graph = cls.__new__(cls)
+        graph._store(invs)
+        return graph
+
+    def _store(self, invs: tuple) -> None:
         self.n_colors = len(invs)
-        self.num_vertices = nv
-        self.involutions = tuple(invs)
+        self.num_vertices = len(invs[0])
+        self.involutions = invs
         self._hash = None
 
     # -- basics --------------------------------------------------------------
@@ -254,7 +277,7 @@ class ColoredGraph:
         invs: list = [None] * self.n_colors
         for c, col in enumerate(self.involutions):
             invs[new_color[c]] = col
-        return ColoredGraph(invs)
+        return ColoredGraph._of_matchings(invs)
 
 
 @dataclass(slots=True)
@@ -362,7 +385,23 @@ def new_graph(n_colors: int, pairs_per_color, num_vertices: int | None = None) -
     endpoints = [[x for a, b in pairs for x in (a, b)] for pairs in pairs_per_color]
     if num_vertices is None:
         num_vertices = max([0] + [max(flat) + 1 for flat in endpoints if flat])
-    return graph_from_endpoints(endpoints, num_vertices)
+    # the ids are made only when some color has as many endpoints as a
+    # matching needs, so a count no color can match allocates nothing
+    ids = (tuple(range(num_vertices))
+           if any(len(flat) == num_vertices for flat in endpoints) else ())
+    return graph_from_endpoints([_interned(flat, ids) for flat in endpoints],
+                                num_vertices)
+
+
+def _interned(flat, ids: tuple):
+    """flat's endpoints as the int objects of ids when all are in range;
+    otherwise flat as given, for _matching to refuse."""
+    try:
+        if min(flat) >= 0:
+            return itemgetter(*flat)(ids)
+    except (ValueError, TypeError, IndexError):
+        pass
+    return flat
 
 
 def graph_from_endpoints(endpoints_per_color, num_vertices: int) -> ColoredGraph:
@@ -373,12 +412,15 @@ def graph_from_endpoints(endpoints_per_color, num_vertices: int) -> ColoredGraph
     num_vertices endpoints are in range and leave no -1 in the [-1] * V
     fill names every vertex once: a perfect matching.  Only a color that
     fails that verdict is walked pair by pair, in color order, to raise the
-    error of its first bad pair.
+    error of its first bad pair.  The proven columns are stored without
+    ColoredGraph's second validation, so they hold the endpoint objects
+    as given: for one int object per vertex id, callers pass endpoints in
+    0..V-1 as the objects of one tuple(range(V)), shared by every color.
     """
     if num_vertices <= 0 or num_vertices % 2:
         raise OddVertexCount(f"number of vertices must be even and positive, got {num_vertices}")
-    return ColoredGraph(_matching(c, flat, num_vertices)
-                        for c, flat in enumerate(endpoints_per_color))
+    return ColoredGraph._of_matchings(_matching(c, flat, num_vertices)
+                                      for c, flat in enumerate(endpoints_per_color))
 
 
 def _matching(c: int, flat, num_vertices: int) -> tuple:

@@ -30,7 +30,10 @@ line one statement at a time.  Within a block, a run of lines of the form
 findall, its ids with one pass of int, and it is range- and
 duplicate-checked and added as a whole.  A run that fails a check is read
 again a line at a time, which names the fault.  An edge line whose pairs
-are one space apart, in digits, gets one verdict too, and its integers are
+are one space apart, in digits, gets one verdict too, which never
+backtracks and so holds no state per pair: the body runs from digit to
+digit over digits, spaces and dashes, no "- " or " -" occurs in it, and
+with its digits deleted it reads "- - ... -".  Its integers are then
 read by the json module's C scanner.  Any other edge line, or one whose
 numbers json refuses (a leading zero, or longer than int() reads), is
 scanned token by token, which reads what is well formed and names the
@@ -42,7 +45,10 @@ back as something else, with UnwritableLabel, before it writes anything.
 Vertex ids are interned as each line is read: the 'vertices' line makes
 one tuple(range(V)), and every endpoint and label id in range is replaced
 by its object there, so a file holds one int per vertex rather than one per
-token.  A count larger than the text's length cannot be matched by the
+token.  Both ways of reading an edge line give non-negative ints, so the
+gather from that tuple is the line's only range test: a line it refuses
+with IndexError keeps the ints as read, for the matching check to name the
+fault.  A count larger than the text's length cannot be matched by the
 edge lines that follow, so it allocates nothing and is refused at the end.
 The colors are handed to graph_from_endpoints one at a time, and each
 endpoint list is freed once its involution is built.
@@ -62,11 +68,12 @@ _TOKEN = re.compile(r"\S+")
 _PAIR = re.compile(r"^(\d+)-(\d+)$")
 # the layout render_gem writes: label lines, each a decimal id and a name
 # with no whitespace (so no line break either) and no '#'; and an edge
-# line's body, a-b pairs one space apart
+# line's body, a-b pairs one space apart, told by _canonical_pairs
 _NAME = re.compile(r"[^\s#]+")
 _LABEL_RUN = re.compile(rf"(?:label [0-9]+ {_NAME.pattern}\n)+")
 _LABEL = re.compile(rf"label ([0-9]+) ({_NAME.pattern})")
-_CANONICAL_PAIRS = re.compile(r"[0-9]+-[0-9]+(?: [0-9]+-[0-9]+)*")
+_EDGE_CHARS = re.compile(r"[0-9][0-9 -]*[0-9]")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 # characters parse_gem reads at a time, before cutting after the next "\n"
 _BLOCK = 1 << 16
 
@@ -111,24 +118,40 @@ def _pair_ends(raw: str, line_no: int) -> list[int]:
     return ends
 
 
+def _canonical_pairs(body: str) -> bool:
+    """Whether body is a-b pairs of digits, one space apart.  It runs from
+    digit to digit over digits, spaces and dashes; no separator touches
+    another, so each stands between two digit runs; and the separators
+    alternate '-', ' ', ..., '-'.  No step backtracks, so the verdict needs
+    no memory per pair."""
+    if not _EDGE_CHARS.fullmatch(body) or "- " in body or " -" in body:
+        return False
+    seps = body.translate(_NO_DIGITS)
+    return seps == "- " * (len(seps) // 2) + "-"
+
+
 def _edge_ends(body: str, raw: str, line_no: int, ids: tuple) -> list | tuple:
     """The endpoints of an edge line, whose pairs are body.  Pairs one space
     apart in digits are read by the json module's C scanner; any other body,
     or a number json refuses (a leading zero, or longer than int() reads),
-    goes to the token scan, which names a bad token.  When all are in range
+    goes to the token scan, which names a bad token.  Both read non-negative
+    ints, so the gather from ids is the range test: when all are in range
     each is the int object ids holds for it, so a file's ids share one
     object each; otherwise they stay as read, for the matching check to
     refuse."""
     ends = None
-    if _CANONICAL_PAIRS.fullmatch(body):
+    if _canonical_pairs(body):
         try:
             ends = json.loads("[" + body.replace("-", ",").replace(" ", ",") + "]")
         except ValueError:
             pass
     if ends is None:
         ends = _pair_ends(raw, line_no)
-    if ends and max(ends) < len(ids):
-        return itemgetter(*ends)(ids)
+    if ends:
+        try:
+            return itemgetter(*ends)(ids)
+        except IndexError:
+            pass
     return ends
 
 
@@ -273,7 +296,11 @@ def parse_gem(text: str) -> LabeledGem:
     # popped one color at a time, so each list goes once its color is built
     graph = graph_from_endpoints(
         (endpoints.pop(c, []) for c in range(n_colors)), num_vertices)
-    return LabeledGem(graph, [labels.get(v, str(v)) for v in range(num_vertices)])
+    # a tuple, which LabeledGem keeps without a copy
+    names = tuple(map(labels.get, range(num_vertices)))
+    if None in names:  # an unlabeled vertex is named by its id
+        names = [str(v) if name is None else name for v, name in enumerate(names)]
+    return LabeledGem(graph, names)
 
 
 def render_gem(gem: LabeledGem | ColoredGraph, comment: str | None = None) -> str:

@@ -27,9 +27,11 @@ spread under the automorphisms found so far and skips every map in it;
 it never builds the group itself.  More than MAX_COLOR_MAPS maps (9 or
 more colors) raise BudgetExceeded before any walk, in isomorphic too.
 
-isomorphic first compares the pair-cycle tables (invariants.pair_cycles)
-under each candidate color map.  It then anchors one root per component of
-g1, its smallest vertex, and scans the roots of each same-size component of g2 until a code
+isomorphic compares the pair-cycle tables (invariants.pair_cycles) under
+each color map as it comes to that map, in lexicographic order, so a map
+that answers ends the search before later maps are filtered.  It anchors
+one root per component of g1, its smallest vertex, and for each map that
+passes scans the roots of each same-size component of g2 until a code
 equals the anchor's, abandoning every walk at its first difference.  The
 pairing of discovery orders is the witness, replayed edge by edge before it
 is returned.
@@ -37,7 +39,7 @@ is returned.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from operator import itemgetter
 
@@ -280,15 +282,17 @@ def isomorphic(g1: ColoredGraph, g2: ColoredGraph, allow_color_perm: bool = Fals
     if g1.num_vertices != g2.num_vertices:
         return None
     table1, table2 = pair_cycles(g1), pair_cycles(g2)
-    cmaps = [cmap for cmap in cmaps if _tables_match(table1, table2, cmap)]
-    if not cmaps:
+    # filtered as they are tried, so the first map that answers ends it
+    cmaps = (cmap for cmap in cmaps if _tables_match(table1, table2, cmap))
+    first = next(cmaps, None)
+    if first is None:
         return None
     comps1 = g1.components().members()
     comps2 = g2.components().members()
     if sorted(map(len, comps1)) != sorted(map(len, comps2)):
         return None
     anchors = [_code_from(g1, comp[0], identity) for comp in comps1]
-    for cmap in cmaps:
+    for cmap in chain((first,), cmaps):
         # slot r explores color cmap[r] in g2 against color r in g1
         vmap = _anchored_map(g2, anchors, comps2, cmap)
         if vmap is not None and _replays(g1, g2, vmap, cmap):

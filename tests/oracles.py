@@ -30,8 +30,10 @@ returns the involutions it accepts unchanged.
 
 `token_parse_gem` reads a .gem file one token at a time, checking each pair
 token on its own and building the graph with `pairwise_new_graph`, which
-fills each color pair by pair.  `edges_render_gem` writes each color line
-from `ColoredGraph.edges`.
+fills each color pair by pair and validates the result with ColoredGraph.
+`edges_render_gem` writes each color line from `ColoredGraph.edges`.
+`CANONICAL_PAIRS` is the regular expression that once told which edge
+lines go to json: it holds backtracking state for every pair it matches.
 
 `per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
 characteristic functions facet by facet: facets 1..4 carry a basis, which
@@ -167,11 +169,13 @@ def lookup_torus_gem(n, budget=40320):
     if count > budget:
         raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
     perms = list(permutations(range(1, n + 2)))
-    index = {p: v for v, p in enumerate(perms)}
+    # endpoints as the objects of one tuple(range(V)) (graph_from_endpoints)
+    ids = tuple(range(count))
+    index = dict(zip(perms, ids))
 
     walk = list(range(n, 0, -1)) + list(range(2, n + 1))
     zero = []
-    for v, p in enumerate(perms):
+    for v, p in zip(ids, perms):
         q = list(p)
         for k in walk:
             q[k - 1], q[k] = q[k], q[k - 1]
@@ -183,7 +187,7 @@ def lookup_torus_gem(n, budget=40320):
     endpoints = [zero]
     for k in range(1, n + 1):
         acc = []
-        for v, p in enumerate(perms):
+        for v, p in zip(ids, perms):
             q = list(p)
             q[k - 1], q[k] = q[k], q[k - 1]
             u = index[tuple(q)]
@@ -599,6 +603,8 @@ def pairwise_new_graph(n_colors, pairs_per_color, num_vertices=None):
 
 _TOKEN = re.compile(r"\S+")
 _PAIR = re.compile(r"^(\d+)-(\d+)$")
+# an edge line's body of a-b pairs one space apart, in digits
+CANONICAL_PAIRS = re.compile(r"[0-9]+-[0-9]+(?: [0-9]+-[0-9]+)*")
 
 
 def _tokens(raw):

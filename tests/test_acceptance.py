@@ -366,12 +366,13 @@ def traced_peak_mb(call):
             tracemalloc.stop()
 
 
-# Peaks on Python 3.11: 13.7 MB to parse the relabelled t7 with its lines
-# split a block at a time (18.5 MB with a list of them all, BENCH_16.json),
-# 5.7 MB to render t7 with its label lines as one string (10.7 MB with one
-# string per line), and 13.3 MB to build t7 with one int object per id.
-# The gates leave about 20% for other interpreters (3.10, 3.12).
-PARSE_T7_PEAK_MB = 16.5
+# Peaks on Python 3.11: 10.4 MB to parse the relabelled t7 with its edge
+# lines checked by a verdict that does not backtrack (12.4 MB with a regex
+# that does, BENCH_19.json; 10.8 MB on 3.10, 10.1 MB on 3.12), 5.7 MB to
+# render t7 with its label lines as one string (10.7 MB with one string per
+# line), and 13.3 MB to build t7 with one int object per id.  The gates
+# leave about 20% for other interpreters (3.10, 3.12).
+PARSE_T7_PEAK_MB = 12.5
 RENDER_T7_PEAK_MB = 7.0
 BUILD_T7_PEAK_MB = 16.0
 

@@ -9,9 +9,10 @@ from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
                     ScriptStep, UnknownLabel, VertexCountMismatch, add_dipole,
                     new_graph, order_two_gem, parse_gem, product_gem,
                     render_gem, run_script, small_cover_gem, torus_gem)
+from gemkit.core import graph_from_endpoints
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
-from oracles import (flood_fill_labels, looped_involutions,
+from oracles import (flood_fill_labels, looped_involutions, pairwise_new_graph,
                      per_subset_face_counts, per_subset_residue_counts,
                      torus_residue_count)
 
@@ -345,10 +346,85 @@ class TestSharedIds:
             "add_dipole": grown,
             "run_script": run_script(LabeledGem(grown, labels), steps[::-1]).gem.graph,
             "new_graph": random_colored_graph(rng, 400, 4),
+            "new_graph, num_vertices": new_graph(
+                3, [[(a, b) for a, b in zip(ends[::2], ends[1::2])]
+                    for ends in (rng.sample(range(400), 400) for _ in range(3))],
+                num_vertices=400),
         }
         for name, graph in graphs.items():
             assert self.distinct_ints(graph) == graph.num_vertices, name
         assert graphs["run_script"] == t5.graph
+
+
+def _random_endpoints(rng, nv, k):
+    """k flat endpoint lists a0, b0, a1, b1, ..., each a random perfect
+    matching on the objects of one tuple(range(nv))."""
+    ids = tuple(range(nv))
+    return [rng.sample(ids, nv) for _ in range(k)]
+
+
+def _mutate_endpoints(rng, endpoints, nv, kind):
+    """The endpoint lists and vertex count with one seeded fault."""
+    endpoints = [list(flat) for flat in endpoints]
+    flat = rng.choice(endpoints)
+    i = rng.randrange(nv)
+    if kind == "duplicate":
+        flat[i] = rng.choice([x for x in range(nv) if x != flat[i]])
+    elif kind == "loop":
+        flat[i] = flat[i ^ 1]
+    elif kind == "out-of-range":
+        flat[i] = nv + rng.randrange(3)
+    elif kind == "missing-pair":
+        del flat[i & ~1:(i & ~1) + 2]
+    elif kind == "odd-count":
+        nv += rng.choice((-1, 1))
+    elif kind == "few-colors":
+        del endpoints[rng.randrange(2):]
+    return endpoints, nv
+
+
+class TestProvenConstructor:
+    """graph_from_endpoints stores the columns _matching proves without
+    ColoredGraph's second validation: it must build the graph ColoredGraph
+    builds from the same columns, or refuse as the pair-by-pair oracle
+    (pairwise_new_graph, which validates with ColoredGraph) does."""
+
+    @pytest.mark.parametrize("kind", [
+        "valid", "duplicate", "loop", "out-of-range", "missing-pair",
+        "odd-count", "few-colors"])
+    def test_random_endpoint_lists(self, kind):
+        rng = make_rng(f"proven:{kind}")
+        for _ in range(30):
+            nv = rng.choice([2, 4, 6, 10, 40, 300])
+            endpoints, count = _mutate_endpoints(
+                rng, _random_endpoints(rng, nv, rng.randint(2, 5)), nv, kind)
+            pairs = [list(zip(flat[::2], flat[1::2])) for flat in endpoints]
+            expected = _outcome(
+                lambda p: pairwise_new_graph(len(p), p, count).involutions, pairs)
+            got = _outcome(
+                lambda e: graph_from_endpoints(e, count).involutions, endpoints)
+            assert got == expected
+            if kind == "valid":
+                graph = graph_from_endpoints(endpoints, count)
+                assert graph == ColoredGraph(graph.involutions)
+                assert graph.n_colors == len(endpoints)
+                assert graph.num_vertices == count
+                assert TestSharedIds.distinct_ints(graph) == count
+            else:
+                assert got[0] != "ok"
+
+    def test_count_no_color_can_match_allocates_no_ids(self):
+        # new_graph makes its tuple(range(V)) only for a color that has V
+        # endpoints; 2**62 ids would raise MemoryError
+        with pytest.raises(VertexCountMismatch, match="vertices have no edge"):
+            new_graph(2, [[(0, 1)], [(0, 1)]], num_vertices=2 ** 62)
+
+    def test_permute_colors_keeps_the_columns(self):
+        g = random_colored_graph(make_rng("permute"), 40, 4)
+        h = g.permute_colors((2, 0, 3, 1))
+        assert h == ColoredGraph([g.involutions[c] for c in (1, 3, 0, 2)])
+        assert all(h.involutions[new] is g.involutions[old]
+                   for old, new in enumerate((2, 0, 3, 1)))
 
 
 class TestRelabelAndColorPermute:

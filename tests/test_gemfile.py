@@ -2,6 +2,7 @@
 
 import tracemalloc
 from importlib.resources import files
+from itertools import product
 
 import pytest
 
@@ -11,10 +12,11 @@ from gemkit import (ColorOutOfRange, DuplicateVertexInColor, GemError,
                     new_graph, order_two_gem, parse_gem, render_gem,
                     small_cover_gem, t3_standard, torus_gem)
 from gemkit import gemfile
-from gemkit.gemfile import _chunks
+from gemkit.gemfile import _canonical_pairs, _chunks
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
-from oracles import edges_render_gem, pairwise_new_graph, token_parse_gem
+from oracles import (CANONICAL_PAIRS, edges_render_gem, pairwise_new_graph,
+                     token_parse_gem)
 
 SMALL = """\
 # a square
@@ -233,6 +235,8 @@ HAND_CASES = [
     "gem 1\ncolors 2\nvertices 4\nc 0: 0-0 2-3\nc 1: 1-2 3-0\n",
     "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 1-3\nc 1: 1-2 3-0\n",
     "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-9\nc 1: 1-2 3-0\n",
+    # out of range on a line the token scan reads (two spaces)
+    "gem 1\ncolors 2\nvertices 4\nc 0: 0-1  2-9\nc 1: 1-2 3-0\n",
     "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3 0-2\nc 1: 1-2 3-0\n",
     "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0 4-5\n",
     # a shortfall before a faulty color, and after one
@@ -329,6 +333,22 @@ def seeded_mutations():
         texts.append(source)
         texts += [_mutate(rng, source) for _ in range(150)]
     return texts
+
+
+class TestCanonicalPairsVerdict:
+    def test_agrees_with_the_regex_on_every_short_body(self):
+        # every string of up to 8 characters over the four that matter
+        for size in range(9):
+            for chars in product("01- ", repeat=size):
+                body = "".join(chars)
+                assert _canonical_pairs(body) \
+                    == bool(CANONICAL_PAIRS.fullmatch(body)), repr(body)
+
+    def test_longer_bodies(self):
+        assert _canonical_pairs("10-2 33-407 5-6")
+        for body in ("10-2 33-407 5-6 ", " 10-2", "10-2 33", "10-2-3 4",
+                     "10-2  3-4", "10-2 3--4", "10-2 -3-4", "1٣-2"):
+            assert not _canonical_pairs(body), body
 
 
 class TestParseAgainstOracle:

@@ -357,6 +357,21 @@ class TestColorMapBudget:
         with pytest.raises(BudgetExceeded, match="9! color maps"):
             isomorphic(NINE_COLORS, NINE_COLORS, allow_color_perm=True)
 
+    def test_color_maps_are_filtered_as_they_are_tried(self, monkeypatch):
+        # the identity answers, so no other map's tables are compared
+        tried = []
+        tables_match = gemkit.iso._tables_match
+
+        def counted(table1, table2, cmap):
+            tried.append(cmap)
+            return tables_match(table1, table2, cmap)
+
+        monkeypatch.setattr(gemkit.iso, "_tables_match", counted)
+        eight = new_graph(8, [[(0, 1)]] * 8)
+        assert isomorphic(eight, eight, allow_color_perm=True) \
+            == ((0, 1), tuple(range(8)))
+        assert tried == [tuple(range(8))]
+
     def test_fixed_colors_and_eight_colors_answer(self):
         assert isomorphic(NINE_COLORS, NINE_COLORS) is not None
         eight = new_graph(8, [[(0, 1)]] * 8)
