@@ -23,12 +23,25 @@ two distinct vertices no other pair touches, and the column is a
 fixed-point-free involution.  Its callers hand it the int objects of one
 tuple(range(V)), so the columns share ids as they are.  permute_colors
 reorders a graph's own columns and takes the same unvalidated path.
+
+The residue walk (residue_counts) and the pair census behind
+invariants.pair_cycles and genus_for are lists of independent tasks, the
+subtree below each root color pair or one pair's cycles.  _run_split
+shares such a list with one forked child per spare usable CPU when the
+walk reads at least _SPLIT_VISITS vertices, os.fork exists and no second
+thread is alive; otherwise, and for every task no child delivered, the
+calling process runs the same task itself, so no answer depends on a
+child.  No option or environment variable controls the split.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import is_, itemgetter
 from typing import NoReturn
 
@@ -220,6 +233,13 @@ class ColoredGraph:
         subset reads each vertex once.  Subsets holding the last color have
         no children and are counted, not kept.  A kept level is flat (see
         _Level), and at most k - 2 are alive at once.
+
+        The subtrees below the root pairs (a, b) share nothing, so they are
+        one task each, 2^(last - b) subsets, and _run_split shares them
+        with forked children on a host with spare CPUs once the walk's
+        vertex visits (V times 2^k) reach _SPLIT_VISITS.  The parent
+        computes every subtree no child delivered, so the counts never
+        depend on a child.
         """
         nv = self.num_vertices
         last = self.n_colors - 1
@@ -227,18 +247,21 @@ class ColoredGraph:
         # across[c](labels)[v] is the label of v's c-partner; with V >= 2
         # vertices every itemgetter here returns a tuple, never one item
         across = [itemgetter(*col) for col in invs]
+
+        def below(a, b):
+            """The counts of the subsets whose two least colors are a < b."""
+            if b == last:
+                return {(a, b): _Level.cycles(invs[a], invs[b], keep=False).count}
+            counts = {}
+            _Level.cycles(invs[a], invs[b]).walk((a, b), across, counts)
+            return counts
+
+        # largest first: the fewer colors above b, the smaller the subtree
+        roots = sorted(combinations(range(last + 1), 2), key=itemgetter(1))
+        parts = dict(zip(roots, _run_split(below, roots, nv << (last + 1))))
         counts = {(): nv, **{(c,): nv // 2 for c in range(last + 1)}}
-
-        def walk(kept, level):
-            counts[kept] = level.count
-            for c in range(kept[-1] + 1, last):
-                walk(kept + (c,), level.join(across[c]))
-            counts[kept + (last,)] = level.join(across[last], keep=False).count
-
-        for a in range(last):
-            for b in range(a + 1, last):
-                walk((a, b), _Level.cycles(invs[a], invs[b]))
-            counts[a, last] = _Level.cycles(invs[a], invs[last], keep=False).count
+        for root in sorted(parts):
+            counts.update(parts[root])
         return counts
 
     def face_counts(self) -> tuple[int, ...]:
@@ -325,6 +348,19 @@ class _Level:
             return cls(None, None, None, count, sizes)
         return cls(order, [0, *accumulate(sizes)], labels, count, sizes)
 
+    def walk(self, kept, across, counts) -> None:
+        """Put into counts the component count of `kept`, this level's
+        colors, and of every subset that adds colors above kept[-1].  A
+        child is this level joined across its new color (across[c], as in
+        join); the last color, len(across) - 1, ends each branch, counted
+        and not kept.  Recursion by method, not by a nested function,
+        leaves no reference cycle holding the getters after a walk."""
+        last = len(across) - 1
+        counts[kept] = self.count
+        for c in range(kept[-1] + 1, last):
+            self.join(across[c]).walk(kept + (c,), across, counts)
+        counts[kept + (last,)] = self.join(across[last], keep=False).count
+
     def join(self, across, keep=True) -> "_Level":
         """The level with one more color, whose `across` getter maps labels
         to the labels of each vertex's partner.  With keep=False only the
@@ -355,6 +391,138 @@ class _Level:
         if not keep:
             return _Level(None, None, None, count)
         return _Level(new_order, new_offsets, itemgetter(*self.labels)(joined), count)
+
+
+# Vertex visits (V times the color subsets or pairs a walk reads) below
+# which _run_split stays in process.  A split costs about 3 ms of forking,
+# waiting and reaping, so on a 2-CPU host the t6 pair census (105,840
+# visits, 13 ms) only breaks even in a process holding t7, and the
+# constant sits twice as high.  Every walk of t5 (at most 46,080 visits)
+# and the t6 census stay in process; the t7 census at one cyclic order
+# (322,560; 76 -> 51 ms relabelled) and the t6 residue walk (645,120) split.
+_SPLIT_VISITS = 200_000
+
+
+def _run_split(task, jobs, visits: int) -> list:
+    """[task(*job) for job in jobs], the jobs shared with forked children.
+
+    jobs are independent and come largest first; visits is the walk's
+    size in vertex visits.  Below _SPLIT_VISITS, without os.fork, on one
+    usable CPU, or while a second thread is alive (a forked child runs
+    only the forking thread, and a lock another thread held stays held),
+    the jobs run here, in order.  Otherwise _share splits them, and every
+    job whose result no child delivered is computed here afterwards by the
+    same task, so no answer depends on a child.
+    """
+    spare = min(_spare_cpus(), len(jobs) - 1) if visits >= _SPLIT_VISITS else 0
+    done = _share(task, jobs, spare) if spare > 0 else {}
+    return [done[i] if i in done else task(*job) for i, job in enumerate(jobs)]
+
+
+def _spare_cpus() -> int:
+    """The usable CPUs besides this process's own, 0 when forking is unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _share(task, jobs, spare: int) -> dict:
+    """{i: task(*jobs[i])} for the jobs this process and up to `spare`
+    forked children computed.
+
+    The job indices wait in one pipe, filled before any fork, and each
+    process claims one at a time, so a child starved of CPU holds back at
+    most the job it is on while this process takes the rest.  A child
+    sends its results with marshal down a pipe of its own and exits; only
+    a child that exited 0 counts.  Every child is reaped, and killed first
+    if this process raises, and every pipe end is closed, on every path.
+    """
+    # imported here, so that a process that never splits a walk does not
+    # hold them
+    import select
+    import signal
+
+    done = {}
+    fds = set()        # the pipe ends this process holds open
+    children = {}      # pid -> the read end of that child's result pipe
+    try:
+        claims, fill = _pipe(fds)
+        # at most PIPE_BUF bytes, so the write fits the empty pipe; jobs
+        # past it are left to the caller
+        count = min(len(jobs), select.PIPE_BUF // 4)
+        os.write(fill, b"".join(i.to_bytes(4, "big") for i in range(count)))
+        _close(fill, fds)
+        for _ in range(spare):
+            back, reply = _pipe(fds)
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                _child(task, jobs, claims, reply, fds)
+            children[pid] = back
+            _close(reply, fds)
+        for i in _claimed(claims):
+            done[i] = task(*jobs[i])
+        for pid, back in list(children.items()):
+            payload = _read_all(back)
+            _close(back, fds)
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status == 0:
+                done.update(marshal.loads(payload))
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in children:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return done
+
+
+def _child(task, jobs, claims: int, reply: int, fds: set) -> NoReturn:
+    """A forked child's life: claim jobs until the pipe is empty, send
+    {i: result} down `reply`, and exit without returning to the caller."""
+    code = 1
+    try:
+        for fd in fds - {claims, reply}:
+            os.close(fd)
+        payload = memoryview(marshal.dumps(
+            {i: task(*jobs[i]) for i in _claimed(claims)}))
+        while payload:
+            payload = payload[os.write(reply, payload):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pipe(fds: set) -> tuple[int, int]:
+    ends = os.pipe()
+    fds.update(ends)
+    return ends
+
+
+def _close(fd: int, fds: set) -> None:
+    fds.remove(fd)
+    os.close(fd)
+
+
+def _claimed(claims: int):
+    """The job indices this process claims, one 4-byte read each, until the
+    pipe is empty and its write end closed."""
+    while claim := os.read(claims, 4):
+        yield int.from_bytes(claim, "big")
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def face_counts_from(counts, n_colors: int) -> tuple[int, ...]:

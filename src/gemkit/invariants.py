@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .core import ColoredGraph, _Level
-from .errors import ColorOutOfRange, DimensionUnsupported, PermutationColorMismatch
+from .core import ColoredGraph, _Level, _run_split
+from .errors import (ColorOutOfRange, DimensionUnsupported, GemError,
+                     PermutationColorMismatch)
 
 
 def cyclic_permutations(n_colors: int) -> list[tuple[int, ...]]:
@@ -74,14 +75,32 @@ def bicolored_cycles(graph: ColoredGraph, i: int, j: int) -> list[int]:
     graph._check_color(j)
     if i == j:
         raise ColorOutOfRange(f"need two distinct colors, got {i},{j}")
-    level = _Level.cycles(graph.involutions[i], graph.involutions[j], keep=False)
-    return sorted(level.sizes, reverse=True)
+    return _cycle_lengths(graph.involutions[i], graph.involutions[j])
+
+
+def _cycle_lengths(inv_i, inv_j) -> list[int]:
+    return sorted(_Level.cycles(inv_i, inv_j, keep=False).sizes, reverse=True)
 
 
 def pair_cycles(graph: ColoredGraph) -> dict[tuple[int, int], list[int]]:
-    """{(i, j): bicolored_cycles(graph, i, j)} for every color pair i < j."""
-    return {(i, j): bicolored_cycles(graph, i, j)
-            for i, j in combinations(graph.colors(), 2)}
+    """{(i, j): bicolored_cycles(graph, i, j)} for every color pair i < j.
+
+    The pairs are one census (_census): on a host with spare CPUs, a walk
+    of at least core._SPLIT_VISITS vertex visits (V times the pairs) is
+    shared with forked children, and the parent walks every pair no child
+    delivered, so the table never depends on a child.
+    """
+    return _census(graph, combinations(graph.colors(), 2))
+
+
+def _census(graph: ColoredGraph, pairs) -> dict[tuple[int, int], list[int]]:
+    """{(i, j): cycle lengths, descending} for the given valid color pairs,
+    one task per pair (core._run_split)."""
+    invs = graph.involutions
+    pairs = list(pairs)
+    lengths = _run_split(lambda i, j: _cycle_lengths(invs[i], invs[j]),
+                         pairs, graph.num_vertices * len(pairs))
+    return dict(zip(pairs, lengths))
 
 
 def _report(perm, counts, num_vertices: int) -> GenusReport:
@@ -91,12 +110,14 @@ def _report(perm, counts, num_vertices: int) -> GenusReport:
 
 
 def genus_for(graph: ColoredGraph, perm) -> GenusReport:
-    """Exact chi and genus of the surface carrying the cyclic order `perm`."""
+    """Exact chi and genus of the surface carrying the cyclic order `perm`.
+
+    The consecutive pairs of `perm` are one census, split as in
+    pair_cycles."""
     perm = check_cyclic_permutation(graph, perm)
-    k = graph.n_colors
-    counts = tuple(
-        len(bicolored_cycles(graph, perm[i], perm[(i + 1) % k]))
-        for i in range(k))
+    steps = [(min(a, b), max(a, b)) for a, b in zip(perm, perm[1:] + perm[:1])]
+    census = _census(graph, dict.fromkeys(steps))
+    counts = tuple(len(census[step]) for step in steps)
     return _report(perm, counts, graph.num_vertices)
 
 
@@ -129,7 +150,14 @@ def regular_genus(graph: ColoredGraph) -> GenusReport:
 def genus_lower_bound(chi: int, rank: int) -> int:
     """Lower bound for the regular genus of a closed 4-manifold in terms of
     its Euler characteristic and the rank of its fundamental group."""
+    _check_rank(rank)
     return 2 * chi + 5 * rank - 4
+
+
+def _check_rank(rank: int) -> None:
+    # a rank counts generators of the fundamental group
+    if rank < 0:
+        raise GemError(f"rank of the fundamental group must be >= 0, got {rank}")
 
 
 def weak_semi_simple_triples(graph: ColoredGraph, perm) -> tuple[int, ...]:
@@ -152,6 +180,7 @@ def weak_semi_simple_triples(graph: ColoredGraph, perm) -> tuple[int, ...]:
 
 def weak_semi_simple_from(triples, rank: int) -> bool:
     """Whether every weak_semi_simple_triples() count equals rank + 1."""
+    _check_rank(rank)
     return all(c == rank + 1 for c in triples)
 
 

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from gemkit import (g1_prime, g2_prime, new_graph, reduced_cover,
-                    s2xs1_standard, small_cover_gem, t3_standard, torus_gem)
+from gemkit import (ColoredGraph, g1_prime, g2_prime, new_graph,
+                    reduced_cover, s2xs1_standard, small_cover_gem,
+                    t3_standard, torus_gem)
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +77,13 @@ def shuffled_copy(rng, graph):
     perm = list(range(graph.num_vertices))
     rng.shuffle(perm)
     return graph.relabel(perm), perm
+
+
+def disjoint_union(g, h):
+    """g and h side by side, h's vertices shifted past g's."""
+    shift = g.num_vertices
+    return ColoredGraph([list(a) + [w + shift for w in b]
+                         for a, b in zip(g.involutions, h.involutions)])
 
 
 def make_rng(seed):

@@ -638,6 +638,10 @@ PINNED_ERRORS = {
     "cycles {square} --pair 0,7": (1, "error: color 7 not in 0..1\n"),
     "wss {s2xs1} --perm 0,1,2,3 --rank 1": (
         1, "error: weak semi-simplicity check needs 5 colors, got 4\n"),
+    "bound --chi 0 --rank -1": (
+        1, "error: rank of the fundamental group must be >= 0, got -1\n"),
+    "wss {g1} --perm 0,2,4,1,3 --rank -1": (
+        1, "error: rank of the fundamental group must be >= 0, got -1\n"),
     "check {bad}": (
         2, "parse error: line 4, column 3: expected '<color>:', got '0'\n"),
     "check {missing}": (

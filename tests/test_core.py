@@ -11,7 +11,8 @@ from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
                     render_gem, run_script, small_cover_gem, torus_gem)
 from gemkit.core import graph_from_endpoints
 
-from conftest import make_rng, random_colored_graph, shuffled_copy
+from conftest import (disjoint_union, make_rng, random_colored_graph,
+                      shuffled_copy)
 from oracles import (flood_fill_labels, looped_involutions, pairwise_new_graph,
                      per_subset_face_counts, per_subset_residue_counts,
                      torus_residue_count)
@@ -182,13 +183,6 @@ class TestPredicates:
         assert t3.graph.euler_characteristic() == 0
         assert order_two_gem(4).graph.euler_characteristic() == 0
         assert order_two_gem(5).graph.euler_characteristic() == 2
-
-
-def disjoint_union(g, h):
-    """g and h side by side, h's vertices shifted past g's."""
-    shift = g.num_vertices
-    return ColoredGraph([list(a) + [w + shift for w in b]
-                         for a, b in zip(g.involutions, h.involutions)])
 
 
 class TestResidueWalkAgainstOracle:

@@ -5,13 +5,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from gemkit import (ColorOutOfRange, DimensionUnsupported, GenusReport,
-                    PermutationColorMismatch, all_genus_reports,
+from gemkit import (ColorOutOfRange, DimensionUnsupported, GemError,
+                    GenusReport, PermutationColorMismatch, all_genus_reports,
                     bicolored_cycles, check_cyclic_permutation,
                     cyclic_permutations, genus_for, genus_lower_bound,
                     is_weak_semi_simple, new_graph, order_two_gem,
                     pair_cycles, reduced_cover, regular_genus,
                     weak_semi_simple_triples)
+from gemkit.invariants import weak_semi_simple_from
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import flood_fill_count, walked_cycle_lengths
@@ -219,6 +220,10 @@ class TestLowerBound:
         assert genus_lower_bound(1, 2) == 8
         assert genus_lower_bound(2, 0) == 0
 
+    def test_negative_rank_refused(self):
+        with pytest.raises(GemError, match="must be >= 0, got -1"):
+            genus_lower_bound(0, -1)
+
 
 class TestWeakSemiSimple:
     def test_needs_five_colors(self, t3):
@@ -238,6 +243,13 @@ class TestWeakSemiSimple:
     def test_g1_prime(self, g1p):
         assert weak_semi_simple_triples(g1p.graph, (0, 2, 4, 1, 3)) \
             == (3, 3, 3, 3, 3)
+
+    def test_negative_rank_refused(self, g1p):
+        # the triples (3, 3, 3, 3, 3) fail rank + 1 for every rank but 2
+        with pytest.raises(GemError, match="must be >= 0, got -1"):
+            is_weak_semi_simple(g1p.graph, (0, 2, 4, 1, 3), -1)
+        with pytest.raises(GemError, match="must be >= 0, got -1"):
+            weak_semi_simple_from((0, 0, 0, 0, 0), -1)
         assert is_weak_semi_simple(g1p.graph, (0, 2, 4, 1, 3), 2)
 
     def test_g2_prime(self, g2p):
