@@ -11,7 +11,8 @@ set), so a move either leaves a well-formed graph or raises.
 
 Residue preconditions ("do these vertices share a residue?") are answered
 by two searches that grow from the two sides in turn, so they cost the
-smaller residue, not a labelling of the whole graph.
+smaller residue, not a labelling of the whole graph.  `find_dipoles`
+labels each complement once per color set.
 
 Nothing is renumbered while moves run.  The workspace is compacted to
 dense ids, validated as a ColoredGraph and relabeled once: at the end of
@@ -325,25 +326,30 @@ def check_dipole(graph: ColoredGraph, spec: DipoleSpec) -> None:
 
 
 def find_dipoles(graph: ColoredGraph, order: int | None = None) -> list:
-    """All dipoles, or all dipoles of the given order, sorted by vertex ids."""
-    ws = _Workspace(graph)
+    """All dipoles, or all dipoles of the given order, sorted by vertex ids.
+
+    The residues of each complement are labelled once per set of joining
+    colors, and a joined pair is a dipole when its ends get two labels.
+    """
+    k = graph.n_colors
+    invs = graph.involutions
+    labels: dict = {}
     out = []
     for v1 in range(graph.num_vertices):
         joined: dict = {}
-        for c in range(graph.n_colors):
-            w = graph.involutions[c][v1]
+        for c in range(k):
+            w = invs[c][v1]
             if w > v1:
                 joined.setdefault(w, set()).add(c)
         for v2 in sorted(joined):
-            cols = joined[v2]
-            if order is not None and len(cols) != order:
+            cols = frozenset(joined[v2])
+            if len(cols) == k or (order is not None and len(cols) != order):
                 continue
-            spec = DipoleSpec(v1, v2, frozenset(cols))
-            try:
-                ws.check_dipole(spec)
-            except NotADipole:
-                continue
-            out.append(spec)
+            if cols not in labels:
+                labels[cols] = graph.components(
+                    c for c in range(k) if c not in cols).labels
+            if labels[cols][v1] != labels[cols][v2]:
+                out.append(DipoleSpec(v1, v2, cols))
     return out
 
 

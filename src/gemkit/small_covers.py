@@ -241,28 +241,15 @@ def _label_sheet(label):
     return int(label[label.index("^") + 1:])
 
 
-def _cycle_labels(gem, start, colors):
-    """Labels along the bicolored cycle through `start`, in walk order."""
-    graph = gem.graph
-    v0 = gem.vertex(start)
-    out = []
-    v, flip = v0, 0
-    while True:
-        out.append(gem.label_of(v))
-        v = graph.partner(v, colors[flip])
-        flip ^= 1
-        if v == v0:
-            break
-    return tuple(out)
-
-
 def _word_partition(gem, colors, start_sheet):
     """Word classes of the bicolored cycles met from the given sheet."""
+    comps = gem.graph.components(colors)
+    members = comps.members()
     parts = set()
     for w in range(16):
-        start = f"T{mask_word(w)}^{start_sheet}"
-        parts.add(frozenset(
-            _label_word(l) for l in _cycle_labels(gem, start, colors)))
+        start = gem.vertex(f"T{mask_word(w)}^{start_sheet}")
+        parts.add(frozenset(_label_word(gem.label_of(v))
+                            for v in members[comps.labels[start]]))
     if sorted(len(p) for p in parts) != [4, 4, 4, 4]:
         raise AuditFailed(
             f"colors {colors} cycles do not split the words into 4+4+4+4")
@@ -393,9 +380,12 @@ def reduce_to_crystallization(gem):
         return tuple(
             gem.label_of(graph.partner(gem.vertex(l), color)) for l in labels)
 
+    comps = graph.components((0, 4))
+    members = comps.members()
     steps = []
     for k, start in enumerate(("T0^1", "T0^6")):
-        lam = _cycle_labels(gem, start, (0, 4))
+        cycle = members[comps.labels[gem.vertex(start)]]
+        lam = tuple(map(gem.label_of, cycle))
         steps.append(ScriptStep("glue", (2,), (lam, partners(lam, 2)), k + 1))
     row = form.rows[3]
     lam = tuple(f"T{w}^{sheet}" for sheet in (2, 4) for w in row)

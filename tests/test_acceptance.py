@@ -11,13 +11,13 @@ from contextlib import contextmanager
 from itertools import combinations
 
 from gemkit import (add_dipole, all_genus_reports, bicolored_cycles,
-                    cancel_dipole, canonical_signature, classify_covers,
-                    dj_equivalent, enumerate_characteristic_functions,
+                    cancel_dipole, canonical_signature, check_dipole,
+                    classify_covers, dj_equivalent, find_dipoles, enumerate_characteristic_functions,
                     genus_for, genus_lower_bound, isomorphic, is_weak_semi_simple,
                     order_two_gem, parse_gem, product_gem, reduced_cover,
                     regular_genus, render_gem, run_script, small_cover_gem,
                     stated_permutation, torus_gem, DipoleSpec, LabeledGem,
-                    ScriptStep)
+                    NotADipole, ScriptStep)
 from gemkit.cli import main
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
@@ -400,3 +400,28 @@ def test_criterion_19_seven_torus_build_memory():
         t7, peak = traced_peak_mb(lambda: torus_gem(7))
         assert t7.graph.num_vertices == 40320
         assert peak < BUILD_T7_PEAK_MB, f"peak {peak:.1f} MB"
+
+
+def test_criterion_20_six_torus_dipole_search():
+    t6 = torus_gem(6).graph
+    rng = make_rng(20)
+    grown = t6
+    inserted = []
+    for d in range(150):
+        colors = frozenset(rng.sample(range(7), 1 + d % 6))
+        r = add_dipole(grown, rng.randrange(grown.num_vertices), colors)
+        grown = r.graph
+        inserted.append(DipoleSpec(*r.added, colors))
+    with report(20, "find_dipoles on the 6-torus gem, bare and grown by 150 "
+                "dipoles", budget=1.5):
+        assert find_dipoles(t6) == []
+        found = find_dipoles(grown)
+    for spec in found:
+        check_dipole(grown, spec)
+    listed = set(found)
+    for spec in inserted:
+        try:
+            check_dipole(grown, spec)
+        except NotADipole:
+            continue
+        assert spec in listed

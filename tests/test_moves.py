@@ -8,10 +8,11 @@ from gemkit import (ColoredGraph, CombinedSpec, DipoleSpec, GemError,
                     NotADipole, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
                     ScriptStep, add_dipole, cancel_dipole, check_dipole,
-                    combined_move, find_dipoles, isomorphic, new_graph,
-                    parse_move_script, polyhedral_glue, product_gem,
-                    reduced_cover, render_move_script, run_script,
-                    run_script_text, s2xs1_standard, t3_standard)
+                    combined_move, find_dipoles, g1_prime, g2_prime,
+                    isomorphic, new_graph, parse_move_script,
+                    polyhedral_glue, product_gem, reduced_cover,
+                    render_move_script, run_script, run_script_text,
+                    s2xs1_standard, t3_standard, torus_gem)
 from gemkit.constructions import _data_text
 from gemkit.moves import _meet
 
@@ -640,6 +641,21 @@ class TestWorkspaceAgainstOracle:
                     want = outcome(stepwise_check_dipole, graph, spec)
                     got = outcome(check_dipole, graph, spec)
                     assert type(got) is type(want)
+
+    @pytest.mark.parametrize("build", [
+        s2xs1_standard, t3_standard, g1_prime, g2_prime, lambda: torus_gem(4),
+        *(lambda i=i: reduced_cover(i).gem for i in range(1, 8))],
+        ids=["s2xs1", "t3", "g1prime", "g2prime", "t4",
+             *(f"reduced{i}" for i in range(1, 8))])
+    def test_catalogue_dipole_search(self, build):
+        rng = make_rng(67)
+        graph = build().graph
+        shuffled, _ = shuffled_copy(rng, graph)
+        for g in (graph, shuffled, grow(rng, graph, 12)[0],
+                  grow(rng, shuffled, 12)[0]):
+            for order in (None, *range(g.n_colors + 1)):
+                assert find_dipoles(g, order) \
+                    == stepwise_find_dipoles(g, order)
 
     def test_residue_clauses(self):
         rng = make_rng(65)

@@ -1,5 +1,7 @@
 """Covers of the product of two triangles: enumeration, gems, reduction."""
 
+import hashlib
+
 import pytest
 
 from gemkit import (AuditFailed, InvalidCharacteristicFunction, LabeledGem,
@@ -9,8 +11,9 @@ from gemkit import (AuditFailed, InvalidCharacteristicFunction, LabeledGem,
                     g1_prime, genus_for, infer_characteristic_function,
                     isomorphic, is_weak_semi_simple, mask_word,
                     middle_subgraph, parse_gem, reduce_to_crystallization,
-                    reduced_cover, regular_genus, small_cover_gem,
-                    validate_characteristic_function, word_mask)
+                    reduced_cover, regular_genus, render_gem,
+                    small_cover_gem, validate_characteristic_function,
+                    word_mask)
 from gemkit.constructions import _data_text
 from gemkit.small_covers import CANONICAL_PAIRS, COVER_LABELS
 
@@ -324,6 +327,24 @@ class TestReduction:
             assert genus_for(g, (0, 3, 2, 1, 4)).genus == 8
             assert regular_genus(g).genus == 8
             assert is_weak_semi_simple(g, (0, 3, 2, 1, 4), 2)
+
+    # sha256 of render_gem(reduced_cover(i).gem), i = 1..7: the glue
+    # scripts must reduce each cover to the same file, byte for byte
+    REDUCED_DIGESTS = (
+        "940910b101cf1deb3a48226bdcf01f5a4335b1fb43d8c12095c0d11b756d2bd6",
+        "b29fb35089f55aeac58348c62a0fb83654189bf61bc3dc96f518e1d212f56463",
+        "ce87d065f60b31d032e3f332dce19ad1d0788ccdefdd94faefff8ad0a7beedd2",
+        "730f64c5b01884d55152600eaf48eb80f9d16bc41ce3bd7f39c7337a5e9d74a5",
+        "394bff247482ef31b77544ae110a2ee06f249f4b86a9a85a8612c3a71b5e6d18",
+        "9149525a668d1466d4b595ed75d5634624fb7470a66836c68e4f393d7c31a95c",
+        "6115ffa5405b4fbf6303bc4a7bd9f576a70e75ad897ca4724d9b9684f664d2bf",
+    )
+
+    @pytest.mark.parametrize("index", range(1, 8))
+    def test_reduced_bytes_pinned(self, index):
+        text = render_gem(reduced_cover(index).gem)
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == self.REDUCED_DIGESTS[index - 1]
 
     def test_explicit_form_argument(self, cover1):
         result = reduce_to_crystallization(cover1)
