@@ -1,13 +1,15 @@
 """Dipole moves, polyhedral gluing, and scripted move sequences.
 
-Every move runs on one mutable workspace: the involutions copied into
-lists, a byte per vertex marking it live, and a label -> id index.  A move
-checks its preconditions against the workspace, then deletes a set of
-vertices paired off by a bijection phi and, for every color that is not
-part of the move's defining colors, splices the freed edge ends together
-pairwise in place.  The splice checks its own consistency (interior edges
-must be phi-compatible, no survivor may keep a pointer into the removed
-set), so a move either leaves a well-formed graph or raises.
+Every move, insertion included, runs on one mutable workspace: the
+involutions copied into lists and a byte per vertex marking it live.  A
+script's labels resolve through its gem's own index and the live marks.
+Insertion appends two vertices.  Any other move checks its preconditions,
+then deletes a set of vertices paired off by a bijection phi and, for
+every color outside the move's defining colors, splices the freed edge
+ends together pairwise in place.  The splice checks its own consistency
+(interior edges must be phi-compatible, no survivor may keep a pointer
+into the removed set), so a move either leaves a well-formed graph or
+raises.
 
 Residue preconditions ("do these vertices share a residue?") are answered
 by two searches that grow from the two sides in turn, so they cost the
@@ -134,22 +136,19 @@ def _check_dipole_colors(graph: ColoredGraph, colors) -> None:
 class _Workspace:
     """A graph that moves edit in place, under the ids it was loaded with."""
 
-    __slots__ = ("graph", "invs", "live", "labels", "index", "size")
+    __slots__ = ("graph", "invs", "live", "gem", "size")
 
-    def __init__(self, graph: ColoredGraph, labels=None):
+    def __init__(self, graph: ColoredGraph, gem: LabeledGem | None = None):
         self.graph = graph
         self.invs = [list(col) for col in graph.involutions]
         self.live = bytearray(b"\x01") * graph.num_vertices
-        self.labels = labels
-        self.index = (None if labels is None
-                      else {name: v for v, name in enumerate(labels)})
+        self.gem = gem
         self.size = graph.num_vertices
 
     def resolve(self, label: str) -> int:
-        try:
-            return self.index[label]
-        except KeyError:
-            raise MoveError(f"unknown vertex label {label!r}") from None
+        if not (self.gem.has_label(label) and self.live[self.gem.vertex(label)]):
+            raise MoveError(f"unknown vertex label {label!r}")
+        return self.gem.vertex(label)
 
     def _require_live(self, vertices) -> None:
         for v in vertices:
@@ -157,6 +156,26 @@ class _Workspace:
                 raise MoveError(f"vertex {v} out of range")
 
     # -- dipoles ---------------------------------------------------------------
+
+    def add_dipole(self, at_vertex: int, colors: frozenset) -> tuple:
+        """Insert a dipole on `colors` next to at_vertex; return its two ids.
+
+        The first new id takes every other color at at_vertex, so its residue
+        without `colors` is {v1, at_vertex}: the pair is always a dipole.
+        """
+        _check_dipole_colors(self.graph, colors)
+        self._require_live((at_vertex,))
+        v1, v2 = len(self.live), len(self.live) + 1
+        for c, col in enumerate(self.invs):
+            if c in colors:
+                col += (v2, v1)
+            else:
+                u = col[at_vertex]
+                col += (at_vertex, u)
+                col[at_vertex], col[u] = v1, v2
+        self.live += b"\x01\x01"
+        self.size += 2
+        return v1, v2
 
     def check_dipole(self, spec: DipoleSpec) -> None:
         v1, v2 = spec.v1, spec.v2
@@ -290,31 +309,33 @@ class _Workspace:
                         f"color {c}: survivor {s} still wired into the removed set")
         for d in doomed:
             self.live[d] = 0
-            if self.index is not None:
-                del self.index[self.labels[d]]
         self.size -= len(doomed)
         if not self.size:
             raise ResultInvalid("the move removes every vertex")
 
     def compact(self):
-        """(graph on dense ids, surviving old ids in order, old -> new map)."""
+        """(graph on dense ids, surviving old ids in order, old -> new map);
+        the ids stay when nothing was removed."""
         survivors = list(compress(range(len(self.live)), self.live))
-        vmap = [-1] * len(self.live)
-        for new, old in enumerate(survivors):
-            vmap[old] = new
+        if len(survivors) == len(self.live):
+            vmap, invs = survivors, self.invs
+        else:
+            vmap = [-1] * len(self.live)
+            for new, old in enumerate(survivors):
+                vmap[old] = new
+            invs = [[vmap[col[v]] for v in survivors] for col in self.invs]
         try:
-            graph = ColoredGraph(
-                [[vmap[col[v]] for v in survivors] for col in self.invs])
+            graph = ColoredGraph(invs)
         except GraphValidationError as exc:  # pragma: no cover - defensive
             raise ResultInvalid(str(exc)) from exc
         return graph, survivors, vmap
 
 
-def _one_move(graph: ColoredGraph, move, spec) -> MoveResult:
+def _one_move(graph: ColoredGraph, move, *args) -> MoveResult:
     ws = _Workspace(graph)
-    move(ws, spec)
+    added = move(ws, *args) or ()
     out, _, vmap = ws.compact()
-    return MoveResult(out, tuple(vmap))
+    return MoveResult(out, tuple(vmap[:graph.num_vertices]), added)
 
 
 # -- dipoles -------------------------------------------------------------------
@@ -332,6 +353,9 @@ def find_dipoles(graph: ColoredGraph, order: int | None = None) -> list:
     colors, and a joined pair is a dipole when its ends get two labels.
     """
     k = graph.n_colors
+    if order is not None and (type(order) is not int or not 1 <= order < k):
+        raise NotADipole(
+            f"a dipole involves between 1 and {k - 1} colors, got order {order!r}")
     invs = graph.involutions
     labels: dict = {}
     out = []
@@ -358,32 +382,8 @@ def cancel_dipole(graph: ColoredGraph, spec: DipoleSpec) -> MoveResult:
 
 
 def add_dipole(graph: ColoredGraph, at_vertex: int, colors) -> MoveResult:
-    """Insert an h-dipole next to `at_vertex`.
-
-    The two new vertices take over every non-dipole color at at_vertex: the
-    first one absorbs all of them, which pins its residue in the complement
-    colors to {v1, at_vertex} and so guarantees the inserted pair really is
-    a dipole, whatever the ambient graph looks like.
-    """
-    colors = frozenset(colors)
-    _check_dipole_colors(graph, colors)
-    if not 0 <= at_vertex < graph.num_vertices:
-        raise MoveError(f"vertex {at_vertex} out of range")
-    v1 = graph.num_vertices
-    v2 = v1 + 1
-    invs = []
-    for c, col in enumerate(graph.involutions):
-        col = list(col) + [0, 0]
-        if c in colors:
-            col[v1], col[v2] = v2, v1
-        else:
-            u = col[at_vertex]
-            col[at_vertex], col[v1] = v1, at_vertex
-            col[v2], col[u] = u, v2
-        invs.append(col)
-    out = ColoredGraph(invs)
-    check_dipole(out, DipoleSpec(v1, v2, colors))  # insurance; always passes
-    return MoveResult(out, tuple(range(graph.num_vertices)), added=(v1, v2))
+    """Insert an h-dipole next to `at_vertex`; `added` holds its two ids."""
+    return _one_move(graph, _Workspace.add_dipole, at_vertex, frozenset(colors))
 
 
 # -- polyhedral glue -----------------------------------------------------------
@@ -532,7 +532,7 @@ def run_script(gem: LabeledGem, steps) -> ScriptResult:
 
     Survivors keep their labels and their relative order.
     """
-    ws = _Workspace(gem.graph, gem.labels)
+    ws = _Workspace(gem.graph, gem)
     trace = [ws.size]
     for step_no, step in enumerate(steps, start=1):
         _check_step(step_no, step)

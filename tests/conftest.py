@@ -5,9 +5,14 @@ import sys
 
 import pytest
 
-from gemkit import (ColoredGraph, g1_prime, g2_prime, new_graph,
+from gemkit import (ColoredGraph, DipoleSpec, canonical_signature,
+                    find_dipoles, g1_prime, g2_prime, new_graph,
                     reduced_cover, s2xs1_standard, small_cover_gem,
                     t3_standard, torus_gem)
+from gemkit.moves import _Workspace
+
+from oracles import (flood_fill_bipartite, flood_fill_count,
+                     per_subset_face_counts)
 
 
 @pytest.fixture(scope="session")
@@ -88,3 +93,61 @@ def disjoint_union(g, h):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def oracle_invariants(graph):
+    """(chi, bipartite, component count) by the flood-fill oracles."""
+    chi = sum((-1) ** h * n
+              for h, n in enumerate(per_subset_face_counts(graph)))
+    return (chi, flood_fill_bipartite(graph),
+            flood_fill_count(graph, range(graph.n_colors)))
+
+
+def fuzz_moves(rng, graph, steps):
+    """Seeded dipole moves on `graph` in one _Workspace; (insertions, cancels).
+
+    Each step inserts a dipole at a live vertex, or cancels one of the
+    inserted dipoles that find_dipoles lists.  After each compaction chi,
+    bipartiteness and the component count must match the start, by gemkit
+    and by the oracles.  At the end every inserted dipole still there is
+    cancelled in reverse, which must give back the start's signature, and
+    the start itself, since no vertex of the start was removed.
+    """
+    k = graph.n_colors
+    want = oracle_invariants(graph)
+    ws = _Workspace(graph)
+    inserted = []  # (v1, v2, colors) under the workspace's ids
+    cancels = 0
+
+    def compact():
+        out, survivors, _ = ws.compact()
+        assert (out.euler_characteristic(), out.is_bipartite(),
+                out.components().count) == want
+        assert oracle_invariants(out) == want
+        return out, survivors
+
+    out, survivors = compact()
+    for _ in range(steps):
+        listed = []
+        if inserted and rng.random() < 0.4:
+            pending = set(inserted)
+            listed = [spec for spec in find_dipoles(out)
+                      if (survivors[spec.v1], survivors[spec.v2], spec.colors)
+                      in pending]
+        if listed:
+            spec = rng.choice(listed)
+            dipole = (survivors[spec.v1], survivors[spec.v2], spec.colors)
+            ws.cancel_dipole(DipoleSpec(*dipole))
+            inserted.remove(dipole)
+            cancels += 1
+        else:
+            colors = frozenset(rng.sample(range(k), rng.randint(1, k - 1)))
+            inserted.append((*ws.add_dipole(rng.choice(survivors), colors),
+                             colors))
+        out, survivors = compact()
+    for dipole in reversed(inserted):
+        ws.cancel_dipole(DipoleSpec(*dipole))
+        out, survivors = compact()
+    assert canonical_signature(out) == canonical_signature(graph)
+    assert out == graph
+    return steps - cancels, cancels

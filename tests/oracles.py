@@ -2,7 +2,8 @@
 small-cover layers.
 
 `flood_fill_labels` labels a residue by breadth-first flood fill, the one
-flood fill left in gemkit; `flood_fill_count` is its component count.
+flood fill left in gemkit; `flood_fill_count` is its component count and
+`flood_fill_bipartite` two-colors the whole graph the same way.
 `per_subset_face_counts` sums one flood fill per color subset, and
 `per_subset_residue_counts` keeps each subset's count.  `walked_cycle_lengths`
 walks each bicolored cycle one edge at a time through `ColoredGraph.partner`.
@@ -22,7 +23,8 @@ compacted graph and rebuilds the `LabeledGem`.  `stepwise_check_dipole`,
 `stepwise_find_dipoles`, `stepwise_cancel_dipole`, `stepwise_polyhedral_glue`
 and `stepwise_combined_move` are its single moves.
 `combined_move_factored` performs the combined move as two dipole
-cancellations.
+cancellations.  `copying_add_dipole` inserts a dipole by copying every
+color with two new entries and building a fresh ColoredGraph.
 
 `looped_involutions` validates ColoredGraph input one vertex at a time,
 the way ColoredGraph did before it checked each color in one pass, and
@@ -81,6 +83,27 @@ def flood_fill_labels(graph, colors):
 
 def flood_fill_count(graph, colors):
     return max(flood_fill_labels(graph, colors)) + 1
+
+
+def flood_fill_bipartite(graph):
+    """Whether breadth-first flood fill two-colors every vertex so that
+    each edge joins the two sides."""
+    side = [None] * graph.num_vertices
+    for start in range(graph.num_vertices):
+        if side[start] is not None:
+            continue
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for inv in graph.involutions:
+                w = inv[v]
+                if side[w] is None:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return False
+    return True
 
 
 def walked_cycle_lengths(graph, i, j):
@@ -395,6 +418,35 @@ def stepwise_find_dipoles(graph, order=None):
                 continue
             out.append(spec)
     return out
+
+
+def copying_add_dipole(graph, at_vertex, colors):
+    """add_dipole the way it once ran: copy every color with two new
+    entries, reroute the non-dipole colors at at_vertex through them and
+    validate the copies as a fresh ColoredGraph."""
+    colors = frozenset(colors)
+    for c in colors:
+        graph._check_color(c)
+    if not 1 <= len(colors) <= graph.n_colors - 1:
+        raise NotADipole(
+            f"a dipole involves between 1 and {graph.n_colors - 1} colors, "
+            f"got {len(colors)}")
+    if not 0 <= at_vertex < graph.num_vertices:
+        raise MoveError(f"vertex {at_vertex} out of range")
+    v1 = graph.num_vertices
+    v2 = v1 + 1
+    invs = []
+    for c, col in enumerate(graph.involutions):
+        col = list(col) + [0, 0]
+        if c in colors:
+            col[v1], col[v2] = v2, v1
+        else:
+            u = col[at_vertex]
+            col[at_vertex], col[v1] = v1, at_vertex
+            col[v2], col[u] = u, v2
+        invs.append(col)
+    return MoveResult(ColoredGraph(invs), tuple(range(graph.num_vertices)),
+                      added=(v1, v2))
 
 
 def stepwise_cancel_dipole(graph, spec):

@@ -16,9 +16,9 @@ from gemkit import (ColoredGraph, CombinedSpec, DipoleSpec, GemError,
 from gemkit.constructions import _data_text
 from gemkit.moves import _meet
 
-from conftest import make_rng, random_colored_graph, shuffled_copy
+from conftest import fuzz_moves, make_rng, random_colored_graph, shuffled_copy
 from oracles import (combined_clauses, combined_move_factored,
-                     glue_sides_meet, stepwise_cancel_dipole,
+                     copying_add_dipole, glue_sides_meet, stepwise_cancel_dipole,
                      stepwise_check_dipole, stepwise_combined_move,
                      stepwise_find_dipoles,
                      stepwise_polyhedral_glue, stepwise_run_script)
@@ -121,6 +121,24 @@ class TestDipoles:
             add_dipole(g, 0, (0, 1, 2, 3))
         with pytest.raises(MoveError):
             add_dipole(g, 99, (0,))
+        # the same refusals, word for word, as copying_add_dipole
+        for at, colors in ((0, (0, 1, 2, 3)), (0, ()), (0, (4,)), (0, (-1,)),
+                           (0, (0, 9)), (99, (0, 1, 2, 3)), (99, (0,)),
+                           (8, (1, 2)), (-1, (3,))):
+            want = outcome(copying_add_dipole, g, at, colors)
+            got = outcome(add_dipole, g, at, colors)
+            assert isinstance(want, GemError)
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+
+    def test_find_dipoles_refuses_bad_orders(self, s2xs1):
+        grown = add_dipole(s2xs1.graph, 3, (1, 2)).graph
+        assert len(find_dipoles(grown, order=2)) == 3
+        for order in ("2", 9, -1, 0, 4, 2.0, True):
+            with pytest.raises(NotADipole) as err:
+                find_dipoles(grown, order)
+            assert str(err.value) == ("a dipole involves between 1 and 3 "
+                                      f"colors, got order {order!r}")
 
 
 class TestPolyhedralGlue:
@@ -354,6 +372,13 @@ glue 2 [a,b] -> [e,f]
             run_script_text(gem, "glue 2 [zz,b] -> [e,f]\n")
         assert "zz" in str(err.value)
 
+    def test_removed_label_rejected(self):
+        # a label of the input gem whose vertex an earlier step removed
+        gem = self.bridged_gem()
+        with pytest.raises(MoveError) as err:
+            run_script_text(gem, self.GOOD + "glue 2 [c,a] -> [g,e]\n")
+        assert str(err.value) == "step 2 (line 3): unknown vertex label 'a'"
+
     def test_labels_survive_moves(self):
         gem = self.bridged_gem()
         result = run_script_text(gem, self.GOOD)
@@ -508,6 +533,12 @@ def plant_glue(rng, k):
             GlueSpec(i, tuple(side), tuple(v + n for v in side)))
 
 
+CATALOGUE = {
+    "s2xs1": s2xs1_standard, "t3": t3_standard, "g1prime": g1_prime,
+    "g2prime": g2_prime, "t4": lambda: torus_gem(4),
+    **{f"reduced{i}": (lambda i=i: reduced_cover(i).gem) for i in range(1, 8)}}
+
+
 class TestWorkspaceAgainstOracle:
     def test_mirrored_glues(self):
         rng = make_rng(66)
@@ -642,20 +673,19 @@ class TestWorkspaceAgainstOracle:
                     got = outcome(check_dipole, graph, spec)
                     assert type(got) is type(want)
 
-    @pytest.mark.parametrize("build", [
-        s2xs1_standard, t3_standard, g1_prime, g2_prime, lambda: torus_gem(4),
-        *(lambda i=i: reduced_cover(i).gem for i in range(1, 8))],
-        ids=["s2xs1", "t3", "g1prime", "g2prime", "t4",
-             *(f"reduced{i}" for i in range(1, 8))])
-    def test_catalogue_dipole_search(self, build):
+    @pytest.mark.parametrize("name", CATALOGUE)
+    def test_catalogue_dipole_search(self, name):
         rng = make_rng(67)
-        graph = build().graph
+        graph = CATALOGUE[name]().graph
         shuffled, _ = shuffled_copy(rng, graph)
         for g in (graph, shuffled, grow(rng, graph, 12)[0],
                   grow(rng, shuffled, 12)[0]):
-            for order in (None, *range(g.n_colors + 1)):
+            for order in (None, *range(1, g.n_colors)):
                 assert find_dipoles(g, order) \
                     == stepwise_find_dipoles(g, order)
+            for order in (0, g.n_colors):
+                with pytest.raises(NotADipole):
+                    find_dipoles(g, order)
 
     def test_residue_clauses(self):
         rng = make_rng(65)
@@ -685,3 +715,54 @@ class TestWorkspaceAgainstOracle:
                 assert got.startswith("residue clause") == (not residue)
                 assert got.startswith("separation clause") \
                     == (residue and not separation)
+
+
+# -- insertion against copying_add_dipole, and the move fuzzer ---------------------
+
+
+def assert_same_insertions(rng, graph, per_order=3):
+    """add_dipole equals copying_add_dipole at seeded vertices for every
+    order, and every inserted pair is a dipole."""
+    k = graph.n_colors
+    for order in range(1, k):
+        for _ in range(per_order):
+            at = rng.randrange(graph.num_vertices)
+            colors = rng.sample(range(k), order)
+            got = add_dipole(graph, at, colors)
+            want = copying_add_dipole(graph, at, colors)
+            assert got.graph == want.graph
+            assert got.vertex_map == want.vertex_map
+            assert got.added == want.added
+            check_dipole(got.graph, DipoleSpec(*got.added, frozenset(colors)))
+
+
+class TestInsertionAgainstOracle:
+    def test_random_graphs(self):
+        rng = make_rng(68)
+        for trial in range(60):
+            k = 2 + trial % 6
+            graph = random_colored_graph(rng, 2 * rng.randint(1, 8), k)
+            for g in (graph, shuffled_copy(rng, graph)[0]):
+                assert_same_insertions(rng, g)
+
+    @pytest.mark.parametrize("name", CATALOGUE)
+    def test_catalogue(self, name):
+        rng = make_rng(69)
+        graph = CATALOGUE[name]().graph
+        for g in (graph, shuffled_copy(rng, graph)[0],
+                  shuffled_copy(rng, graph)[0]):
+            assert_same_insertions(rng, g)
+
+
+def test_move_fuzzer_returns_to_the_start():
+    graphs = [build().graph for build in CATALOGUE.values()]
+    insertions = cancels = 0
+    for seed in (1, 2, 3):
+        rng = make_rng(seed)
+        randoms = [random_colored_graph(rng, 2 * rng.randint(2, 8), k)
+                   for k in range(3, 7)]
+        for graph in graphs + randoms:
+            added, cancelled = fuzz_moves(rng, graph, 20)
+            insertions += added
+            cancels += cancelled
+    assert insertions > 400 and cancels > 200
