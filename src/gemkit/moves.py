@@ -38,10 +38,12 @@ from .errors import (
     MissingIColoredMatching,
     MoveError,
     NotADipole,
+    ParseError,
     PhiNotIsomorphism,
     PreconditionFailed,
     ResultInvalid,
     SameComponentInIHat,
+    UnknownLabel,
 )
 
 
@@ -136,19 +138,13 @@ def _check_dipole_colors(graph: ColoredGraph, colors) -> None:
 class _Workspace:
     """A graph that moves edit in place, under the ids it was loaded with."""
 
-    __slots__ = ("graph", "invs", "live", "gem", "size")
+    __slots__ = ("graph", "invs", "live", "size")
 
-    def __init__(self, graph: ColoredGraph, gem: LabeledGem | None = None):
+    def __init__(self, graph: ColoredGraph):
         self.graph = graph
         self.invs = [list(col) for col in graph.involutions]
         self.live = bytearray(b"\x01") * graph.num_vertices
-        self.gem = gem
         self.size = graph.num_vertices
-
-    def resolve(self, label: str) -> int:
-        if not (self.gem.has_label(label) and self.live[self.gem.vertex(label)]):
-            raise MoveError(f"unknown vertex label {label!r}")
-        return self.gem.vertex(label)
 
     def _require_live(self, vertices) -> None:
         for v in vertices:
@@ -314,10 +310,9 @@ class _Workspace:
             raise ResultInvalid("the move removes every vertex")
 
     def compact(self):
-        """(graph on dense ids, surviving old ids in order, old -> new map);
-        the ids stay when nothing was removed."""
+        """(graph on dense ids, surviving old ids in order, old -> new map)."""
         survivors = list(compress(range(len(self.live)), self.live))
-        if len(survivors) == len(self.live):
+        if len(survivors) == len(self.live):  # an insertion: no remap
             vmap, invs = survivors, self.invs
         else:
             vmap = [-1] * len(self.live)
@@ -353,7 +348,7 @@ def find_dipoles(graph: ColoredGraph, order: int | None = None) -> list:
     colors, and a joined pair is a dipole when its ends get two labels.
     """
     k = graph.n_colors
-    if order is not None and (type(order) is not int or not 1 <= order < k):
+    if order is not None and order not in range(1, k):
         raise NotADipole(
             f"a dipole involves between 1 and {k - 1} colors, got order {order!r}")
     invs = graph.involutions
@@ -454,8 +449,6 @@ _COMBINED_RE = re.compile(
 
 
 def _split_labels(blob: str, line_no: int):
-    from .errors import ParseError
-
     labels = tuple(s.strip() for s in blob.split(","))
     if any(not s for s in labels):
         raise ParseError("empty vertex label in list", line_no, 1)
@@ -463,8 +456,6 @@ def _split_labels(blob: str, line_no: int):
 
 
 def parse_move_script(text: str) -> list:
-    from .errors import ParseError
-
     steps = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -526,18 +517,27 @@ def render_move_script(steps) -> str:
     return "\n".join(lines) + "\n"
 
 
-
 def run_script(gem: LabeledGem, steps) -> ScriptResult:
     """Apply the steps in order on one workspace, then compact once.
 
     Survivors keep their labels and their relative order.
     """
-    ws = _Workspace(gem.graph, gem)
+    ws = _Workspace(gem.graph)
+
+    def resolve(label: str) -> int:
+        try:
+            v = gem.vertex(label)
+        except UnknownLabel:
+            v = None
+        if v is None or not ws.live[v]:
+            raise MoveError(f"unknown vertex label {label!r}") from None
+        return v
+
     trace = [ws.size]
     for step_no, step in enumerate(steps, start=1):
         _check_step(step_no, step)
         try:
-            groups = [tuple(map(ws.resolve, group)) for group in step.groups]
+            groups = [tuple(map(resolve, group)) for group in step.groups]
             if step.kind == "dipole":
                 (v1, v2), = groups
                 ws.cancel_dipole(DipoleSpec(v1, v2, frozenset(step.colors)))

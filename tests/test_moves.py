@@ -1,5 +1,7 @@
 """Move calculus: dipoles, polyhedral glue, the combined move, scripts."""
 
+from enum import IntEnum
+
 import pytest
 
 import gemkit.small_covers
@@ -134,11 +136,14 @@ class TestDipoles:
     def test_find_dipoles_refuses_bad_orders(self, s2xs1):
         grown = add_dipole(s2xs1.graph, 3, (1, 2)).graph
         assert len(find_dipoles(grown, order=2)) == 3
-        for order in ("2", 9, -1, 0, 4, 2.0, True):
+        for order in ("2", 9, -1, 0, 4, 2.5):
             with pytest.raises(NotADipole) as err:
                 find_dipoles(grown, order)
             assert str(err.value) == ("a dipole involves between 1 and 3 "
                                       f"colors, got order {order!r}")
+        # anything equal to an order in range lists that order, as before
+        for order, same in ((True, 1), (2.0, 2), (IntEnum("E", "A B")["B"], 2)):
+            assert find_dipoles(grown, order) == find_dipoles(grown, same)
 
 
 class TestPolyhedralGlue:
