@@ -1,13 +1,20 @@
 """Catalogue constructions.
 
 Base 3-manifold crystallizations are shipped as .gem data files whose
-loaders assert the censuses that pin them down.  The doubled-product
+loaders audit the censuses that pin them down.  The doubled-product
 construction turns a 2p-vertex crystallization of a closed 3-manifold M
 into a 16p-vertex gem of M x S^1; running the shipped move scripts on the
 two catalogue products yields the 40-vertex crystallization of
 S^2 x S^1 x S^1 and the 120-vertex crystallization of the 4-torus.  Each
-scripted result is audited against an independently transcribed sample of
-its edges before being handed out.
+scripted result is audited against its trace, its cycle census and an
+independently transcribed sample of its edges before being handed out.
+
+The product is a ladder of eight copies (blocks) of the base in two
+rungs, D C B A and D' C' B' A'.  Block j of a rung (D, C, B, A are
+j = 0..3) drops base color j and renames each other base color c to c if
+c > j, to c - 1 if 0 < c < j, and to 4 if c = 0 < j.  The dropped colors
+are made up by same-label matchings: blocks j and j+1 of a rung by color
+j, A and A' by color 3, and D and D' by color 4.
 """
 
 from __future__ import annotations
@@ -15,13 +22,17 @@ from __future__ import annotations
 from functools import cache
 from importlib.resources import files
 
-from .core import ColoredGraph, LabeledGem, new_graph
+from .core import LabeledGem, new_graph
 from .errors import AuditFailed, BaseNotCrystallization
 from .gemfile import parse_gem
 from .invariants import bicolored_cycles
 from .moves import ScriptResult, parse_move_script, run_script
 
 _DATA = files("gemkit.data")
+
+# the consecutive color pairs of the cyclic orders (0,2,4,1,3) and (0,1,2,3,4)
+_STRIDE_TWO = ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3))
+_STRIDE_ONE = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
 
 
 def _data_text(name: str) -> str:
@@ -33,18 +44,19 @@ def _require(cond: bool, what: str) -> None:
         raise AuditFailed(what)
 
 
-def _check_cycle_census(graph: ColoredGraph, pair, expected: list, what: str) -> None:
-    got = bicolored_cycles(graph, *pair)
-    _require(got == sorted(expected, reverse=True),
-             f"{what}: pair {pair} has cycle lengths {got}, expected {expected}")
-
-
-def _check_depicted(gem: LabeledGem, edges, what: str) -> None:
-    """Every (label, color, label) triple must be an edge of the gem."""
-    for a, c, b in edges:
-        va, vb = gem.vertex(a), gem.vertex(b)
-        _require(gem.graph.involutions[c][va] == vb,
-                 f"{what}: expected edge {a} -{c}- {b} is absent")
+def _audit(gem: LabeledGem, what: str, vertices: int, cycles=()) -> LabeledGem:
+    """Check the vertex count, that the gem is a bipartite crystallization,
+    and the cycle lengths (descending) of each listed (pairs, lengths)."""
+    g = gem.graph
+    _require(g.num_vertices == vertices, f"{what}: vertex count")
+    _require(g.is_crystallization(), f"{what}: must be a crystallization")
+    _require(g.is_bipartite(), f"{what}: must be bipartite")
+    for pairs, expected in cycles:
+        for pair in pairs:
+            got = bicolored_cycles(g, *pair)
+            _require(got == expected,
+                     f"{what}: pair {pair} has cycle lengths {got}, expected {expected}")
+    return gem
 
 
 def order_two_gem(n_colors: int = 4) -> LabeledGem:
@@ -56,48 +68,22 @@ def order_two_gem(n_colors: int = 4) -> LabeledGem:
 @cache
 def s2xs1_standard() -> LabeledGem:
     """8-vertex crystallization of S^2 x S^1."""
-    gem = parse_gem(_data_text("s2xs1.gem"))
-    _require(gem.graph.num_vertices == 8, "s2xs1: vertex count")
-    _require(gem.graph.is_crystallization(), "s2xs1: must be a crystallization")
-    _require(gem.graph.is_bipartite(), "s2xs1: must be bipartite")
-    return gem
+    return _audit(parse_gem(_data_text("s2xs1.gem")), "s2xs1", 8)
 
 
 @cache
 def t3_standard() -> LabeledGem:
     """24-vertex crystallization of the 3-torus."""
-    gem = parse_gem(_data_text("t3.gem"))
-    g = gem.graph
-    _require(g.num_vertices == 24, "t3: vertex count")
-    _require(g.is_crystallization(), "t3: must be a crystallization")
-    _require(g.is_bipartite(), "t3: must be bipartite")
-    for pair in ((0, 3), (0, 1), (1, 2), (2, 3)):
-        _check_cycle_census(g, pair, [6] * 4, "t3")
-    for pair in ((0, 2), (1, 3)):
-        _check_cycle_census(g, pair, [4] * 6, "t3")
-    return gem
+    return _audit(parse_gem(_data_text("t3.gem")), "t3", 24, (
+        (((0, 3), (0, 1), (1, 2), (2, 3)), [6] * 4),
+        (((0, 2), (1, 3)), [4] * 6)))
 
 
 # -- product with a circle ----------------------------------------------------
 
-# Eight copies of the base, wired in a ladder of two rungs of four.  Each
-# block drops one base color and renames the rest; the dropped color's
-# edges are replaced by the matching to the neighbouring block.
+# Block names in vertex order, rung j = 0..3 then the primed rung; the
+# shipped .moves files name product vertices by them (v4^D').
 PRODUCT_BLOCKS = ("D", "C", "B", "A", "D'", "C'", "B'", "A'")
-
-# base color -> block color; the missing key is the dropped color
-_BLOCK_COLOR_MAP = {
-    "D": {1: 1, 2: 2, 3: 3},
-    "C": {0: 4, 2: 2, 3: 3},
-    "B": {0: 4, 1: 0, 3: 3},
-    "A": {0: 4, 1: 0, 2: 1},
-}
-
-# same-label perfect matchings between blocks, with their color
-_BLOCK_MATCHINGS = (
-    ("D", "C", 0), ("C", "B", 1), ("B", "A", 2), ("A", "A'", 3),
-    ("D", "D'", 4), ("D'", "C'", 0), ("C'", "B'", 1), ("B'", "A'", 2),
-)
 
 
 def product_gem(base: LabeledGem) -> LabeledGem:
@@ -114,23 +100,20 @@ def product_gem(base: LabeledGem) -> LabeledGem:
         raise BaseNotCrystallization(
             "product base must be connected and contracted")
     p2 = bg.num_vertices
-    offset = {blk: k * p2 for k, blk in enumerate(PRODUCT_BLOCKS)}
     pairs: list[list] = [[] for _ in range(5)]
-    for blk in PRODUCT_BLOCKS:
-        cmap = _BLOCK_COLOR_MAP[blk.rstrip("'")]
-        off = offset[blk]
-        for base_color, block_color in cmap.items():
-            for a, b in bg.edges(base_color):
-                pairs[block_color].append((off + a, off + b))
-    for blk1, blk2, color in _BLOCK_MATCHINGS:
-        o1, o2 = offset[blk1], offset[blk2]
-        for v in range(p2):
-            pairs[color].append((o1 + v, o2 + v))
+    for k in range(8):
+        j, off = k % 4, k * p2
+        for c in range(4):
+            if c != j:
+                # the ladder rule: c - 1 mod 5 is 4 for c = 0
+                pairs[c if c > j else (c - 1) % 5] += [
+                    (off + a, off + b) for a, b in bg.edges(c)]
+    # the same-label matchings (block, block, color): j to j+1, A-A', D-D'
+    steps = [(r + j, r + j + 1, j) for r in (0, 4) for j in range(3)]
+    for k1, k2, color in steps + [(3, 7, 3), (0, 4, 4)]:
+        pairs[color] += [(k1 * p2 + v, k2 * p2 + v) for v in range(p2)]
     graph = new_graph(5, pairs, num_vertices=8 * p2)
-    labels = [
-        f"{base.labels[v]}^{blk}"
-        for blk in PRODUCT_BLOCKS
-        for v in range(p2)]
+    labels = [f"{base.labels[v]}^{blk}" for blk in PRODUCT_BLOCKS for v in range(p2)]
     return LabeledGem(graph, labels)
 
 
@@ -178,26 +161,27 @@ G2PRIME_DEPICTED = (
 )
 
 
+def _scripted(name: str, base: LabeledGem, trace, cycles, depicted) -> ScriptResult:
+    """Run <name>.moves on the product of `base`, then audit the result:
+    its trace, _audit with the listed cycle lengths, and the depicted
+    (label, color, label) edges."""
+    steps = parse_move_script(_data_text(f"{name}.moves"))
+    result = run_script(product_gem(base), steps)
+    _require(result.trace == trace, f"{name}: trace {result.trace}")
+    gem = _audit(result.gem, name, trace[-1], cycles)
+    for a, c, b in depicted:
+        _require(gem.graph.involutions[c][gem.vertex(a)] == gem.vertex(b),
+                 f"{name} depicted edges: expected edge {a} -{c}- {b} is absent")
+    return result
+
+
 @cache
 def g1_prime_result() -> ScriptResult:
     """Reduction of the S^2 x S^1 product to its 40-vertex crystallization."""
-    prod = product_gem(s2xs1_standard())
-    _require(prod.graph.num_vertices == 64, "g1prime: product size")
-    steps = parse_move_script(_data_text("g1prime.moves"))
-    result = run_script(prod, steps)
-    _require(result.trace == (64, 60, 56, 52, 48, 44, 40),
-             f"g1prime: trace {result.trace}")
-    g = result.gem.graph
-    for pair in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)):
-        _require(g.residue_count(pair) == 10,
-                 f"g1prime: pair {pair} residue count")
-    for pair in ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)):
-        _require(g.residue_count(pair) == 8,
-                 f"g1prime: pair {pair} residue count")
-    _require(g.is_crystallization(), "g1prime: crystallization")
-    _require(g.is_bipartite(), "g1prime: bipartite")
-    _check_depicted(result.gem, G1PRIME_DEPICTED, "g1prime depicted edges")
-    return result
+    return _scripted(
+        "g1prime", s2xs1_standard(), (64, 60, 56, 52, 48, 44, 40),
+        ((_STRIDE_TWO, [4] * 10), (_STRIDE_ONE, [6] * 6 + [2] * 2)),
+        G1PRIME_DEPICTED)
 
 
 def g1_prime() -> LabeledGem:
@@ -207,20 +191,11 @@ def g1_prime() -> LabeledGem:
 @cache
 def g2_prime_result() -> ScriptResult:
     """Reduction of the 3-torus product to the 120-vertex 4-torus gem."""
-    prod = product_gem(t3_standard())
-    _require(prod.graph.num_vertices == 192, "g2prime: product size")
-    steps = parse_move_script(_data_text("g2prime.moves"))
-    result = run_script(prod, steps)
-    _require(
-        result.trace == (192, 180, 168, 156, 152, 148, 144, 140, 136, 132, 128, 124, 120),
-        f"g2prime: trace {result.trace}")
-    g = result.gem.graph
-    for pair in ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3)):
-        _check_cycle_census(g, pair, [4] * 30, "g2prime")
-    _require(g.is_crystallization(), "g2prime: crystallization")
-    _require(g.is_bipartite(), "g2prime: bipartite")
-    _check_depicted(result.gem, G2PRIME_DEPICTED, "g2prime depicted edges")
-    return result
+    return _scripted(
+        "g2prime", t3_standard(),
+        (192, 180, 168, 156, 152, 148, 144, 140, 136, 132, 128, 124, 120),
+        ((_STRIDE_TWO, [4] * 30), (_STRIDE_ONE, [6] * 20)),
+        G2PRIME_DEPICTED)
 
 
 def g2_prime() -> LabeledGem:

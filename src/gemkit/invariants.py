@@ -13,7 +13,9 @@ callers decide when to collapse it to an int.
 
 The bicolored cycle count of a color pair does not depend on the order it
 sits in, so the search over all orders walks each of the C(k, 2) pairs once
-and scores every order from that table of counts.
+and scores every order from that table of counts.  More than
+MAX_CYCLIC_ORDERS orders (11 or more colors) raise BudgetExceeded before
+any pair is walked.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .core import ColoredGraph, _Level, _run_split
-from .errors import (ColorOutOfRange, DimensionUnsupported, GemError,
-                     PermutationColorMismatch)
+from .errors import (BudgetExceeded, ColorOutOfRange, DimensionUnsupported,
+                     GemError, PermutationColorMismatch)
+
+# the most cyclic orders a genus search enumerates: 10 colors, 9!/2 orders
+MAX_CYCLIC_ORDERS = factorial(9) // 2
 
 
 def cyclic_permutations(n_colors: int) -> list[tuple[int, ...]]:
@@ -32,8 +38,13 @@ def cyclic_permutations(n_colors: int) -> list[tuple[int, ...]]:
 
     Canonical form: starts with color 0 and the second entry is smaller
     than the last.  (n_colors - 1)!/2 orders in lexicographic order; two
-    colors have the single order (0, 1).
+    colors have the single order (0, 1).  More than MAX_CYCLIC_ORDERS
+    orders raise BudgetExceeded before the first is made.
     """
+    if n_colors > 2 and factorial(n_colors - 1) // 2 > MAX_CYCLIC_ORDERS:
+        raise BudgetExceeded(
+            f"{n_colors - 1}!/2 cyclic orders exceed the budget of "
+            f"{MAX_CYCLIC_ORDERS}")
     out = []
     for p in permutations(range(1, n_colors)):
         if len(p) < 2 or p[0] < p[-1]:
@@ -122,19 +133,16 @@ def genus_for(graph: ColoredGraph, perm) -> GenusReport:
 
 
 def all_genus_reports(graph: ColoredGraph) -> list[GenusReport]:
-    """One report per canonical cyclic order, in cyclic_permutations order."""
+    """One report per canonical cyclic order, in cyclic_permutations order.
+
+    The orders are made (or refused) before any pair is walked."""
+    orders = cyclic_permutations(graph.n_colors)
     counts = {pair: len(lengths) for pair, lengths in pair_cycles(graph).items()}
-    return _score_orders(counts, graph.n_colors, graph.num_vertices)
-
-
-def _score_orders(counts, n_colors: int, num_vertices: int) -> list[GenusReport]:
-    """One report per canonical cyclic order, scored from a
-    {(i, j): cycle count} table over the pairs i < j."""
     both = {**counts, **{(j, i): c for (i, j), c in counts.items()}}
     return [
         _report(p, tuple(both[a, b] for a, b in zip(p, p[1:] + p[:1])),
-                num_vertices)
-        for p in cyclic_permutations(n_colors)]
+                graph.num_vertices)
+        for p in orders]
 
 
 def regular_genus_from(reports) -> GenusReport:

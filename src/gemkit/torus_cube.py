@@ -84,13 +84,18 @@ def torus_gem(n, budget=40320):
     so swapped.  Any difference raises AuditFailed, as does a color that
     joins two permutations of the same sign (the certificate that the gem
     is bipartite).  ColoredGraph validates every involution, and the budget
-    is checked before anything is allocated.
+    is checked before anything is allocated: (n+1)! is multiplied out only
+    until it passes the budget, and a product stopped short is named as
+    (n+1)! rather than printed.
     """
     if n < 1:
         raise DimensionUnsupported(f"torus dimension must be >= 1, got {n}")
-    count = factorial(n + 1)
-    if count > budget:
-        raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
+    count = 1
+    for m in range(2, n + 2):
+        count *= m
+        if count > budget:
+            shown = count if m == n + 1 else f"{n + 1}!"
+            raise BudgetExceeded(f"{shown} vertices exceed the budget of {budget}")
     ids = tuple(range(count))
     swaps = [None] + [_swap_involution(ids, n, k) for k in range(1, n + 1)]
     walk = list(range(n, 0, -1)) + list(range(2, n + 1))

@@ -37,6 +37,11 @@ fills each color pair by pair and validates the result with ColoredGraph.
 `CANONICAL_PAIRS` is the regular expression that once told which edge
 lines go to json: it holds backtracking state for every pair it matches.
 
+`BLOCK_COLOR_MAP` and `BLOCK_MATCHINGS` transcribe the circle product's
+ladder block by block: each block's base color -> product color map (the
+missing key is the dropped color), and the same-label matchings between
+blocks with their color.
+
 `per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
 characteristic functions facet by facet: facets 1..4 carry a basis, which
 forces the candidate linear map, and the map is checked on facets 5 and 6.
@@ -800,3 +805,19 @@ def per_facet_dj_equivalent(l1, l2):
         if image != m2[f]:
             return False
     return True
+
+
+# base color -> block color in the circle product; the missing key is the
+# dropped color
+BLOCK_COLOR_MAP = {
+    "D": {1: 1, 2: 2, 3: 3},
+    "C": {0: 4, 2: 2, 3: 3},
+    "B": {0: 4, 1: 0, 3: 3},
+    "A": {0: 4, 1: 0, 2: 1},
+}
+
+# same-label perfect matchings between the product's blocks, with their color
+BLOCK_MATCHINGS = (
+    ("D", "C", 0), ("C", "B", 1), ("B", "A", 2), ("A", "A'", 3),
+    ("D", "D'", 4), ("D'", "C'", 0), ("C'", "B'", 1), ("B'", "A'", 2),
+)

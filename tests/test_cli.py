@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,15 @@ class TestBuild:
                            "--budget", "10")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("n", [20000, 10**9])
+    def test_torus_budget_stops_early(self, capsys, n):
+        # (n+1)! is never multiplied out, let alone printed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "torus-cube", "--n", str(n))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == f"error: {n + 1}! vertices exceed the budget of 40320\n"
 
     def test_small_cover(self, capsys):
         code, out, _ = run(capsys, "build", "small-cover", "--lambda", "3")
@@ -537,6 +547,8 @@ PINNED_INPUTS = {
     "relabeled": "gem 1\ncolors 2\nvertices 4\nc 0: 1-2 3-0\nc 1: 2-3 0-1\n",
     "two": "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-1\n",
     "bad": "gem 1\ncolors 2\nvertices 4\nc 0 0-1\n",
+    "eleven": ("gem 1\ncolors 11\nvertices 2\n"
+               + "".join(f"c {c}: 0-1\n" for c in range(11))),
 }
 
 # argv -> (text stdout, --json stdout); "{name}" stands for the path of
@@ -663,6 +675,12 @@ PINNED_ERRORS = {
         1, "error: catalogue index must be 1..7, got 8\n"),
     "build torus-cube --n 8": (
         1, "error: 362880 vertices exceed the budget of 40320\n"),
+    "build torus-cube --n 20000": (
+        1, "error: 20001! vertices exceed the budget of 40320\n"),
+    "genus {eleven}": (
+        1, "error: 10!/2 cyclic orders exceed the budget of 181440\n"),
+    "genus {eleven} --all": (
+        1, "error: 10!/2 cyclic orders exceed the budget of 181440\n"),
 }
 
 

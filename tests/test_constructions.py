@@ -1,16 +1,43 @@
 """Catalogue graphs: the two standard bases, the circle product, reductions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from gemkit import (BaseNotCrystallization, LabeledGem, bicolored_cycles,
-                    g1_prime, g1_prime_result, g2_prime, g2_prime_result,
-                    genus_for, isomorphic, new_graph, order_two_gem,
-                    parse_gem, product_gem, regular_genus, run_script,
-                    s2xs1_standard, t3_standard)
-from gemkit.constructions import (_BLOCK_COLOR_MAP, PRODUCT_BLOCKS,
-                                  _data_text, parse_move_script)
+from gemkit import (AuditFailed, BaseNotCrystallization, LabeledGem,
+                    bicolored_cycles, g1_prime, g1_prime_result, g2_prime,
+                    g2_prime_result, genus_for, isomorphic, new_graph,
+                    order_two_gem, parse_gem, product_gem, regular_genus,
+                    render_gem, run_script, s2xs1_standard, t3_standard)
+from gemkit.constructions import (PRODUCT_BLOCKS, _audit, _data_text,
+                                  parse_move_script)
+
+from oracles import BLOCK_COLOR_MAP, BLOCK_MATCHINGS
+
+# sha256 of render_gem for each catalogue product and reduction: any change
+# to a product's vertex order, labels or edges shows here
+RENDER_SHA256 = {
+    "s2xs1 product": "f04451798b8a57fa2908a8a4e8152710e1573c766ab3770615cb055e700aef2c",
+    "t3 product": "dc1dd4d54ca910d91fcca636bf9600e5e68236379f942f52df3b3ef44af3d703",
+    "order-two product": "0bf9bbf3f725eceb3960dea420088dc8a2a8633b1b945a7b9b185153eeffb14e",
+    "g1prime": "8c01c340863be6dd17c014d02191a7562a43ddfbe57ae8a5b2fc77e665d10ba3",
+    "g2prime": "6a18fa36bfbd6ebcb0fedaea6150e3c4e6b32eeb71f1e8c5ed941ad255cc692d",
+}
+
+
+class TestAudit:
+    def test_each_clause_refuses(self, s2xs1):
+        assert _audit(s2xs1, "s2xs1", 8, ((((0, 1), (2, 3)), [6, 2]),)) \
+            is s2xs1
+        with pytest.raises(AuditFailed, match="^s2xs1: vertex count$"):
+            _audit(s2xs1, "s2xs1", 10)
+        with pytest.raises(AuditFailed, match="must be a crystallization"):
+            _audit(product_gem(s2xs1), "product", 64)
+        with pytest.raises(AuditFailed, match=r"pair \(0, 2\) has cycle "
+                           r"lengths \[4, 4\], expected \[8\]"):
+            _audit(s2xs1, "s2xs1", 8, ((((0, 1),), [6, 2]),
+                                       (((0, 2),), [8])))
 
 
 class TestOrderTwo:
@@ -75,12 +102,31 @@ class TestProduct:
         p2 = base.num_vertices
         for pos, blk in enumerate(PRODUCT_BLOCKS):
             off = pos * p2
-            cmap = _BLOCK_COLOR_MAP[blk.rstrip("'")]
+            cmap = BLOCK_COLOR_MAP[blk.rstrip("'")]
             for base_color, block_color in cmap.items():
                 for a, b in base.edges(base_color):
                     assert prod.graph.partner(off + a, block_color) == off + b
             for v in range(p2):
                 assert prod.labels[off + v] == f"{s2xs1.labels[v]}^{blk}"
+
+    @pytest.mark.parametrize("base", [s2xs1_standard, t3_standard,
+                                      order_two_gem])
+    def test_matchings_join_same_labels(self, base):
+        base = base()
+        prod = product_gem(base)
+        for blk1, blk2, color in BLOCK_MATCHINGS:
+            for label in base.labels:
+                v = prod.vertex(f"{label}^{blk1}")
+                assert prod.graph.partner(v, color) \
+                    == prod.vertex(f"{label}^{blk2}")
+
+    def test_renders_are_pinned(self):
+        gems = {"s2xs1 product": product_gem(s2xs1_standard()),
+                "t3 product": product_gem(t3_standard()),
+                "order-two product": product_gem(order_two_gem()),
+                "g1prime": g1_prime(), "g2prime": g2_prime()}
+        assert {name: hashlib.sha256(render_gem(gem).encode()).hexdigest()
+                for name, gem in gems.items()} == RENDER_SHA256
 
     def test_rejects_bad_bases(self, s2xs1):
         with pytest.raises(BaseNotCrystallization):
@@ -116,6 +162,13 @@ class TestFirstReduction:
             for j in range(i + 1, 5):
                 expected = 10 if (i, j) in tens else 8
                 assert g.residue_count((i, j)) == expected, (i, j)
+
+    def test_cycle_lengths(self, g1p):
+        g = g1p.graph
+        for pair in ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3)):
+            assert bicolored_cycles(g, *pair) == [4] * 10
+        for pair in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)):
+            assert bicolored_cycles(g, *pair) == [6] * 6 + [2] * 2
 
     def test_genus_six(self, g1p):
         g = g1p.graph
@@ -154,6 +207,8 @@ class TestSecondReduction:
             lengths = bicolored_cycles(g, *pair)
             assert lengths == [4] * 30
             assert g.residue_count(pair) == 30
+        for pair in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)):
+            assert bicolored_cycles(g, *pair) == [6] * 20
 
     def test_genus_sixteen(self, g2p):
         g = g2p.graph

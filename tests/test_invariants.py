@@ -5,13 +5,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from gemkit import (ColorOutOfRange, DimensionUnsupported, GemError,
-                    GenusReport, PermutationColorMismatch, all_genus_reports,
-                    bicolored_cycles, check_cyclic_permutation,
-                    cyclic_permutations, genus_for, genus_lower_bound,
-                    is_weak_semi_simple, new_graph, order_two_gem,
-                    pair_cycles, reduced_cover, regular_genus,
-                    weak_semi_simple_triples)
+from gemkit import (BudgetExceeded, ColorOutOfRange, DimensionUnsupported,
+                    GemError, GenusReport, PermutationColorMismatch,
+                    all_genus_reports, bicolored_cycles,
+                    check_cyclic_permutation, cyclic_permutations, genus_for,
+                    genus_lower_bound, invariants, is_weak_semi_simple,
+                    new_graph, order_two_gem, pair_cycles, reduced_cover,
+                    regular_genus, weak_semi_simple_triples)
 from gemkit.invariants import weak_semi_simple_from
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
@@ -163,6 +163,42 @@ class TestGenus:
         assert halfrep.genus == Fraction(1, 2)
         with pytest.raises(ValueError):
             halfrep.genus_int()
+
+
+class TestOrderBudget:
+    """The genus search refuses more than MAX_CYCLIC_ORDERS orders before it
+    walks a pair or scores an order."""
+
+    def test_boundary(self, monkeypatch):
+        g = order_two_gem(5).graph
+        monkeypatch.setattr(invariants, "MAX_CYCLIC_ORDERS", 12)
+        assert len(cyclic_permutations(5)) == 12
+        assert len(all_genus_reports(g)) == 12
+        assert regular_genus(g).genus == 0
+        monkeypatch.setattr(invariants, "MAX_CYCLIC_ORDERS", 11)
+        for search in (cyclic_permutations, all_genus_reports, regular_genus):
+            with pytest.raises(BudgetExceeded, match=r"^4!/2 cyclic orders "
+                               r"exceed the budget of 11$"):
+                search(5 if search is cyclic_permutations else g)
+        # a single order needs no search
+        assert genus_for(g, (0, 1, 2, 3, 4)).genus == 0
+
+    def test_ten_colors_are_admitted(self):
+        assert invariants.MAX_CYCLIC_ORDERS == 181440
+        assert len(cyclic_permutations(10)) == 181440
+
+    def test_eleven_colors_are_refused_unscored(self, monkeypatch):
+        g = order_two_gem(11).graph
+
+        def forbidden(*args):
+            raise AssertionError("the refused search walked or scored")
+
+        monkeypatch.setattr(invariants, "_report", forbidden)
+        monkeypatch.setattr(invariants, "pair_cycles", forbidden)
+        for search in (all_genus_reports, regular_genus):
+            with pytest.raises(BudgetExceeded, match=r"^10!/2 cyclic orders "
+                               r"exceed the budget of 181440$"):
+                search(g)
 
 
 def canonical_orders(n_colors):

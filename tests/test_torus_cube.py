@@ -196,10 +196,14 @@ class TestFamily:
     def test_dimension_and_budget_guards(self):
         with pytest.raises(DimensionUnsupported):
             torus_gem(0)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^362880 vertices exceed"):
             torus_gem(8)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^5! vertices exceed"):
             torus_gem(4, budget=10)
+        with pytest.raises(BudgetExceeded,
+                           match="^10! vertices exceed the budget of 40320$"):
+            torus_gem(9)
+        assert torus_gem(4, budget=120).graph.num_vertices == 120
 
     def test_cycle_lengths_audit(self, torus4):
         assert audit_cycle_lengths(torus4)
