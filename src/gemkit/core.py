@@ -24,9 +24,9 @@ fixed-point-free involution.  Its callers hand it the int objects of one
 tuple(range(V)), so the columns share ids as they are.  permute_colors
 reorders a graph's own columns and takes the same unvalidated path.
 
-The residue walk (residue_counts) and the pair census behind
-invariants.pair_cycles and genus_for are lists of independent tasks, the
-subtree below each root color pair or one pair's cycles.  _run_split
+The residue walk (residue_counts) and the whole-palette pair census
+(invariants.pair_cycles) are lists of independent tasks, the subtree
+below each root color pair or one pair's cycles.  _run_split
 shares such a list with one forked child per spare usable CPU when the
 walk reads at least _SPLIT_VISITS vertices, os.fork exists and no second
 thread is alive; otherwise, and for every task no child delivered, the
@@ -398,8 +398,9 @@ class _Level:
 # waiting and reaping, so on a 2-CPU host the t6 pair census (105,840
 # visits, 13 ms) only breaks even in a process holding t7, and the
 # constant sits twice as high.  Every walk of t5 (at most 46,080 visits)
-# and the t6 census stay in process; the t7 census at one cyclic order
-# (322,560; 76 -> 51 ms relabelled) and the t6 residue walk (645,120) split.
+# and the t6 census stay in process; the t7 census (1,128,960) and the t6
+# residue walk (645,120) split.  genus_for's k pairs never come here: at
+# one cyclic order of t7 (322,560 visits) the fork bought nothing.
 _SPLIT_VISITS = 200_000
 
 

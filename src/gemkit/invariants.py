@@ -96,19 +96,13 @@ def _cycle_lengths(inv_i, inv_j) -> list[int]:
 def pair_cycles(graph: ColoredGraph) -> dict[tuple[int, int], list[int]]:
     """{(i, j): bicolored_cycles(graph, i, j)} for every color pair i < j.
 
-    The pairs are one census (_census): on a host with spare CPUs, a walk
-    of at least core._SPLIT_VISITS vertex visits (V times the pairs) is
-    shared with forked children, and the parent walks every pair no child
-    delivered, so the table never depends on a child.
+    The pairs are one census (core._run_split): on a host with spare CPUs,
+    a census of at least core._SPLIT_VISITS vertex visits (V times the
+    pairs) is shared with forked children, and the parent walks every pair
+    no child delivered, so the table never depends on a child.
     """
-    return _census(graph, combinations(graph.colors(), 2))
-
-
-def _census(graph: ColoredGraph, pairs) -> dict[tuple[int, int], list[int]]:
-    """{(i, j): cycle lengths, descending} for the given valid color pairs,
-    one task per pair (core._run_split)."""
     invs = graph.involutions
-    pairs = list(pairs)
+    pairs = list(combinations(graph.colors(), 2))
     lengths = _run_split(lambda i, j: _cycle_lengths(invs[i], invs[j]),
                          pairs, graph.num_vertices * len(pairs))
     return dict(zip(pairs, lengths))
@@ -123,12 +117,12 @@ def _report(perm, counts, num_vertices: int) -> GenusReport:
 def genus_for(graph: ColoredGraph, perm) -> GenusReport:
     """Exact chi and genus of the surface carrying the cyclic order `perm`.
 
-    The consecutive pairs of `perm` are one census, split as in
-    pair_cycles."""
+    Each consecutive pair of `perm` is counted in this process: k pairs
+    are too few to pay for the forks of the pair_cycles census."""
     perm = check_cyclic_permutation(graph, perm)
-    steps = [(min(a, b), max(a, b)) for a, b in zip(perm, perm[1:] + perm[:1])]
-    census = _census(graph, dict.fromkeys(steps))
-    counts = tuple(len(census[step]) for step in steps)
+    invs = graph.involutions
+    counts = tuple(_Level.cycles(invs[a], invs[b], keep=False).count
+                   for a, b in zip(perm, perm[1:] + perm[:1]))
     return _report(perm, counts, graph.num_vertices)
 
 

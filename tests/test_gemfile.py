@@ -518,6 +518,11 @@ class TestExports:
         for row in table[1:]:
             assert len(row.split("\t")) == 6
 
+    def test_bare_graph_reads_as_default_labels(self, s2xs1):
+        gem = LabeledGem(s2xs1.graph)
+        assert export_dot(s2xs1.graph, name="g") == export_dot(gem, name="g")
+        assert export_gluings(s2xs1.graph) == export_gluings(gem)
+
     def test_gluings_symmetry(self, s2xs1):
         # if row u names w under color c, row w names u under color c
         table = export_gluings(s2xs1).splitlines()[1:]

@@ -158,6 +158,23 @@ class TestSignatureLaw:
                 == canonical_signature(g, allow_color_perm=True)
 
 
+class TestWitnessReplay:
+    @pytest.mark.parametrize("name", ["t4", "g2prime"])
+    def test_bad_witnesses_fail(self, name, torus4, g2p):
+        g = {"t4": torus4, "g2prime": g2p}[name].graph
+        h, _ = shuffled_copy(make_rng(258), g)
+        vmap, cmap = isomorphic(g, h)
+        assert gemkit.iso._replays(g, h, vmap, cmap)
+        swapped = list(vmap)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        repeated = list(vmap)
+        repeated[1] = repeated[0]
+        recolored = (cmap[1], cmap[0]) + cmap[2:]
+        assert not gemkit.iso._replays(g, h, swapped, cmap)
+        assert not gemkit.iso._replays(g, h, repeated, cmap)
+        assert not gemkit.iso._replays(g, h, vmap, recolored)
+
+
 def disjoint_union(*graphs):
     """The graphs side by side, vertex ids shifted in the order given."""
     pairs_per_color = [[] for _ in range(graphs[0].n_colors)]

@@ -15,7 +15,8 @@ from gemkit import (AuditFailed, InvalidCharacteristicFunction, LabeledGem,
                     small_cover_gem, validate_characteristic_function,
                     word_mask)
 from gemkit.constructions import _data_text
-from gemkit.small_covers import CANONICAL_PAIRS, COVER_LABELS
+from gemkit import small_covers
+from gemkit.small_covers import CANONICAL_PAIRS, COMPACT_LAYOUTS, COVER_LABELS
 
 from conftest import make_rng
 from oracles import per_facet_dj_equivalent
@@ -286,6 +287,25 @@ class TestCompactForm:
         # ring b above is a {0,1}-cycle; its words form the first row
         words = frozenset(l.split("^")[0][1:] for l in RINGS["b"])
         assert frozenset(form.rows[0]) == words
+
+    @pytest.mark.parametrize("swap, refused", [
+        # one word of row 0 traded with row 1: row 0 is no class
+        (((0, 1), (1, 1)), "stored row ('1', '34', '234', '2') is not a "
+                           "{0,1}-cycle class"),
+        # the first two words of row 0 traded: the rows hold, but column 0
+        # has 134 in place of 1
+        (((0, 0), (0, 1)), "stored column ('134', '0', '3', '13') is not a "
+                           "{3,4}-cycle class"),
+    ])
+    def test_wrong_layout_refused(self, monkeypatch, cover1, swap, refused):
+        (r1, c1), (r2, c2) = swap
+        layout = [list(row) for row in COMPACT_LAYOUTS[0]]
+        layout[r1][c1], layout[r2][c2] = layout[r2][c2], layout[r1][c1]
+        monkeypatch.setattr(small_covers, "COMPACT_LAYOUTS",
+                            (tuple(map(tuple, layout)),) + COMPACT_LAYOUTS[1:])
+        with pytest.raises(AuditFailed) as err:
+            compact_form(cover1)
+        assert str(err.value) == refused
 
 
 class TestReduction:

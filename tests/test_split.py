@@ -119,7 +119,8 @@ class TestSizeGuard:
     def test_t5_and_t6_census_stay_and_t6_residue_walk_splits(self, forks):
         # t5's residue walk reads 720 * 2^6 = 46,080 vertices, its census
         # 720 * 15; t6's census 5040 * 21 = 105,840 and its residue walk
-        # 5040 * 2^7 = 645,120
+        # 5040 * 2^7 = 645,120.  genus_for counts its pairs in process at
+        # any size
         t5 = torus_gem(5).graph
         t5.residue_counts()
         pair_cycles(t5)
@@ -129,6 +130,24 @@ class TestSizeGuard:
         assert forks == []
         assert t6.face_counts() == per_subset_face_counts(t6)
         assert len(forks) == 2
+        no_child_left()
+
+
+class TestGenusForStays:
+    def test_every_order_in_process(self, split_always):
+        # the walks that share a census still fork; genus_for's k pairs
+        # never do
+        t4 = torus_gem(4).graph
+        for g in (t4, shuffled_copy(make_rng(25), t4)[0]):
+            for perm in cyclic_permutations(g.n_colors):
+                assert genus_for(g, perm).pair_counts == tuple(
+                    len(walked_cycle_lengths(g, a, b))
+                    for a, b in zip(perm, perm[1:] + perm[:1]))
+        assert split_always == []
+        pair_cycles(t4)
+        assert len(split_always) == 2
+        t4.residue_counts()
+        assert len(split_always) == 4
         no_child_left()
 
 
