@@ -12,17 +12,14 @@ Vertices are dense ints.  Human-readable names live in a side table
 One int object per vertex id: every entry of every involution equal to v
 is the same int object, so a graph on V vertices holds V ints however many
 colors it has.  ColoredGraph owns the rule, on two paths.  Its validator,
-the one public constructor (the torus builder, moves, relabel), reads each
-color through itemgetter over its own tuple(range(V)) and stores what it
-reads, so those callers get shared ids without doing anything themselves.
-graph_from_endpoints (parse, new_graph) has each color's matching proven
-once, by _matching, and stores the proven columns without a second
-validation: a color whose V endpoints all lie in 0..V-1 and leave no -1
-in the [-1] * V fill names every vertex exactly once, so each pair joins
-two distinct vertices no other pair touches, and the column is a
-fixed-point-free involution.  Its callers hand it the int objects of one
-tuple(range(V)), so the columns share ids as they are.  permute_colors
-reorders a graph's own columns and takes the same unvalidated path.
+the one public constructor, reads each color through itemgetter over its
+own tuple(range(V)) and stores what it reads, so its callers get shared
+ids for free: the torus builder, and the sub-gems _restrict cuts out and
+renumbers (relabel, move compaction, the covers' middle subgraph).
+graph_from_endpoints (parse, new_graph) stores the columns _matching
+proves without a second validation (see there), so its callers pass the
+int objects of one tuple(range(V)); permute_colors reorders a graph's own
+columns on the same path.
 
 The residue walk (residue_counts) and the whole-palette pair census
 (invariants.pair_cycles) are lists of independent tasks, the subtree
@@ -284,13 +281,9 @@ class ColoredGraph:
         new_id = list(new_id)
         if sorted(new_id) != list(range(self.num_vertices)):
             raise VertexCountMismatch("relabeling is not a bijection on vertex ids")
-        invs = []
-        for col in self.involutions:
-            new_col = [0] * self.num_vertices
-            for v, w in enumerate(col):
-                new_col[new_id[v]] = new_id[w]
-            invs.append(tuple(new_col))
-        return ColoredGraph(invs)
+        # the old ids in order of their new ids, which _restrict numbers 0..V-1
+        keep = sorted(range(self.num_vertices), key=new_id.__getitem__)
+        return ColoredGraph(_restrict(self.involutions, keep)[0])
 
     def permute_colors(self, new_color) -> "ColoredGraph":
         """Recolor edges; new_color[c] is the new color of old color c."""
@@ -301,6 +294,18 @@ class ColoredGraph:
         for c, col in enumerate(self.involutions):
             invs[new_color[c]] = col
         return ColoredGraph._of_matchings(invs)
+
+
+def _restrict(columns, keep) -> tuple[list, list]:
+    """The columns restricted to keep, an ordered list of at least two
+    vertices closed under them, and renumbered so that keep[i] is i; and the
+    old -> new map, -1 off keep.  A partner off keep comes out as -1, which
+    ColoredGraph's validation refuses."""
+    vmap = [-1] * len(columns[0])
+    for new, old in enumerate(keep):
+        vmap[old] = new
+    take = itemgetter(*keep)
+    return [itemgetter(*take(col))(vmap) for col in columns], vmap
 
 
 @dataclass(slots=True)

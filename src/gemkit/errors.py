@@ -112,8 +112,9 @@ class AuditFailed(GemError):
 # -- file format -------------------------------------------------------------
 
 class UnwritableLabel(GemError):
-    """A vertex label the .gem format cannot hold: empty, or with whitespace
-    or '#'.  render_gem raises it before writing anything."""
+    """A label render_gem (empty, or with whitespace or '#') or
+    render_move_script (its step's line would not read back as that step)
+    cannot write.  Both raise it before writing anything."""
 
 
 class ParseError(Exception):

@@ -16,24 +16,23 @@ by two searches that grow from the two sides in turn, so they cost the
 smaller residue, not a labelling of the whole graph.  `find_dipoles`
 labels each complement once per color set.
 
-Nothing is renumbered while moves run.  The workspace is compacted to
-dense ids, validated as a ColoredGraph and relabeled once: at the end of
-a script, or after the one step of a single move.  Survivors keep their
-relative order, so this equals compacting after every step, and every
-single move reports the old-to-new map (-1 for removed).  Inside a script,
-error messages name vertices by their ids in the script's input gem,
-which stay the same from step to step.
+Nothing is renumbered while moves run.  Once, at the end of a script or
+after a single move, the survivors are cut out and renumbered in order
+(core._restrict, as for relabel) and validated as a ColoredGraph, which
+equals compacting after every step; a single move reports the old-to-new
+map (-1 for removed).  Inside a script, error messages name vertices by
+their ids in the script's input gem, the same from step to step.
+render_move_script writes only lines that parse_move_script reads back.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, compress
 
-from .core import ColoredGraph, LabeledGem
+from .core import ColoredGraph, LabeledGem, _restrict
 from .errors import (
-    GraphValidationError,
     GemError,
     MissingIColoredMatching,
     MoveError,
@@ -44,6 +43,7 @@ from .errors import (
     ResultInvalid,
     SameComponentInIHat,
     UnknownLabel,
+    UnwritableLabel,
 )
 
 
@@ -54,9 +54,6 @@ class DipoleSpec:
     v1: int
     v2: int
     colors: frozenset
-
-    def order(self) -> int:
-        return len(self.colors)
 
 
 @dataclass(frozen=True)
@@ -315,15 +312,10 @@ class _Workspace:
         if len(survivors) == len(self.live):  # an insertion: no remap
             vmap, invs = survivors, self.invs
         else:
-            vmap = [-1] * len(self.live)
-            for new, old in enumerate(survivors):
-                vmap[old] = new
-            invs = [[vmap[col[v]] for v in survivors] for col in self.invs]
-        try:
-            graph = ColoredGraph(invs)
-        except GraphValidationError as exc:  # pragma: no cover - defensive
-            raise ResultInvalid(str(exc)) from exc
-        return graph, survivors, vmap
+            invs, vmap = _restrict(self.invs, survivors)
+        # _splice leaves each column a fixed-point-free involution on the
+        # survivors; ColoredGraph validates that all the same
+        return ColoredGraph(invs), survivors, vmap
 
 
 def _one_move(graph: ColoredGraph, move, *args) -> MoveResult:
@@ -500,20 +492,49 @@ def parse_move_script(text: str) -> list:
     return steps
 
 
+def _step_line(s: ScriptStep) -> str:
+    if s.kind == "dipole":
+        (l1, l2), = s.groups
+        return f"dipole {l1} {l2} {','.join(map(str, s.colors))}"
+    a, b = map(",".join, s.groups)
+    if s.kind == "glue":
+        return f"glue {s.colors[0]} [{a}] -> [{b}]"
+    k, i, j = s.colors
+    return f"combined {k} {{{i},{j}}} ({a}) ({b})"
+
+
+def _reads_back(s: ScriptStep, keep=None) -> bool:
+    """Whether parse_move_script reads s's line back as one step of the
+    same kind, colors (as a set: it sorts a dipole's) and label groups;
+    with `keep`, once every label not in keep is replaced by a plain one."""
+    if keep is not None:
+        s = replace(s, groups=tuple(tuple(l if l in keep else "v" for l in group)
+                                    for group in s.groups))
+    try:
+        back, = parse_move_script(_step_line(s))
+    except (ParseError, ValueError):  # ValueError: not exactly one step
+        return False
+    return ((back.kind, set(back.colors), back.groups)
+            == (s.kind, set(s.colors), tuple(map(tuple, s.groups))))
+
+
 def render_move_script(steps) -> str:
+    """The script text of `steps`.  A step whose line would read back as
+    anything else raises before anything is returned: UnwritableLabel names
+    its first label that fails among plain ones, MoveError its colors."""
     lines = []
     for step_no, s in enumerate(steps, start=1):
         _check_step(step_no, s)
-        if s.kind == "dipole":
-            (l1, l2), = s.groups
-            lines.append(f"dipole {l1} {l2} {','.join(map(str, s.colors))}")
-        elif s.kind == "glue":
-            lam1, lam2 = s.groups
-            lines.append(f"glue {s.colors[0]} [{','.join(lam1)}] -> [{','.join(lam2)}]")
-        else:
-            k, i, j = s.colors
-            pair, image = s.groups
-            lines.append(f"combined {k} {{{i},{j}}} ({','.join(pair)}) ({','.join(image)})")
+        if not _reads_back(s):
+            where = f"step {step_no} (line {s.line})"
+            if not _reads_back(s, keep=()):
+                raise MoveError(f"{where}: colors {s.colors!r} do not read back")
+            # plain labels read back, so some label's own characters do not
+            label = next(l for group in s.groups for l in group
+                         if not _reads_back(s, keep=(l,)))
+            raise UnwritableLabel(
+                f"{where}: label {label!r} does not read back from a {s.kind} line")
+        lines.append(_step_line(s))
     return "\n".join(lines) + "\n"
 
 

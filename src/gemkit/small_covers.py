@@ -12,14 +12,15 @@ vertices.
 
 This module enumerates the characteristic functions (normalizing the first
 four facet vectors to the standard basis), builds the cover gems, tabulates
-their 64-vertex middle subgraph in compact row/column form, and glues each
-gem down to a 52-vertex crystallization.
+their 64-vertex middle subgraph (the {0,1,3,4}-residue through T0^2, cut
+out by core._restrict) in compact row/column form, and glues each gem down
+to a 52-vertex crystallization, auditing its fixed data at every step.
 """
 
 from dataclasses import dataclass
 from functools import cache
 
-from .core import LabeledGem, new_graph
+from .core import ColoredGraph, LabeledGem, _restrict, new_graph
 from .errors import AuditFailed, InvalidCharacteristicFunction
 from .invariants import bicolored_cycles
 from .iso import canonical_signature
@@ -237,10 +238,6 @@ def _label_word(label):
     return label[1:label.index("^")]
 
 
-def _label_sheet(label):
-    return int(label[label.index("^") + 1:])
-
-
 def _word_partition(gem, colors, start_sheet):
     """Word classes of the bicolored cycles met from the given sheet."""
     comps = gem.graph.components(colors)
@@ -256,31 +253,29 @@ def _word_partition(gem, colors, start_sheet):
     return parts
 
 
+# the middle subgraph's colors, renumbered 0..3 in this order, and labels
+_MIDDLE_COLORS = (0, 1, 3, 4)
+_MIDDLE_LABELS = frozenset(l for l in COVER_LABELS if l[-1] in "2345")
+
+
 def middle_subgraph(gem):
     """The 64-vertex part of a cover gem on sheets 2..5, colors 0, 1, 3, 4.
 
-    Colors are renumbered 0..3 in that order.  Every kept-color edge at a
-    kept vertex stays among sheets 2..5, so this is an induced 4-colored
-    gem in its own right.  Raises AuditFailed unless the gem carries
-    exactly the cover labels.
+    It is the {0,1,3,4}-residue through T0^2, its vertices in the gem's
+    order and its colors renumbered 0..3 in that order: a 4-colored gem in
+    its own right.  Raises AuditFailed unless the gem carries exactly the
+    cover labels and that residue holds exactly the sheet-2..5 vertices.
     """
     _require_cover_labels(gem)
     graph = gem.graph
-    keep = [v for v in range(graph.num_vertices)
-            if 2 <= _label_sheet(gem.label_of(v)) <= 5]
-    index = {v: k for k, v in enumerate(keep)}
-    pairs = []
-    for c in (0, 1, 3, 4):
-        acc = []
-        for v in keep:
-            u = graph.partner(v, c)
-            if u not in index:
-                raise AuditFailed(f"middle subgraph not closed under color {c}")
-            if v < u:
-                acc.append((index[v], index[u]))
-        pairs.append(acc)
-    sub = new_graph(4, pairs, num_vertices=len(keep))
-    return LabeledGem(sub, tuple(gem.label_of(v) for v in keep))
+    comps = graph.components(_MIDDLE_COLORS)
+    keep = comps.members()[comps.labels[gem.vertex("T0^2")]]
+    labels = tuple(map(gem.label_of, keep))
+    if set(labels) != _MIDDLE_LABELS:
+        raise AuditFailed("the {0,1,3,4}-residue through T0^2 is not the 64"
+                          " sheet-2..5 vertices")
+    columns, _ = _restrict([graph.involutions[c] for c in _MIDDLE_COLORS], keep)
+    return LabeledGem(ColoredGraph(columns), labels)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,11 @@ ladder block by block: each block's base color -> product color map (the
 missing key is the dropped color), and the same-label matchings between
 blocks with their color.
 
+`sheet_filter_middle_subgraph` is the cover's middle subgraph as gemkit
+first built it: the vertices whose label names sheet 2..5, an index dict,
+one pair list per kept color checked for closure vertex by vertex, and
+`new_graph`.  `looped_relabel` relabels vertices one column entry at a time.
+
 `per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
 characteristic functions facet by facet: facets 1..4 carry a basis, which
 forces the candidate linear map, and the map is checked on facets 5 and 6.
@@ -60,7 +65,7 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
                     ScriptResult, VertexCountMismatch, cancel_dipole,
-                    validate_characteristic_function)
+                    new_graph, validate_characteristic_function)
 from gemkit.core import graph_from_endpoints
 
 
@@ -778,6 +783,37 @@ def edges_render_gem(gem, comment=None):
         body = " ".join(f"{a}-{b}" for a, b in graph.edges(c))
         lines.append(f"c {c}: {body}")
     return "\n".join(lines) + "\n"
+
+
+def looped_relabel(graph, new_id):
+    """graph.relabel(new_id), filling each new column vertex by vertex."""
+    invs = []
+    for col in graph.involutions:
+        new_col = [0] * graph.num_vertices
+        for v, w in enumerate(col):
+            new_col[new_id[v]] = new_id[w]
+        invs.append(new_col)
+    return ColoredGraph(invs)
+
+
+def sheet_filter_middle_subgraph(gem):
+    """middle_subgraph by filtering the labels on sheets 2..5."""
+    graph = gem.graph
+    keep = [v for v in range(graph.num_vertices)
+            if 2 <= int(gem.label_of(v).split("^")[1]) <= 5]
+    index = {v: k for k, v in enumerate(keep)}
+    pairs = []
+    for c in (0, 1, 3, 4):
+        acc = []
+        for v in keep:
+            u = graph.partner(v, c)
+            if u not in index:
+                raise AuditFailed(f"middle subgraph not closed under color {c}")
+            if v < u:
+                acc.append((index[v], index[u]))
+        pairs.append(acc)
+    sub = new_graph(4, pairs, num_vertices=len(keep))
+    return LabeledGem(sub, tuple(gem.label_of(v) for v in keep))
 
 
 def _basis_combo(basis, v):

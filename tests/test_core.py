@@ -9,13 +9,13 @@ from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
                     ScriptStep, UnknownLabel, VertexCountMismatch, add_dipole,
                     new_graph, order_two_gem, parse_gem, product_gem,
                     render_gem, run_script, small_cover_gem, torus_gem)
-from gemkit.core import graph_from_endpoints
+from gemkit.core import _restrict, graph_from_endpoints
 
 from conftest import (disjoint_union, make_rng, random_colored_graph,
                       shuffled_copy)
-from oracles import (flood_fill_labels, looped_involutions, pairwise_new_graph,
-                     per_subset_face_counts, per_subset_residue_counts,
-                     torus_residue_count)
+from oracles import (flood_fill_labels, looped_involutions, looped_relabel,
+                     pairwise_new_graph, per_subset_face_counts,
+                     per_subset_residue_counts, torus_residue_count)
 
 
 def square_graph():
@@ -443,6 +443,36 @@ class TestRelabelAndColorPermute:
         with pytest.raises(VertexCountMismatch):
             square_graph().relabel([0, 1, 2])
 
+    def test_relabel_matches_looped_oracle_on_random_graphs(self):
+        rng = make_rng("relabel")
+        for k in range(2, 8):
+            for _ in range(5):
+                g = random_colored_graph(rng, 2 * rng.randint(1, 30), k)
+                h, perm = shuffled_copy(rng, g)
+                assert h == looped_relabel(g, perm)
+
+    def test_relabel_matches_looped_oracle_on_the_catalogue(
+            self, s2xs1, t3, g1p, g2p, cover1, reduced1):
+        rng = make_rng("relabel catalogue")
+        for gem in (s2xs1, t3, g1p, g2p, cover1, reduced1, torus_gem(5)):
+            h, perm = shuffled_copy(rng, gem.graph)
+            assert h == looped_relabel(gem.graph, perm)
+            assert h.relabel(range(h.num_vertices)) == h
+
+    def test_restrict_renumbers_in_the_given_order(self):
+        g = two_squares()
+        # the second square, walked backwards from vertex 7
+        columns, vmap = _restrict(g.involutions, [7, 6, 5, 4])
+        assert vmap == [-1, -1, -1, -1, 3, 2, 1, 0]
+        # color 0 pairs 7-6 and 5-4, color 1 pairs 7-4 and 6-5
+        assert columns == [(1, 0, 3, 2), (3, 2, 1, 0)]
+
+    def test_restrict_to_an_open_set_is_refused(self):
+        # vertex 1's color-0 partner 0 is off the list, so it comes out -1
+        columns, _ = _restrict(two_squares().involutions, [1, 2])
+        with pytest.raises(VertexCountMismatch):
+            ColoredGraph(columns)
+
     def test_color_permutation_must_be_a_bijection(self):
         with pytest.raises(ColorOutOfRange):
             square_graph().permute_colors([0, 0])
@@ -486,3 +516,7 @@ class TestLabeledGem:
     def test_label_count_must_match(self):
         with pytest.raises(VertexCountMismatch):
             LabeledGem(square_graph(), ["a", "b"])
+
+    def test_repr(self):
+        gem = LabeledGem(square_graph(), ["a", "b", "c", "d"])
+        assert repr(gem) == "LabeledGem(ColoredGraph(colors=2, vertices=4))"

@@ -9,9 +9,9 @@ from gemkit import (ColoredGraph, CombinedSpec, DipoleSpec, GemError,
                     GlueSpec, LabeledGem, MissingIColoredMatching, MoveError,
                     NotADipole, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
-                    ScriptStep, add_dipole, cancel_dipole, check_dipole,
-                    combined_move, find_dipoles, g1_prime, g2_prime,
-                    isomorphic, new_graph, parse_move_script,
+                    ScriptStep, UnwritableLabel, add_dipole, cancel_dipole,
+                    check_dipole, combined_move, find_dipoles, g1_prime,
+                    g2_prime, isomorphic, new_graph, parse_move_script,
                     polyhedral_glue, product_gem, reduced_cover,
                     render_move_script, run_script, run_script_text,
                     s2xs1_standard, t3_standard, torus_gem)
@@ -334,6 +334,80 @@ glue 2 [a,b] -> [e,f]
         assert render_move_script(parse_move_script(text)) == text
         with pytest.raises(MoveError):
             render_move_script([ScriptStep("twist", (0,), (("a",),))])
+
+    def test_glue_label_with_a_comma_refused(self):
+        # written as "glue 0 [a,b] -> [c,d]", it read back as a glue of two
+        # vertices, a onto c and b onto d
+        assert parse_move_script("glue 0 [a,b] -> [c,d]\n")[0].groups \
+            == (("a", "b"), ("c", "d"))
+        good = parse_move_script(self.GOOD)
+        step = ScriptStep("glue", (0,), (("a,b",), ("c,d",)), 7)
+        with pytest.raises(UnwritableLabel) as err:
+            render_move_script(good + [step])
+        assert str(err.value) == ("step 2 (line 7): label 'a,b' does not read "
+                                  "back from a glue line")
+
+    @pytest.mark.parametrize("step, label", [
+        (ScriptStep("glue", (1,), (("p", "q]"), ("r", "s"))), "q]"),
+        (ScriptStep("combined", (3, 0, 1), (("a", "b"), ("c)", "d"))), "c)"),
+        (ScriptStep("dipole", (0,), (("x", "y z"),)), "y z"),
+        (ScriptStep("dipole", (0,), (("x#", "y"),)), "x#"),
+    ], ids=["glue-bracket", "combined-paren", "dipole-space", "dipole-hash"])
+    def test_label_that_breaks_the_line_refused(self, step, label):
+        with pytest.raises(UnwritableLabel) as err:
+            render_move_script([step])
+        assert str(err.value) == (f"step 1 (line 0): label {label!r} does not "
+                                  f"read back from a {step.kind} line")
+
+    def test_dipole_label_with_a_comma_renders(self):
+        step = ScriptStep("dipole", (2, 0), (("a,b", "c"),))
+        text = render_move_script([step])
+        assert text == "dipole a,b c 2,0\n"
+        assert parse_move_script(text)[0].groups == (("a,b", "c"),)
+
+    def test_color_that_does_not_read_back_refused(self):
+        step = ScriptStep("glue", (-1,), (("a",), ("b",)), 2)
+        with pytest.raises(MoveError) as err:
+            render_move_script([step])
+        assert str(err.value) == "step 1 (line 2): colors (-1,) do not read back"
+
+    def test_seeded_labels_refused_or_read_back(self):
+        rng = make_rng("script labels")
+        alphabet = ",[]()# ab"
+
+        def label():
+            return "".join(rng.choices(alphabet, k=rng.randint(0, 3)))
+
+        verdicts = set()
+        for _ in range(900):
+            kind = rng.choice(("dipole", "glue", "combined"))
+            if kind == "dipole":
+                colors = tuple(rng.sample(range(5), rng.randint(1, 4)))
+                groups = ((label(), label()),)
+            elif kind == "glue":
+                size = rng.randint(1, 3)
+                colors = (rng.randrange(5),)
+                groups = tuple(tuple(label() for _ in range(size))
+                               for _ in range(2))
+            else:
+                colors = tuple(rng.sample(range(5), 3))
+                groups = ((label(), label()), (label(), label()))
+            step = ScriptStep(kind, colors, groups)
+            try:
+                text = render_move_script([step])
+            except UnwritableLabel as exc:
+                named = [l for group in groups for l in group
+                         if str(exc) == f"step 1 (line 0): label {l!r} does "
+                                        f"not read back from a {kind} line"]
+                assert named, (step, str(exc))
+                verdicts.add((kind, "refused"))
+                continue
+            back, = parse_move_script(text)
+            assert (back.kind, set(back.colors), back.groups) \
+                == (kind, set(colors), groups), (step, text)
+            verdicts.add((kind, "written"))
+        # every kind reaches both verdicts
+        assert len(verdicts) == 6
 
     def test_unknown_step_kind_refused(self):
         step = ScriptStep("twist", (0,), (("a",),), 4)

@@ -4,22 +4,22 @@ import hashlib
 
 import pytest
 
-from gemkit import (AuditFailed, InvalidCharacteristicFunction, LabeledGem,
-                    bicolored_cycles, canonical_signature, classify_covers,
+from gemkit import (AuditFailed, ColoredGraph, InvalidCharacteristicFunction,
+                    LabeledGem, ScriptResult, bicolored_cycles, canonical_signature, classify_covers,
                     compact_form, dj_equivalent,
                     enumerate_characteristic_functions, facet_vertex_labels,
                     g1_prime, genus_for, infer_characteristic_function,
                     isomorphic, is_weak_semi_simple, mask_word,
                     middle_subgraph, parse_gem, reduce_to_crystallization,
-                    reduced_cover, regular_genus, render_gem,
-                    small_cover_gem, validate_characteristic_function,
-                    word_mask)
+                    reduced_cover, regular_genus, render_gem, run_script,
+                    small_cover_gem, torus_gem,
+                    validate_characteristic_function, word_mask)
 from gemkit.constructions import _data_text
 from gemkit import small_covers
 from gemkit.small_covers import CANONICAL_PAIRS, COMPACT_LAYOUTS, COVER_LABELS
 
-from conftest import make_rng
-from oracles import per_facet_dj_equivalent
+from conftest import make_rng, shuffled_copy
+from oracles import per_facet_dj_equivalent, sheet_filter_middle_subgraph
 
 
 class TestPolytope:
@@ -259,6 +259,20 @@ class TestMiddleSubgraph:
             assert bicolored_cycles(sub, 0, 1) == [8] * 8
             assert bicolored_cycles(sub, 2, 3) == [8] * 8
 
+    def test_matches_sheet_filter_oracle(self):
+        rng = make_rng("middle")
+        for i in range(1, 8):
+            gem = small_cover_gem(i)
+            graph, perm = shuffled_copy(rng, gem.graph)
+            labels = [None] * 96
+            for v, w in enumerate(perm):
+                labels[w] = gem.labels[v]
+            for cover in (gem, LabeledGem(graph, labels)):
+                sub, want = (middle_subgraph(cover),
+                             sheet_filter_middle_subgraph(cover))
+                assert sub.graph == want.graph
+                assert sub.labels == want.labels
+
     def test_identical_across_covers(self, cover1):
         first = middle_subgraph(cover1).graph
         sig = canonical_signature(first)
@@ -371,6 +385,124 @@ class TestReduction:
         assert result.trace == (96, 88, 80, 64, 52)
         assert result.gem.graph == reduced_cover(1).gem.graph
         assert result.gem.labels == reduced_cover(1).gem.labels
+
+
+class TestAuditRefusals:
+    """Each audit on the fixed cover data refuses when the table or helper
+    it checks is patched to disagree."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        # torn down after monkeypatch, so the real data fills them again
+        yield
+        small_covers.enumerate_characteristic_functions.cache_clear()
+        small_covers._first_middle_signature.cache_clear()
+
+    def test_catalogue_search(self, monkeypatch):
+        monkeypatch.setattr(small_covers, "CANONICAL_PAIRS", CANONICAL_PAIRS[:-1])
+        small_covers.enumerate_characteristic_functions.cache_clear()
+        with pytest.raises(AuditFailed) as err:
+            enumerate_characteristic_functions()
+        assert str(err.value) == (
+            "characteristic function search found [(3, 12), (3, 13), (3, 14),"
+            " (3, 15), (7, 12), (11, 12), (15, 12)]")
+
+    def test_complement_counts(self, monkeypatch):
+        # facets 5 and 6 share a vector, so no vertex rule holds them apart
+        monkeypatch.setattr(small_covers, "validate_characteristic_function",
+                            tuple)
+        with pytest.raises(AuditFailed) as err:
+            small_cover_gem((1, 2, 4, 8, 3, 3))
+        assert str(err.value) \
+            == "cover gem has complement residue counts (1, 3, 5, 4, 2)"
+
+    @pytest.mark.parametrize("method, value", [
+        ("euler_characteristic", 0), ("is_bipartite", True)])
+    def test_basic_invariants(self, monkeypatch, method, value):
+        monkeypatch.setattr(ColoredGraph, method, lambda self: value)
+        with pytest.raises(AuditFailed) as err:
+            small_cover_gem(1)
+        assert str(err.value) == "cover gem fails the basic invariant audit"
+
+    def test_word_partition(self, cover1):
+        with pytest.raises(AuditFailed) as err:
+            small_covers._word_partition(cover1, (1, 2), 2)
+        assert str(err.value) \
+            == "colors (1, 2) cycles do not split the words into 4+4+4+4"
+
+    def test_middle_residue(self, monkeypatch, cover1):
+        # the stored labels moved one sheet down: the residue is not them
+        monkeypatch.setattr(small_covers, "_MIDDLE_LABELS", frozenset(
+            f"T{mask_word(w)}^{sheet}" for w in range(16) for sheet in range(1, 5)))
+        for read in (middle_subgraph, compact_form):
+            with pytest.raises(AuditFailed) as err:
+                read(cover1)
+            assert str(err.value) == ("the {0,1,3,4}-residue through T0^2 is "
+                                      "not the 64 sheet-2..5 vertices")
+
+    def test_no_stored_layout(self, monkeypatch, cover1):
+        monkeypatch.setattr(small_covers, "CANONICAL_PAIRS", CANONICAL_PAIRS[1:])
+        small_covers.enumerate_characteristic_functions.cache_clear()
+        with pytest.raises(AuditFailed) as err:
+            compact_form(cover1)
+        assert str(err.value) \
+            == "no stored table layout for facet vectors (1, 2, 4, 8, 3, 12)"
+
+    @pytest.mark.parametrize("middle, refused", [
+        (lambda gem: torus_gem(3), "middle subgraph does not have 64 vertices"),
+        # colors 1 and 2 swapped: the {0,1}-cycles are squares
+        (lambda gem: LabeledGem(
+            middle_subgraph(gem).graph.permute_colors((0, 2, 1, 3))),
+         "middle subgraph has a 0,1 cycle of length other than 8"),
+    ], ids=["vertices", "cycles"])
+    def test_middle_shape(self, monkeypatch, cover1, middle, refused):
+        monkeypatch.setattr(small_covers, "middle_subgraph", middle)
+        with pytest.raises(AuditFailed) as err:
+            compact_form(cover1)
+        assert str(err.value) == refused
+
+    def test_middle_signature(self, monkeypatch, cover1):
+        monkeypatch.setattr(small_covers, "_first_middle_signature",
+                            lambda: "another gem")
+        with pytest.raises(AuditFailed) as err:
+            compact_form(cover1)
+        assert str(err.value) == "middle subgraph differs from the first cover's"
+
+    @pytest.mark.parametrize("colors, sheet, refused", [
+        ((0, 1), 3, "row classes differ between the two sheet pairs"),
+        ((3, 4), 4, "column classes differ between the two sheet pairs"),
+    ], ids=["rows", "columns"])
+    def test_classes_per_sheet_pair(self, monkeypatch, cover1, colors, sheet,
+                                    refused):
+        partition = small_covers._word_partition
+
+        def second_sheet_disagrees(gem, at_colors, start_sheet):
+            parts = partition(gem, at_colors, start_sheet)
+            return set() if (at_colors, start_sheet) == (colors, sheet) else parts
+
+        monkeypatch.setattr(small_covers, "_word_partition",
+                            second_sheet_disagrees)
+        with pytest.raises(AuditFailed) as err:
+            compact_form(cover1)
+        assert str(err.value) == refused
+
+    def test_reduction_trace(self, monkeypatch, cover1):
+        # the last glue left out
+        monkeypatch.setattr(small_covers, "run_script",
+                            lambda gem, steps: run_script(gem, steps[:-1]))
+        with pytest.raises(AuditFailed) as err:
+            reduce_to_crystallization(cover1)
+        assert str(err.value) == "reduction trace is (96, 88, 80, 64)"
+
+    def test_reduction_crystallization(self, monkeypatch, cover1):
+        # the right trace, but the cover gem itself, which is not contracted
+        monkeypatch.setattr(
+            small_covers, "run_script",
+            lambda gem, steps: ScriptResult(gem, (96, 88, 80, 64, 52)))
+        with pytest.raises(AuditFailed) as err:
+            reduce_to_crystallization(cover1)
+        assert str(err.value) \
+            == "reduced cover gem fails the crystallization audit"
 
 
 @pytest.mark.parametrize("read", [compact_form, infer_characteristic_function,

@@ -252,3 +252,13 @@ class TestNoFork:
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert self.answers(g) == want
+
+
+class TestSpareCpus:
+    """Without os.sched_getaffinity the spare CPUs come from os.cpu_count."""
+
+    @pytest.mark.parametrize("cpus, spare", [(3, 2), (None, 0)])
+    def test_cpu_count_fallback(self, monkeypatch, cpus, spare):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert core._spare_cpus() == spare
