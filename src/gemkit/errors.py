@@ -80,7 +80,7 @@ class PreconditionFailed(MoveError):
 
 
 class ResultInvalid(MoveError):
-    """A move produced an invalid graph. Unreachable if preconditions hold."""
+    """A move would remove every vertex, leaving no graph."""
 
 
 # -- constructions -----------------------------------------------------------

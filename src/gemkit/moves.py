@@ -6,10 +6,10 @@ script's labels resolve through its gem's own index and the live marks.
 Insertion appends two vertices.  Any other move checks its preconditions,
 then deletes a set of vertices paired off by a bijection phi and, for
 every color outside the move's defining colors, splices the freed edge
-ends together pairwise in place.  The splice checks its own consistency
-(interior edges must be phi-compatible, no survivor may keep a pointer
-into the removed set), so a move either leaves a well-formed graph or
-raises.
+ends together pairwise in place.  The splice trusts the preconditions
+checked before it (Ferri & Gagliardi, "Crystallisation moves", 1982),
+which keep interior edges phi-compatible and no survivor wired into the
+removed set; it refuses only a move that would remove every vertex.
 
 Residue preconditions ("do these vertices share a residue?") are answered
 by two searches that grow from the two sides in turn, so they cost the
@@ -271,35 +271,23 @@ class _Workspace:
     # -- splicing and compaction -------------------------------------------------
 
     def _splice(self, phi: dict, excluded_colors) -> None:
-        """Remove phi's vertices, joining their freed edge ends pairwise."""
-        lam1 = set(phi)
-        lam2 = set(phi.values())
-        doomed = lam1 | lam2
+        """Remove phi's vertices, joining their freed edge ends pairwise.
+
+        The move's clauses, checked first, own every rule this relies on:
+        excluded colors join phi's pairs (check_dipole's joined colors,
+        glue's color-i edges, combined's double-edge clause); an interior
+        edge has its image (glue's mirror check, combined's pair, pair-image
+        and residue clauses); no other edge enters the removed set
+        (check_dipole's joined colors, glue's "no preimage" branch, `_meet`).
+        """
+        doomed = set(phi) | set(phi.values())
         for c, col in enumerate(self.invs):
             if c in excluded_colors:
                 continue
             for u, w in phi.items():
-                p = col[u]
-                q = col[w]
-                if p in lam1:
-                    if q != phi[p]:
-                        raise ResultInvalid(
-                            f"color {c}: interior edge {u}-{p} has no matching image edge")
-                    continue
-                if p in lam2 or q in doomed:
-                    raise ResultInvalid(
-                        f"color {c}: edge at vertex {u} crosses into the removed set")
-                col[p] = q
-                col[q] = p
-        # Splicing rewrites survivor entries only, and only to survivors, so
-        # a survivor still wired into the removed set is a partner of a
-        # removed vertex whose own entry still points back at it.
-        for c, col in enumerate(self.invs):
-            for d in doomed:
-                s = col[d]
-                if s not in doomed and col[s] == d:
-                    raise ResultInvalid(
-                        f"color {c}: survivor {s} still wired into the removed set")
+                p, q = col[u], col[w]
+                if p not in phi:
+                    col[p], col[q] = q, p
         for d in doomed:
             self.live[d] = 0
         self.size -= len(doomed)
@@ -415,7 +403,8 @@ _STEP_SHAPES = {
 
 
 def _check_step(step_no: int, step: ScriptStep) -> None:
-    """Raise MoveError, naming the step, unless it has its kind's shape."""
+    """Raise MoveError, naming the step, unless it has its kind's shape:
+    int colors (bool and IntEnum are ints) and str labels."""
     where = f"step {step_no} (line {step.line})"
     if step.kind not in _STEP_SHAPES:
         raise MoveError(f"{where}: unknown step kind {step.kind!r}")
@@ -423,7 +412,9 @@ def _check_step(step_no: int, step: ScriptStep) -> None:
     if ((n_colors is not None and len(step.colors) != n_colors)
             or len(step.groups) != len(sizes)
             or any(size is not None and len(group) != size
-                   for size, group in zip(sizes, step.groups))):
+                   for size, group in zip(sizes, step.groups))
+            or not all(isinstance(c, int) for c in step.colors)
+            or not all(isinstance(l, str) for g in step.groups for l in g)):
         raise MoveError(
             f"{where}: a {step.kind} step takes {words}, got colors "
             f"{step.colors!r} and label groups {step.groups!r}")

@@ -79,8 +79,9 @@ class TestDipoles:
             check_dipole(square(), DipoleSpec(0, 1, frozenset((1,))))
 
     def test_same_vertex_rejected(self):
-        with pytest.raises(NotADipole):
+        with pytest.raises(NotADipole) as err:
             check_dipole(square(), DipoleSpec(1, 1, frozenset((0,))))
+        assert str(err.value) == "the two dipole vertices coincide"
 
     def test_shared_residue_rejected(self):
         # deleting color 0 leaves the other two colors connecting 0 to 1
@@ -236,8 +237,21 @@ class TestCombinedMove:
     def test_colors_must_be_distinct(self):
         prepared, spec = self.first_combined_setup()
         bad = CombinedSpec(spec.i, spec.i, spec.j, spec.pair, spec.pair_image)
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(PreconditionFailed) as err:
             combined_move(prepared.graph, bad)
+        assert str(err.value) \
+            == f"colors k={spec.i}, i={spec.i}, j={spec.j} must be distinct"
+        # i = j, where every other clause holds for colors k = 2 and i = 0
+        graph = new_graph(3, [[(0, 2), (1, 3), (4, 6), (5, 7)],
+                              [(0, 4), (1, 5), (2, 6), (3, 7)],
+                              [(0, 1), (2, 3), (4, 5), (6, 7)]])
+        bad = CombinedSpec(2, 0, 0, (0, 1), (2, 3))
+        assert combined_clauses(graph, bad) == (True, True)
+        want = assert_same_move(combined_move, stepwise_combined_move,
+                                graph, bad)
+        assert isinstance(want, PreconditionFailed)
+        assert str(outcome(combined_move, graph, bad)) \
+            == "colors k=2, i=0, j=0 must be distinct"
 
     def test_missing_pair_edge(self):
         prepared, spec = self.first_combined_setup()
@@ -255,6 +269,24 @@ class TestCombinedMove:
                            (spec.pair_image[1], spec.pair_image[0]))
         with pytest.raises(PreconditionFailed):
             combined_move(prepared.graph, bad)
+
+    @pytest.mark.parametrize("spec, refused", [
+        (CombinedSpec(2, 0, 1, (0, 1), (2, 3)),
+         "pair clause: vertices 0,1 lack a color-2 edge"),
+        (CombinedSpec(2, 0, 1, (2, 3), (0, 1)),
+         "pair-image clause: vertices 0,1 lack a color-2 edge"),
+    ], ids=["pair", "pair-image"])
+    def test_only_the_k_edge_clause_fails(self, spec, refused):
+        # 0-2 and 1-3 carry colors 0 and 1: the double-edge clause holds
+        # either way round; color 2 joins 2-3 but not 0-1
+        graph = new_graph(3, [[(0, 2), (1, 3), (4, 5)],
+                              [(0, 2), (1, 3), (4, 5)],
+                              [(2, 3), (0, 4), (1, 5)]])
+        assert combined_clauses(graph, spec) == (True, True)
+        want = assert_same_move(combined_move, stepwise_combined_move,
+                                graph, spec)
+        assert isinstance(want, PreconditionFailed)
+        assert str(outcome(combined_move, graph, spec)) == refused
 
 
 class TestScripts:
@@ -428,8 +460,20 @@ glue 2 [a,b] -> [e,f]
          "a glue step takes one color and two label lists"),
         (ScriptStep("glue", (2,), (("a", "b"),), 3),
          "a glue step takes one color and two label lists"),
+        (ScriptStep("dipole", ("0",), (("a", "b"),), 3),
+         "a dipole step takes one pair of labels"),
+        (ScriptStep("dipole", (0,), (("a", 1),), 3),
+         "a dipole step takes one pair of labels"),
+        (ScriptStep("glue", (2.0,), (("a",), ("e",)), 3),
+         "a glue step takes one color and two label lists"),
+        (ScriptStep("glue", (0,), ((1,), (2,)), 3),
+         "a glue step takes one color and two label lists"),
+        (ScriptStep("combined", (2, 0, 1), (("a", "b"), ("e", 5)), 3),
+         "a combined step takes three colors and two pairs of labels"),
     ], ids=["combined-two-colors", "combined-long-pair", "dipole-three-labels",
-            "dipole-two-pairs", "glue-no-color", "glue-one-side"])
+            "dipole-two-pairs", "glue-no-color", "glue-one-side",
+            "dipole-str-color", "dipole-int-label", "glue-float-color",
+            "glue-int-labels", "combined-int-label"])
     def test_misshapen_step_refused(self, step, words):
         good = parse_move_script(self.GOOD)
         for call in (lambda: run_script(self.bridged_gem(), good + [step]),
@@ -437,6 +481,18 @@ glue 2 [a,b] -> [e,f]
             with pytest.raises(MoveError) as err:
                 call()
             assert str(err.value).startswith(f"step 2 (line 3): {words}, got")
+
+    @pytest.mark.parametrize("color, sides", [
+        (IntEnum("Color", [("TWO", 2)]).TWO, (("a", "b"), ("e", "f"))),
+        (True, (("a",), ("d",))),
+    ], ids=["IntEnum", "bool"])
+    def test_int_subclass_colors_run_as_ints(self, color, sides):
+        gem = self.bridged_gem()
+        got = run_script(gem, [ScriptStep("glue", (color,), sides)])
+        want = run_script(gem, [ScriptStep("glue", (int(color),), sides)])
+        assert (got.trace, got.gem.graph, got.gem.labels) \
+            == (want.trace, want.gem.graph, want.gem.labels)
+        assert got.trace[-1] < got.trace[0]
 
     def test_run_errors_name_step_and_line(self):
         gem = self.bridged_gem()
