@@ -617,13 +617,16 @@ def _raise_first_bad_vertex(c: int, col: tuple, nv: int) -> NoReturn:
     if len(col) != nv:
         raise VertexCountMismatch(f"color {c} defined on {len(col)} vertices, expected {nv}")
     for v, w in enumerate(col):
+        if not isinstance(w, int):
+            raise TypeError(f"color {c}: partners must be ints, got {w!r} at vertex {v}")
         if not 0 <= w < nv:
             raise VertexCountMismatch(f"color {c}: partner {w} of vertex {v} out of range")
         if w == v:
             raise LoopEdge(f"color {c}: vertex {v} matched to itself")
         if col[w] != v:
             raise DuplicateVertexInColor(f"color {c}: not an involution at vertices {v}, {w}")
-    # every int partner that passes the loop passes the check in __init__
+    # every partner that passes the loop is an int; one whose comparisons
+    # are not int's (a subclass's __eq__) can still fail __init__'s check
     raise TypeError(f"color {c}: partners must be ints")
 
 

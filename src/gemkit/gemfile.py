@@ -26,8 +26,8 @@ builds the edge lines.
 The parser reads the layout render_gem writes in bulk, and every other
 line one statement at a time.  Within a block, a run of lines of the form
 'label <digits> <name>' (the name one token, with no '#'), each ended by a
-"\n", gets one regular-expression verdict: its pairs are read with one
-findall, its ids with one pass of int, and it is range- and
+"\n", gets one regular-expression verdict: its tokens are read with one
+split, its ids with one pass of int, and it is range- and
 duplicate-checked and added as a whole.  A run that fails a check is read
 again a line at a time, which names the fault.  An edge line whose pairs
 are one space apart, in digits, gets one verdict too, which never
@@ -51,7 +51,9 @@ with IndexError keeps the ints as read, for the matching check to name the
 fault.  A count larger than the text's length cannot be matched by the
 edge lines that follow, so it allocates nothing and is refused at the end.
 The colors are handed to graph_from_endpoints one at a time, and each
-endpoint list is freed once its involution is built.
+endpoint list is freed once its involution is built.  The exports make
+each vertex's text once: export_dot quotes each label once for all its
+lines, and export_gluings takes a color's partner names in one itemgetter.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ _PAIR = re.compile(r"^(\d+)-(\d+)$")
 # line's body, a-b pairs one space apart, told by _canonical_pairs
 _NAME = re.compile(r"[^\s#]+")
 _LABEL_RUN = re.compile(rf"(?:label [0-9]+ {_NAME.pattern}\n)+")
-_LABEL = re.compile(rf"label ([0-9]+) ({_NAME.pattern})")
 _EDGE_CHARS = re.compile(r"[0-9][0-9 -]*[0-9]")
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 # characters parse_gem reads at a time, before cutting after the next "\n"
@@ -159,19 +160,22 @@ def _add_labels(labels: dict, ids: tuple, run: re.Match) -> int:
     """Add a run of canonical label lines to labels at once and return its
     number of lines; 0, adding nothing, when an id is too long for int(),
     out of range or labelled twice, for the lines to be read one at a time
-    and the fault named."""
-    pairs = _LABEL.findall(run.string, run.start(), run.end())
+    and the fault named.  _LABEL_RUN proved each line 'label <id> <name>',
+    and the whitespace a name excludes is what str.split breaks on, so the
+    run splits into three tokens a line."""
+    tokens = run.group().split()
+    names = tokens[2::3]
     try:
-        vids = list(map(int, map(itemgetter(0), pairs)))
+        vids = list(map(int, tokens[1::3]))
     except ValueError:
         return 0
     if max(vids) >= len(ids):
         return 0
-    named = dict(zip(map(ids.__getitem__, vids), map(itemgetter(1), pairs)))
-    if len(named) < len(pairs) or not labels.keys().isdisjoint(named):
+    named = dict(zip(map(ids.__getitem__, vids), names))
+    if len(named) < len(names) or not labels.keys().isdisjoint(named):
         return 0
     labels.update(named)
-    return len(pairs)
+    return len(names)
 
 
 def _chunks(text: str, block: int):
@@ -337,20 +341,16 @@ def export_dot(gem: LabeledGem | ColoredGraph, name: str = "gem") -> str:
     if isinstance(gem, ColoredGraph):
         gem = LabeledGem(gem)
     graph = gem.graph
-    lines = [f"graph {name} {{"]
-    lines.append("  // edge colors: " + " ".join(
-        f"{c}={DOT_PALETTE[c % len(DOT_PALETTE)]}" for c in range(graph.n_colors)))
-    lines.append("  node [shape=circle fontsize=10];")
-    for v in range(graph.num_vertices):
-        lines.append(f"  {_dot_quote(gem.labels[v])};")
-    for c in range(graph.n_colors):
-        rgb = DOT_PALETTE[c % len(DOT_PALETTE)]
-        for a, b in graph.edges(c):
-            lines.append(
-                f"  {_dot_quote(gem.labels[a])} -- {_dot_quote(gem.labels[b])}"
-                f" [color=\"{rgb}\" penwidth=1.6];")
-    lines.append("}")
-    lines.append("")
+    rgbs = [DOT_PALETTE[c % len(DOT_PALETTE)] for c in range(graph.n_colors)]
+    quoted = [_dot_quote(label) for label in gem.labels]
+    lines = [f"graph {name} {{",
+             "  // edge colors: " + " ".join(f"{c}={rgb}" for c, rgb in enumerate(rgbs)),
+             "  node [shape=circle fontsize=10];"]
+    lines += [f"  {q};" for q in quoted]
+    for c, rgb in enumerate(rgbs):
+        lines += [f'  {quoted[a]} -- {quoted[b]} [color="{rgb}" penwidth=1.6];'
+                  for a, b in graph.edges(c)]
+    lines += ["}", ""]
     return "\n".join(lines)
 
 
@@ -362,12 +362,10 @@ def export_gluings(gem: LabeledGem | ColoredGraph) -> str:
     """
     if isinstance(gem, ColoredGraph):
         gem = LabeledGem(gem)
-    graph = gem.graph
-    header = "simplex\t" + "\t".join(f"color{c}" for c in range(graph.n_colors))
-    rows = [header]
-    for v in range(graph.num_vertices):
-        partners = "\t".join(
-            gem.labels[graph.involutions[c][v]] for c in range(graph.n_colors))
-        rows.append(f"{gem.labels[v]}\t{partners}")
+    labels = gem.labels
+    # each color's partner names at once; V >= 2, so each is a tuple
+    partners = [itemgetter(*col)(labels) for col in gem.graph.involutions]
+    rows = ["simplex\t" + "\t".join(f"color{c}" for c in range(len(partners)))]
+    rows += map("\t".join, zip(labels, *partners))
     rows.append("")
     return "\n".join(rows)

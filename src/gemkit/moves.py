@@ -404,12 +404,16 @@ _STEP_SHAPES = {
 
 def _check_step(step_no: int, step: ScriptStep) -> None:
     """Raise MoveError, naming the step, unless it has its kind's shape:
-    int colors (bool and IntEnum are ints) and str labels."""
+    a tuple or list of int colors (bool and IntEnum are ints), and one of
+    label groups, each a tuple or list of str labels."""
     where = f"step {step_no} (line {step.line})"
     if step.kind not in _STEP_SHAPES:
         raise MoveError(f"{where}: unknown step kind {step.kind!r}")
     n_colors, sizes, words = _STEP_SHAPES[step.kind]
-    if ((n_colors is not None and len(step.colors) != n_colors)
+    seq = (tuple, list)
+    if (not isinstance(step.colors, seq) or not isinstance(step.groups, seq)
+            or not all(isinstance(group, seq) for group in step.groups)
+            or (n_colors is not None and len(step.colors) != n_colors)
             or len(step.groups) != len(sizes)
             or any(size is not None and len(group) != size
                    for size, group in zip(sizes, step.groups))

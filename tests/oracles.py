@@ -34,6 +34,8 @@ returns the involutions it accepts unchanged.
 token on its own and building the graph with `pairwise_new_graph`, which
 fills each color pair by pair and validates the result with ColoredGraph.
 `edges_render_gem` writes each color line from `ColoredGraph.edges`.
+`requoting_export_dot` quotes a label again for every line that names
+it, and `rowwise_export_gluings` builds each row one color at a time.
 `CANONICAL_PAIRS` is the regular expression that once told which edge
 lines go to json: it holds backtracking state for every pair it matches.
 
@@ -67,6 +69,7 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     ScriptResult, VertexCountMismatch, cancel_dipole,
                     new_graph, validate_characteristic_function)
 from gemkit.core import graph_from_endpoints
+from gemkit.gemfile import DOT_PALETTE
 
 
 def flood_fill_labels(graph, colors):
@@ -618,6 +621,9 @@ def looped_involutions(involutions):
             raise VertexCountMismatch(
                 f"color {c} defined on {len(col)} vertices, expected {nv}")
         for v, w in enumerate(col):
+            if not isinstance(w, int):
+                raise TypeError(
+                    f"color {c}: partners must be ints, got {w!r} at vertex {v}")
             if not 0 <= w < nv:
                 raise VertexCountMismatch(f"color {c}: partner {w} of vertex {v} out of range")
             if w == v:
@@ -783,6 +789,47 @@ def edges_render_gem(gem, comment=None):
         body = " ".join(f"{a}-{b}" for a, b in graph.edges(c))
         lines.append(f"c {c}: {body}")
     return "\n".join(lines) + "\n"
+
+
+def _requoted(name):
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def requoting_export_dot(gem, name="gem"):
+    """export_dot quoting a label again for every line that names it."""
+    if isinstance(gem, ColoredGraph):
+        gem = LabeledGem(gem)
+    graph = gem.graph
+    lines = [f"graph {name} {{"]
+    lines.append("  // edge colors: " + " ".join(
+        f"{c}={DOT_PALETTE[c % len(DOT_PALETTE)]}" for c in range(graph.n_colors)))
+    lines.append("  node [shape=circle fontsize=10];")
+    for v in range(graph.num_vertices):
+        lines.append(f"  {_requoted(gem.labels[v])};")
+    for c in range(graph.n_colors):
+        rgb = DOT_PALETTE[c % len(DOT_PALETTE)]
+        for a, b in graph.edges(c):
+            lines.append(
+                f"  {_requoted(gem.labels[a])} -- {_requoted(gem.labels[b])}"
+                f" [color=\"{rgb}\" penwidth=1.6];")
+    lines.append("}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def rowwise_export_gluings(gem):
+    """export_gluings building each row's partner names one color at a time."""
+    if isinstance(gem, ColoredGraph):
+        gem = LabeledGem(gem)
+    graph = gem.graph
+    header = "simplex\t" + "\t".join(f"color{c}" for c in range(graph.n_colors))
+    rows = [header]
+    for v in range(graph.num_vertices):
+        partners = "\t".join(
+            gem.labels[graph.involutions[c][v]] for c in range(graph.n_colors))
+        rows.append(f"{gem.labels[v]}\t{partners}")
+    rows.append("")
+    return "\n".join(rows)
 
 
 def looped_relabel(graph, new_id):

@@ -306,6 +306,46 @@ class TestValidatorAgainstLoop:
                 == _outcome(looped_involutions, involutions))
 
 
+class _NeverEqual(int):
+    """An int whose == is always False and != is int's: it passes every
+    test of the per-vertex loop but not ColoredGraph's one-pass check."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = int.__hash__
+
+
+class TestFirstBadVertex:
+    """Every exit of the per-vertex loop that names a refused color's
+    first fault, reached through ColoredGraph, message pinned."""
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ([1, 0, 3], VertexCountMismatch, "color 1 defined on 3 vertices, expected 4"),
+        ([1, 0, 3.0, 2], TypeError, "color 1: partners must be ints, got 3.0 at vertex 2"),
+        ([1, 0, "3", 2], TypeError, "color 1: partners must be ints, got '3' at vertex 2"),
+        ([1, 0, None, 2], TypeError, "color 1: partners must be ints, got None at vertex 2"),
+        ([4, 0, 3, 2], VertexCountMismatch, "color 1: partner 4 of vertex 0 out of range"),
+        ([1, 0, 2, 2], LoopEdge, "color 1: vertex 2 matched to itself"),
+        ([1, 0, 3, 0], DuplicateVertexInColor,
+         "color 1: not an involution at vertices 2, 3"),
+        ([1, 0, _NeverEqual(3), _NeverEqual(2)], TypeError,
+         "color 1: partners must be ints"),
+    ], ids=["length", "float", "str", "none", "range", "loop", "involution",
+            "int-subclass"])
+    def test_each_exit(self, bad, error, message):
+        with pytest.raises(error) as err:
+            ColoredGraph([[1, 0, 3, 2], bad])
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_faults_are_named_in_vertex_order(self):
+        with pytest.raises(VertexCountMismatch, match="partner 9 of vertex 0"):
+            ColoredGraph([[1, 0, 3, 2], [9, 0, 3.0, 2]])
+        with pytest.raises(TypeError, match="got 3.0 at vertex 2"):
+            ColoredGraph([[1, 0, 3, 2], [1, 0, 3.0, 9]])
+
+
 class TestSharedIds:
     """Every builder's graph holds one int object per vertex id.  Graphs of
     more than 256 vertices show it; below that CPython shares small ints

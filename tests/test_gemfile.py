@@ -1,5 +1,6 @@
 """The .gem text format and the DOT / gluing-table exports."""
 
+import sys
 import tracemalloc
 from importlib.resources import files
 from itertools import product
@@ -16,6 +17,7 @@ from gemkit.gemfile import _canonical_pairs, _chunks
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import (CANONICAL_PAIRS, edges_render_gem, pairwise_new_graph,
+                     requoting_export_dot, rowwise_export_gluings,
                      token_parse_gem)
 
 SMALL = """\
@@ -178,6 +180,14 @@ class TestParse:
                          text.replace("1-2 ", "1-2 0")):
             with pytest.raises(ParseError):
                 parse_gem(one_more)
+
+    def test_label_names_end_where_split_breaks(self):
+        # _add_labels splits a run of label lines: what _NAME excludes, but
+        # for '#', must be what str.split breaks on, at every code point
+        every = "".join(map(chr, range(sys.maxunicode + 1))).replace("#", "")
+        kept = "".join(every.split())
+        assert len(kept) < len(every)
+        assert "".join(gemfile._NAME.findall(every)) == kept
 
     def test_glued_pairs_rejected_at_their_token(self):
         with pytest.raises(ParseError) as err:
@@ -522,6 +532,43 @@ class TestExports:
         gem = LabeledGem(s2xs1.graph)
         assert export_dot(s2xs1.graph, name="g") == export_dot(gem, name="g")
         assert export_gluings(s2xs1.graph) == export_gluings(gem)
+
+    @staticmethod
+    def assert_same_exports(gem, name="gem"):
+        assert export_dot(gem, name=name) == requoting_export_dot(gem, name=name)
+        assert export_gluings(gem) == rowwise_export_gluings(gem)
+
+    def test_random_labels_match_the_oracles(self):
+        rng = make_rng("exports")
+        alphabet = '"\\0123456789ab \t#'
+        for n_colors in range(2, 8):
+            for _ in range(6):
+                graph = random_colored_graph(rng, rng.choice([2, 4, 10, 40]), n_colors)
+                names = set()
+                while len(names) < graph.num_vertices:
+                    # decimal names too, often another vertex's id
+                    names.add(str(rng.randrange(graph.num_vertices))
+                              if rng.random() < 0.3 else
+                              "".join(rng.choices(alphabet, k=rng.randint(1, 4))))
+                names = list(names)
+                rng.shuffle(names)
+                self.assert_same_exports(LabeledGem(graph, names), name=f"r{n_colors}")
+                self.assert_same_exports(graph)
+
+    def test_catalogue_matches_the_oracles(self, s2xs1, t3, g1p, g2p, cover1,
+                                           reduced1):
+        rng = make_rng("catalogue exports")
+        gems = [order_two_gem(), s2xs1, t3, g1p, g2p, cover1, reduced1]
+        gems += [torus_gem(n) for n in range(2, 6)]
+        for gem in gems:
+            self.assert_same_exports(gem)
+            self.assert_same_exports(gem.graph)
+            copy, perm = shuffled_copy(rng, gem.graph)
+            names = [None] * copy.num_vertices
+            for v, name in enumerate(gem.labels):
+                names[perm[v]] = name
+            self.assert_same_exports(LabeledGem(copy, names))
+            self.assert_same_exports(copy)
 
     def test_gluings_symmetry(self, s2xs1):
         # if row u names w under color c, row w names u under color c

@@ -470,10 +470,22 @@ glue 2 [a,b] -> [e,f]
          "a glue step takes one color and two label lists"),
         (ScriptStep("combined", (2, 0, 1), (("a", "b"), ("e", 5)), 3),
          "a combined step takes three colors and two pairs of labels"),
+        (ScriptStep("glue", (2,), (1, 2), 3),
+         "a glue step takes one color and two label lists"),
+        (ScriptStep("glue", 2, (("a",), ("d",)), 3),
+         "a glue step takes one color and two label lists"),
+        (ScriptStep("dipole", (0,), 5, 3),
+         "a dipole step takes one pair of labels"),
+        (ScriptStep("dipole", (0,), ("ab",), 3),
+         "a dipole step takes one pair of labels"),
+        (ScriptStep("combined", (2, 0, 1), ("ab", "ef"), 3),
+         "a combined step takes three colors and two pairs of labels"),
     ], ids=["combined-two-colors", "combined-long-pair", "dipole-three-labels",
             "dipole-two-pairs", "glue-no-color", "glue-one-side",
             "dipole-str-color", "dipole-int-label", "glue-float-color",
-            "glue-int-labels", "combined-int-label"])
+            "glue-int-labels", "combined-int-label", "glue-int-groups",
+            "glue-int-colors", "dipole-int-groups", "dipole-str-group",
+            "combined-str-groups"])
     def test_misshapen_step_refused(self, step, words):
         good = parse_move_script(self.GOOD)
         for call in (lambda: run_script(self.bridged_gem(), good + [step]),
