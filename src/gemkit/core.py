@@ -21,9 +21,9 @@ proves without a second validation (see there), so its callers pass the
 int objects of one tuple(range(V)); permute_colors reorders a graph's own
 columns on the same path.
 
-The residue walk (residue_counts) and the whole-palette pair census
-(invariants.pair_cycles) are lists of independent tasks, the subtree
-below each root color pair or one pair's cycles.  _run_split
+The residue walk (residue_counts) and the pair census (invariants._census,
+behind every bicolored-cycle question) are lists of independent tasks, the
+subtree below each root color pair or one pair's cycles.  _run_split
 shares such a list with one forked child per spare usable CPU when the
 walk reads at least _SPLIT_VISITS vertices, os.fork exists and no second
 thread is alive; otherwise, and for every task no child delivered, the
@@ -45,6 +45,7 @@ from typing import NoReturn
 from .errors import (
     ColorOutOfRange,
     DuplicateVertexInColor,
+    GraphValidationError,
     LoopEdge,
     OddVertexCount,
     UnknownLabel,
@@ -402,10 +403,10 @@ class _Level:
 # which _run_split stays in process.  A split costs about 3 ms of forking,
 # waiting and reaping, so on a 2-CPU host the t6 pair census (105,840
 # visits, 13 ms) only breaks even in a process holding t7, and the
-# constant sits twice as high.  Every walk of t5 (at most 46,080 visits)
-# and the t6 census stay in process; the t7 census (1,128,960) and the t6
-# residue walk (645,120) split.  genus_for's k pairs never come here: at
-# one cyclic order of t7 (322,560 visits) the fork bought nothing.
+# constant sits twice as high.  Every walk of t5 (at most 46,080 visits),
+# the t6 census and genus_for on t6 (35,280) stay in process; the t7
+# census (1,128,960), genus_for on t7 (322,560) and the t6 residue walk
+# (645,120) split.
 _SPLIT_VISITS = 200_000
 
 
@@ -651,7 +652,7 @@ def _raise_first_bad_pair(c: int, flat, num_vertices: int) -> NoReturn:
 
 
 class LabeledGem:
-    """A graph plus a side table of unique human-readable vertex names."""
+    """A graph plus a side table of unique vertex names, each a str."""
 
     __slots__ = ("graph", "labels", "_index")
 
@@ -662,6 +663,12 @@ class LabeledGem:
         if len(labels) != graph.num_vertices:
             raise VertexCountMismatch(
                 f"{len(labels)} labels for {graph.num_vertices} vertices")
+        try:
+            "".join(labels)  # one C-level pass that takes str and its subclasses
+        except TypeError:
+            v = next(v for v, name in enumerate(labels) if not isinstance(name, str))
+            raise GraphValidationError(
+                f"vertex {v}: label {labels[v]!r} is not a str") from None
         # inv[inv[v]] is v, so the index holds the graph's own id objects
         inv = graph.involutions[0]
         index = dict(zip(labels, itemgetter(*inv)(inv)))

@@ -11,9 +11,10 @@ cyclic orders.  chi_eps is kept as an exact Fraction; it is only provably
 an even integer when the graph encodes a closed orientable manifold, and
 callers decide when to collapse it to an int.
 
-The bicolored cycle count of a color pair does not depend on the order it
-sits in, so the search over all orders walks each of the C(k, 2) pairs once
-and scores every order from that table of counts.  More than
+Every bicolored-cycle question is one census of color pairs (_census,
+through core._run_split): one pair, an order's k consecutive pairs, or all
+C(k, 2) pairs, from whose counts the search scores every cyclic order, as
+a pair's count does not depend on the order it sits in.  More than
 MAX_CYCLIC_ORDERS orders (11 or more colors) raise BudgetExceeded before
 any pair is walked.
 """
@@ -86,26 +87,24 @@ def bicolored_cycles(graph: ColoredGraph, i: int, j: int) -> list[int]:
     graph._check_color(j)
     if i == j:
         raise ColorOutOfRange(f"need two distinct colors, got {i},{j}")
-    return _cycle_lengths(graph.involutions[i], graph.involutions[j])
+    return _census(graph, [(i, j)])[0]
 
 
-def _cycle_lengths(inv_i, inv_j) -> list[int]:
-    return sorted(_Level.cycles(inv_i, inv_j, keep=False).sizes, reverse=True)
+def _census(graph: ColoredGraph, pairs: list) -> list[list[int]]:
+    """bicolored_cycles of each pair, in order.  With spare CPUs, a census
+    of at least core._SPLIT_VISITS vertex visits (V times the pairs) is
+    shared with forked children; the parent walks what none delivered."""
+    invs = graph.involutions
+    return _run_split(
+        lambda i, j: sorted(_Level.cycles(invs[i], invs[j], keep=False).sizes,
+                            reverse=True),
+        pairs, graph.num_vertices * len(pairs))
 
 
 def pair_cycles(graph: ColoredGraph) -> dict[tuple[int, int], list[int]]:
-    """{(i, j): bicolored_cycles(graph, i, j)} for every color pair i < j.
-
-    The pairs are one census (core._run_split): on a host with spare CPUs,
-    a census of at least core._SPLIT_VISITS vertex visits (V times the
-    pairs) is shared with forked children, and the parent walks every pair
-    no child delivered, so the table never depends on a child.
-    """
-    invs = graph.involutions
+    """{(i, j): bicolored_cycles(graph, i, j)} for every color pair i < j."""
     pairs = list(combinations(graph.colors(), 2))
-    lengths = _run_split(lambda i, j: _cycle_lengths(invs[i], invs[j]),
-                         pairs, graph.num_vertices * len(pairs))
-    return dict(zip(pairs, lengths))
+    return dict(zip(pairs, _census(graph, pairs)))
 
 
 def _report(perm, counts, num_vertices: int) -> GenusReport:
@@ -115,15 +114,12 @@ def _report(perm, counts, num_vertices: int) -> GenusReport:
 
 
 def genus_for(graph: ColoredGraph, perm) -> GenusReport:
-    """Exact chi and genus of the surface carrying the cyclic order `perm`.
-
-    Each consecutive pair of `perm` is counted in this process: k pairs
-    are too few to pay for the forks of the pair_cycles census."""
+    """Exact chi and genus of the surface carrying the cyclic order `perm`,
+    from one _census of its k consecutive pairs."""
     perm = check_cyclic_permutation(graph, perm)
-    invs = graph.involutions
-    counts = tuple(_Level.cycles(invs[a], invs[b], keep=False).count
-                   for a, b in zip(perm, perm[1:] + perm[:1]))
-    return _report(perm, counts, graph.num_vertices)
+    pairs = list(zip(perm, perm[1:] + perm[:1]))
+    return _report(perm, tuple(map(len, _census(graph, pairs))),
+                   graph.num_vertices)
 
 
 def all_genus_reports(graph: ColoredGraph) -> list[GenusReport]:
@@ -131,7 +127,8 @@ def all_genus_reports(graph: ColoredGraph) -> list[GenusReport]:
 
     The orders are made (or refused) before any pair is walked."""
     orders = cyclic_permutations(graph.n_colors)
-    counts = {pair: len(lengths) for pair, lengths in pair_cycles(graph).items()}
+    pairs = list(combinations(graph.colors(), 2))
+    counts = dict(zip(pairs, map(len, _census(graph, pairs))))
     both = {**counts, **{(j, i): c for (i, j), c in counts.items()}}
     return [
         _report(p, tuple(both[a, b] for a, b in zip(p, p[1:] + p[:1])),

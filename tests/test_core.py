@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 
 from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
-                    GemError, LabeledGem, LoopEdge, OddVertexCount,
-                    ScriptStep, UnknownLabel, VertexCountMismatch, add_dipole,
-                    new_graph, order_two_gem, parse_gem, product_gem,
-                    render_gem, run_script, small_cover_gem, torus_gem)
+                    GemError, GraphValidationError, LabeledGem, LoopEdge,
+                    OddVertexCount, ScriptStep, UnknownLabel,
+                    VertexCountMismatch, add_dipole, new_graph, order_two_gem,
+                    parse_gem, product_gem, render_gem, run_script,
+                    small_cover_gem, torus_gem)
 from gemkit.core import _restrict, graph_from_endpoints
 
 from conftest import (disjoint_union, make_rng, random_colored_graph,
@@ -552,6 +553,20 @@ class TestLabeledGem:
     def test_labels_must_be_unique(self):
         with pytest.raises(VertexCountMismatch):
             LabeledGem(square_graph(), ["a", "a", "c", "d"])
+
+    @pytest.mark.parametrize("bad", [3, None, b"c"])
+    def test_labels_must_be_str(self, bad):
+        with pytest.raises(GraphValidationError) as err:
+            LabeledGem(square_graph(), ["a", "b", bad, 4])
+        assert str(err.value) == f"vertex 2: label {bad!r} is not a str"
+
+    def test_str_subclass_labels_accepted(self):
+        class Name(str):
+            pass
+
+        gem = LabeledGem(square_graph(), [Name(c) for c in "abcd"])
+        assert gem.vertex("c") == 2
+        assert gem.label_of(3) == "d"
 
     def test_label_count_must_match(self):
         with pytest.raises(VertexCountMismatch):

@@ -1,7 +1,7 @@
-"""The residue walk and the pair census shared with forked children
-(core._run_split): the same answers as the oracles and the single-pair
-walk, every child reaped and every pipe closed, and no fork where forking
-is unsafe or cannot pay."""
+"""The residue walk and the pair censuses (pair_cycles, genus_for) shared
+with forked children (core._run_split): the same answers as the oracles
+and the single-pair walk, every child reaped and every pipe closed, and no
+fork where forking is unsafe or cannot pay."""
 
 import os
 import threading
@@ -119,12 +119,10 @@ class TestSizeGuard:
     def test_t5_and_t6_census_stay_and_t6_residue_walk_splits(self, forks):
         # t5's residue walk reads 720 * 2^6 = 46,080 vertices, its census
         # 720 * 15; t6's census 5040 * 21 = 105,840 and its residue walk
-        # 5040 * 2^7 = 645,120.  genus_for counts its pairs in process at
-        # any size
+        # 5040 * 2^7 = 645,120
         t5 = torus_gem(5).graph
         t5.residue_counts()
         pair_cycles(t5)
-        genus_for(t5, range(6))
         t6 = torus_gem(6).graph
         pair_cycles(t6)
         assert forks == []
@@ -132,22 +130,30 @@ class TestSizeGuard:
         assert len(forks) == 2
         no_child_left()
 
+    def test_genus_for_stays_on_t5_and_t6_and_splits_on_t7(self, forks):
+        # one cyclic order of t5 reads 720 * 6 = 4,320 vertices, of t6
+        # 5040 * 7 = 35,280 and of t7 40320 * 8 = 322,560
+        for n in (5, 6):
+            genus_for(torus_gem(n).graph, range(n + 1))
+        assert forks == []
+        # rho(T^7) = 1 + 8! * 4 / 8, the conjectured bound, met at this order
+        t7 = torus_gem(7).graph
+        assert genus_for(t7, (0, 2, 4, 6, 1, 7, 5, 3)).genus == 20161
+        assert len(forks) == 2
+        no_child_left()
 
-class TestGenusForStays:
-    def test_every_order_in_process(self, split_always):
-        # the walks that share a census still fork; genus_for's k pairs
-        # never do
+
+class TestGenusForSplits:
+    def test_every_order_agrees(self, split_always):
+        # each order's k pairs are one census, shared with the children
         t4 = torus_gem(4).graph
         for g in (t4, shuffled_copy(make_rng(25), t4)[0]):
             for perm in cyclic_permutations(g.n_colors):
+                forked = len(split_always)
                 assert genus_for(g, perm).pair_counts == tuple(
                     len(walked_cycle_lengths(g, a, b))
                     for a, b in zip(perm, perm[1:] + perm[:1]))
-        assert split_always == []
-        pair_cycles(t4)
-        assert len(split_always) == 2
-        t4.residue_counts()
-        assert len(split_always) == 4
+                assert len(split_always) == forked + 2
         no_child_left()
 
 
