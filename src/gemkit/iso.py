@@ -8,6 +8,13 @@ fully determined by the root (and a color relabeling), so two codes are
 equal exactly when a color-preserving isomorphism maps one root to the
 other; the isomorphism is the pairing of discovery orders.
 
+A walk keeps its discovery ids in a list over all vertices that its
+search makes once and passes to every walk; each walk sets the entries of
+the vertices it meets and resets just those, so it costs what it visits,
+never O(V) per root.  While a walk has a best code to beat, it only
+compares its ids with best's: a walk that ties returns a copy of best, and
+one that falls below copies best's prefix and finishes without comparing.
+
 The canonical signature minimizes the code over the roots of each
 component, and over all color bijections when allow_color_perm is set.  A
 root whose code ties the best so far gives a color-preserving automorphism;
@@ -17,14 +24,16 @@ that root's (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 Such automorphisms do not depend on the color order of the walk, so one
 partition serves every color bijection.
 
-Over the color bijections (color maps), the least code found so far under
-any map bounds every later walk of a connected graph.  Two maps pi0 and pi
-whose sorted code lists tie give a color automorphism sigma, with
-sigma[pi0[s]] = pi[s]: the pairing of their discovery orders carries each
-pi0[s]-edge to a pi[s]-edge.  The least codes under pi' and sigma.pi' are
-then equal for every pi', so the search keeps the set of walked maps
-spread under the automorphisms found so far and skips every map in it;
-it never builds the group itself.  More than MAX_COLOR_MAPS maps (9 or
+Over the color bijections (color maps), the first code of the least
+sorted list found so far under any map bounds every later map's walks of
+the components of its size; a map whose codes for those components all
+exceed it is skipped, and otherwise the components it did not bound are
+walked in full.  Two maps pi0 and pi whose sorted code lists tie give a
+color automorphism sigma, with sigma[pi0[s]] = pi[s]: the pairing of
+their discovery orders carries each pi0[s]-edge to a pi[s]-edge.  The
+least codes under pi' and sigma.pi' are then equal for every pi', so the
+search keeps the set of walked maps spread under the automorphisms found
+so far and skips every map in it; it never builds the group itself.  More than MAX_COLOR_MAPS maps (9 or
 more colors) raise BudgetExceeded before any walk, in isomorphic too.
 
 isomorphic compares the pair-cycle tables (invariants.pair_cycles) under
@@ -34,12 +43,12 @@ one root per component of g1, its smallest vertex, and for each map that
 passes scans the roots of each same-size component of g2 until a code
 equals the anchor's, abandoning every walk at its first difference.  The
 pairing of discovery orders is the witness, replayed edge by edge before it
-is returned.
+is returned, one color at a time by itemgetter, in one C-level pass each.
 """
 
 from __future__ import annotations
 
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from math import factorial
 from operator import itemgetter
 
@@ -51,40 +60,60 @@ from .invariants import pair_cycles
 MAX_COLOR_MAPS = factorial(8)
 
 
-def _code_from(graph: ColoredGraph, root: int, color_order, best=None,
-               exact: bool = False):
+def _code_from(root: int, cols, seen, best=None, exact: bool = False):
     """Traversal code of root's component, abandoned early against best.
 
-    Returns (code, discovery_order), or (None, None) once code > best is
-    certain (with exact, once code != best is).  best must come from a
-    component of root's size.  color_order[r] is the color of slot r.
+    cols[r] is the involution of slot r's color.  seen is a list of None
+    over every vertex, which the walk uses for discovery ids and leaves
+    all None again.  Returns (code, discovery_order), or (None, None) once
+    code > best is certain (with exact, once code != best is).  best must
+    come from a component of root's size.
     """
-    invs = graph.involutions
-    new_id = {root: 0}
     order = [root]
-    code: list[int] = []
-    checking = best is not None  # still tracking equality with best
-    pos = 0
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for c in color_order:
-            w = invs[c][v]
-            wid = new_id.get(w)
-            if wid is None:
-                wid = len(order)
-                new_id[w] = wid
-                order.append(w)
-            if checking:
-                ref = best[pos]
-                if wid != ref:
-                    if exact or wid > ref:
+    seen[root] = 0
+    try:
+        if best is None:
+            return _walk(order, cols, seen, [], 0), order
+        pos = 0
+        n = 1  # the id of the next new vertex, len(order)
+        add = order.append
+        for v in order:
+            for col in cols:
+                w = col[v]
+                wid = seen[w]
+                if wid is None:
+                    wid = seen[w] = n
+                    n += 1
+                    add(w)
+                if wid != best[pos]:
+                    if exact or wid > best[pos]:
                         return None, None
-                    checking = False
-            code.append(wid)
-            pos += 1
-    return code, order
+                    # below best: v's slots walk again, to the same ids
+                    start = pos // len(cols)
+                    return (_walk(order, cols, seen, best[:start * len(cols)],
+                                  start), order)
+                pos += 1
+        return list(best), order
+    finally:
+        for w in order:
+            seen[w] = None
+
+
+def _walk(order, cols, seen, code, start):
+    """code extended by the ids of every slot of order[start:], numbering
+    each vertex first met by its place in order."""
+    append, add = code.append, order.append
+    n = len(order)
+    for v in islice(order, start, None):
+        for col in cols:
+            w = col[v]
+            wid = seen[w]
+            if wid is None:
+                wid = seen[w] = n
+                n += 1
+                add(w)
+            append(wid)
+    return code
 
 
 def _find(parent: list[int], v: int) -> int:
@@ -94,18 +123,17 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def _min_component_code(graph: ColoredGraph, vertices, color_order, parent,
-                         bound=None):
+def _min_component_code(vertices, cols, seen, parent, bound=None):
     """Lexicographically least traversal code over roots in one component.
 
-    parent is a union-find forest over all vertices whose classes are
-    automorphism orbits; every tie with a code found under this color order
-    merges the orbits of the automorphism it gives.  bound, the least code
-    of this component under another color order, abandons every walk that
-    exceeds it.  A tie with bound is not a color-preserving automorphism
-    but a color automorphism, which makes bound the least code here too, so
-    the search stops there.  Returns None when every root's code exceeds
-    bound.
+    cols and seen are as for _code_from.  parent is a union-find forest
+    over all vertices whose classes are automorphism orbits; every tie with
+    a code found under cols merges the orbits of the automorphism it gives.
+    bound, the least code of a component of this size under another color
+    order, abandons every walk that exceeds it.  A tie with bound is not a
+    color-preserving automorphism: it carries that component, recolored,
+    onto this one, which makes bound the least code here too, so the search
+    stops there.  Returns None when every root's code exceeds bound.
     """
     best, best_order = bound, None
     tried = set()  # orbit representatives holding a root tried here
@@ -114,7 +142,7 @@ def _min_component_code(graph: ColoredGraph, vertices, color_order, parent,
         if rep in tried:
             continue
         tried.add(rep)
-        code, order = _code_from(graph, root, color_order, best)
+        code, order = _code_from(root, cols, seen, best)
         if code is None:
             continue
         if code == bound:
@@ -132,17 +160,27 @@ def _min_component_code(graph: ColoredGraph, vertices, color_order, parent,
     return None if best_order is None else best
 
 
-def _graph_code(graph: ColoredGraph, comps, color_order, parent, bound=None):
+def _graph_code(graph: ColoredGraph, comps, color_order, parent, seen,
+                bound=None):
     """Component codes sorted by (length, code).
 
-    bound, the least code of the graph's one component under another color
-    order, abandons the walks that exceed it; None when all of them do.
+    bound, the least code in the sorted list under another color order,
+    bounds the walks of the components of its size; None when all of
+    their codes exceed it, since the list then exceeds the other one.
     """
+    cols = [graph.involutions[c] for c in color_order]
+    codes = [None] * len(comps)
     if bound is not None:
-        code = _min_component_code(graph, comps[0], color_order, parent, bound)
-        return None if code is None else [code]
-    codes = [_min_component_code(graph, comp, color_order, parent)
-             for comp in comps]
+        size = len(bound) // graph.n_colors
+        for i, comp in enumerate(comps):
+            if len(comp) == size:
+                codes[i] = _min_component_code(comp, cols, seen, parent,
+                                               bound)
+        if all(code is None for code in codes):
+            return None
+    for i, comp in enumerate(comps):
+        if codes[i] is None:
+            codes[i] = _min_component_code(comp, cols, seen, parent)
     codes.sort(key=lambda code: (len(code), code))
     return codes
 
@@ -168,15 +206,15 @@ def _spread(covered: set, maps, generators) -> None:
                 stack.append(image)
 
 
-def _least_color_map_codes(graph: ColoredGraph, comps, parent):
+def _least_color_map_codes(graph: ColoredGraph, comps, parent, seen):
     """Component codes under the color map whose sorted code list is least.
 
-    Each walk of a connected graph is bounded by the least code found so
-    far, under any map.  When the code lists under pi0 and pi tie, pairing
-    their discovery orders is a color automorphism sigma with
-    sigma[pi0[s]] = pi[s].  The least codes under sigma.pi' and pi' are
-    then equal for every pi', so each map that the automorphisms found so
-    far carry a walked map to is skipped.
+    The first code of the least list found so far, under any map, bounds
+    each later map's components of its size (_graph_code).  When the code
+    lists under pi0 and pi tie, pairing their discovery orders is a color
+    automorphism sigma with sigma[pi0[s]] = pi[s].  The least codes under
+    sigma.pi' and pi' are then equal for every pi', so each map that the
+    automorphisms found so far carry a walked map to is skipped.
     """
     best = best_map = None
     generators: list[tuple] = []
@@ -184,8 +222,8 @@ def _least_color_map_codes(graph: ColoredGraph, comps, parent):
     for cmap in _color_maps(graph.n_colors):
         if cmap in covered:
             continue
-        bound = best[0] if best is not None and len(comps) == 1 else None
-        codes = _graph_code(graph, comps, cmap, parent, bound)
+        bound = None if best is None else best[0]
+        codes = _graph_code(graph, comps, cmap, parent, seen, bound)
         covered.add(cmap)
         _spread(covered, [cmap], generators)
         if codes is None:
@@ -215,33 +253,36 @@ def canonical_signature(graph: ColoredGraph, allow_color_perm: bool = False) -> 
     """
     comps = graph.components().members()
     parent = list(range(graph.num_vertices))
+    seen = [None] * graph.num_vertices  # every walk's ids, reset after it
     if allow_color_perm:
-        codes = _least_color_map_codes(graph, comps, parent)
+        codes = _least_color_map_codes(graph, comps, parent, seen)
     else:
-        codes = _graph_code(graph, comps, tuple(range(graph.n_colors)), parent)
+        codes = _graph_code(graph, comps, tuple(range(graph.n_colors)), parent,
+                            seen)
     body = "|".join(",".join(map(str, code)) for code in codes)
     return f"{graph.n_colors};{graph.num_vertices};{body}"
 
 
-def _matching_order(graph: ColoredGraph, comp, color_order, code):
+def _matching_order(comp, cols, seen, code):
     """Discovery order of the first root in comp whose code equals code."""
     for root in comp:
-        found, order = _code_from(graph, root, color_order, code, exact=True)
+        found, order = _code_from(root, cols, seen, code, exact=True)
         if found is not None:
             return order
     return None
 
 
-def _anchored_map(g2: ColoredGraph, anchors, comps2, cmap):
+def _anchored_map(g2: ColoredGraph, anchors, comps2, cmap, seen):
     """Vertex map taking each anchored g1 component onto a distinct g2
     component whose code under cmap equals the anchor's, or None."""
+    cols = [g2.involutions[c] for c in cmap]
     vmap = [-1] * g2.num_vertices
     free = list(comps2)
     for code1, order1 in anchors:
         for i, comp in enumerate(free):
             if len(comp) != len(order1):
                 continue
-            order2 = _matching_order(g2, comp, cmap, code1)
+            order2 = _matching_order(comp, cols, seen, code1)
             if order2 is not None:
                 break
         else:
@@ -256,13 +297,11 @@ def _replays(g1: ColoredGraph, g2: ColoredGraph, vmap, cmap) -> bool:
     """True when vmap is a bijection carrying every c-edge to a cmap[c]-edge."""
     if sorted(vmap) != list(range(g2.num_vertices)):
         return False
-    for c in range(g1.n_colors):
-        inv1 = g1.involutions[c]
-        inv2 = g2.involutions[cmap[c]]
-        for v in range(g1.num_vertices):
-            if vmap[inv1[v]] != inv2[vmap[v]]:
-                return False
-    return True
+    # vmap[inv1[v]] against inv2[vmap[v]] for every v at once; V >= 2, so
+    # each itemgetter returns a tuple
+    by_image = itemgetter(*vmap)
+    return all(itemgetter(*inv1)(vmap) == by_image(g2.involutions[c2])
+               for inv1, c2 in zip(g1.involutions, cmap))
 
 
 def isomorphic(g1: ColoredGraph, g2: ColoredGraph, allow_color_perm: bool = False):
@@ -291,10 +330,11 @@ def isomorphic(g1: ColoredGraph, g2: ColoredGraph, allow_color_perm: bool = Fals
     comps2 = g2.components().members()
     if sorted(map(len, comps1)) != sorted(map(len, comps2)):
         return None
-    anchors = [_code_from(g1, comp[0], identity) for comp in comps1]
+    seen = [None] * g1.num_vertices
+    anchors = [_code_from(comp[0], g1.involutions, seen) for comp in comps1]
     for cmap in chain((first,), cmaps):
         # slot r explores color cmap[r] in g2 against color r in g1
-        vmap = _anchored_map(g2, anchors, comps2, cmap)
+        vmap = _anchored_map(g2, anchors, comps2, cmap, seen)
         if vmap is not None and _replays(g1, g2, vmap, cmap):
             return tuple(vmap), tuple(cmap)
     return None

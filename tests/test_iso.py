@@ -5,11 +5,31 @@ import pytest
 import gemkit.iso
 from gemkit import (BudgetExceeded, ColorCountMismatch, ColoredGraph,
                     canonical_signature, isomorphic, new_graph, order_two_gem,
-                    pair_cycles)
+                    pair_cycles, torus_gem)
 
+import oracles
 from conftest import make_rng, random_colored_graph, shuffled_copy
 from oracles import (brute_force_color_map, brute_force_isomorphic,
                      unpruned_signature)
+
+
+def two_switch(rng, graph, color=None):
+    """graph with two edges of one color re-paired, drawn until some
+    pair's cycle lengths change; the color is drawn too unless given."""
+    census = pair_cycles(graph)
+    nv = graph.num_vertices
+    while True:
+        c = rng.randrange(graph.n_colors) if color is None else color
+        a, x = rng.sample(range(nv), 2)
+        b, y = graph.involutions[c][a], graph.involutions[c][x]
+        if x == b:
+            continue
+        invs = [list(col) for col in graph.involutions]
+        col = invs[c]
+        col[a], col[x], col[b], col[y] = x, a, y, b
+        out = ColoredGraph(invs)
+        if pair_cycles(out) != census:
+            return out
 
 
 def assert_valid_witness(g1, g2, witness):
@@ -173,6 +193,13 @@ class TestWitnessReplay:
         assert not gemkit.iso._replays(g, h, swapped, cmap)
         assert not gemkit.iso._replays(g, h, repeated, cmap)
         assert not gemkit.iso._replays(g, h, vmap, recolored)
+        # h re-paired in its last color only: vmap breaks two edges of
+        # that color and carries every other edge
+        last = g.n_colors - 1
+        switched = two_switch(make_rng(259), h, color=cmap[last])
+        assert all(switched.involutions[cmap[c]] == h.involutions[cmap[c]]
+                   for c in range(last))
+        assert not gemkit.iso._replays(g, switched, vmap, cmap)
 
 
 def disjoint_union(*graphs):
@@ -257,6 +284,38 @@ class TestFastPathAgainstOracle:
                     assert canonical_signature(h, allow_color_perm=True) \
                         == unpruned_signature(h, allow_color_perm=True)
 
+    def test_color_perm_several_components(self, monkeypatch, t3, g1p,
+                                           reduced1):
+        # the least code found so far bounds each map's least-size
+        # components; a map whose least-size codes all exceed it is skipped
+        real, skipped = gemkit.iso._graph_code, []
+
+        def counted(*args):
+            codes = real(*args)
+            skipped.append(codes is None)
+            return codes
+
+        monkeypatch.setattr(gemkit.iso, "_graph_code", counted)
+        rng = make_rng(118)
+        t3, g1p, reduced1 = t3.graph, g1p.graph, reduced1.graph
+        graphs = [disjoint_union(t3, t3.permute_colors((3, 2, 1, 0))),
+                  disjoint_union(g1p, g1p.permute_colors(
+                      rng.sample(range(5), 5))),
+                  disjoint_union(reduced1, g1p)]
+        for k in range(3, 6):
+            for _ in range(4):
+                parts = [random_colored_graph(rng, rng.choice((2, 4, 6)), k)
+                         for _ in range(rng.choice((2, 3)))]
+                parts.append(parts[0].permute_colors(rng.sample(range(k), k)))
+                graphs.append(disjoint_union(*parts))
+        for g in graphs:
+            for h in (g, self.variants(rng, g)[-1]):
+                del skipped[:]
+                assert canonical_signature(h, allow_color_perm=True) \
+                    == unpruned_signature(h, allow_color_perm=True)
+                if h.components().count > 1 and h.num_vertices >= 48:
+                    assert any(skipped)
+
     @pytest.mark.parametrize("parts", [1, 2])
     def test_color_automorphisms_skip_maps(self, monkeypatch, parts):
         # every color map of the 2-vertex gem ties, so the automorphisms
@@ -325,6 +384,106 @@ class TestFastPathAgainstOracle:
             for perm in (False, True):
                 self.check_pair(g, twice, perm)
                 assert isomorphic(g, twice, allow_color_perm=perm) is None
+
+
+class TestCodeFromAgainstOracle:
+    """The compare-only walk against the oracle's full walk, root by root."""
+
+    def check(self, g, roots, rng, verdicts):
+        order_of_colors = rng.sample(range(g.n_colors), g.n_colors)
+        cols = [g.involutions[c] for c in order_of_colors]
+        seen = [None] * g.num_vertices
+        full = {}
+        for root in set(roots) | set(rng.sample(range(g.num_vertices),
+                                                min(8, g.num_vertices))):
+            full[root] = oracles._code_from(g, root, order_of_colors)
+        for root in roots:
+            code, order = gemkit.iso._code_from(root, cols, seen)
+            assert seen == [None] * g.num_vertices
+            assert code == full[root] and order[0] == root
+            assert self.replay(order, cols) == code
+            # best from other roots of a component of root's size, and
+            # root's own code for a tie that holds
+            bests = [list(other) for other in full.values()
+                     if len(other) == len(code)]
+            bests = rng.sample(bests, min(3, len(bests))) + [list(code)]
+            for best in bests:
+                want = oracles._code_from(g, root, order_of_colors, best)
+                for exact in (False, True):
+                    got, order = gemkit.iso._code_from(root, cols, seen,
+                                                       best, exact)
+                    assert seen == [None] * g.num_vertices
+                    if exact:
+                        assert got == (best if full[root] == best else None)
+                    else:
+                        assert got == want
+                    assert (got is None) == (order is None)
+                    if got is not None:
+                        assert self.replay(order, cols) == got
+                verdicts.add((full[root] > best) - (full[root] < best))
+
+    @staticmethod
+    def replay(order, cols):
+        """The code that a discovery order numbers."""
+        new_id = {v: i for i, v in enumerate(order)}
+        return [new_id[col[v]] for v in order for col in cols]
+
+    def test_random_graphs(self):
+        rng = make_rng(112)
+        verdicts = set()
+        for k in range(2, 8):
+            for _ in range(6):
+                g = random_colored_graph(rng, rng.choice((2, 4, 6, 8, 12)), k)
+                self.check(g, range(g.num_vertices), rng, verdicts)
+            union = disjoint_union(*[random_colored_graph(rng, 4, k)
+                                     for _ in range(3)])
+            self.check(union, range(union.num_vertices), rng, verdicts)
+        assert verdicts == {-1, 0, 1}
+
+    def test_catalogue_and_shuffled_copies(self, s2xs1, t3, g1p, g2p, cover1,
+                                           reduced1, torus3, torus4):
+        rng = make_rng(113)
+        verdicts = set()
+        graphs = TestSignatureLaw().catalogue(s2xs1, t3, g1p, g2p, cover1,
+                                              reduced1, torus3, torus4)
+        for g in graphs.values():
+            for h in (g, shuffled_copy(rng, g)[0]):
+                roots = rng.sample(range(h.num_vertices),
+                                   min(24, h.num_vertices))
+                self.check(h, roots, rng, verdicts)
+        assert verdicts == {-1, 0, 1}
+
+    def test_two_switched_t5(self, switched_t5):
+        rng = make_rng(114)
+        verdicts = set()
+        self.check(switched_t5, rng.sample(range(720), 12), rng, verdicts)
+        assert verdicts == {-1, 0, 1}
+
+
+@pytest.fixture(scope="module")
+def switched_t5():
+    """t5 with two edges of one color re-paired: few automorphisms, so a
+    canonical search walks most of its 720 roots."""
+    return two_switch(make_rng(115), torus_gem(5).graph)
+
+
+class TestLowSymmetry:
+    def test_signature_against_unpruned(self, switched_t5):
+        rng = make_rng(116)
+        sig = canonical_signature(switched_t5)
+        assert sig == unpruned_signature(switched_t5)
+        for _ in range(3):
+            assert canonical_signature(shuffled_copy(rng, switched_t5)[0]) \
+                == sig
+        assert sig != canonical_signature(torus_gem(5).graph)
+
+    def test_isomorphic_relabellings(self, switched_t5):
+        rng = make_rng(117)
+        g, h = (shuffled_copy(rng, switched_t5)[0] for _ in range(2))
+        witness = isomorphic(g, h)
+        assert witness is not None
+        assert_valid_witness(g, h, witness)
+        assert isomorphic(g, torus_gem(5).graph) is None
 
 
 class TestEqualPairCycleTables:
