@@ -2,15 +2,17 @@
 
 Subcommands mirror the library: build catalogue constructions, check and
 convert gem files, compute genus data, run move scripts, and compare
-graphs.  Each command returns its answer once, as a JSON object, the lines
-of its text form, and (for build, export and moves) a document: the gem,
-dot or gluings text.  `main` is the one place that writes output: under
---json it prints the object as one JSON line, otherwise the text lines.
-The document goes to --out when given, under either format, before
-anything is printed; without --out it follows the text lines on stdout and
-is left out under --json, whose object already holds it.  Exit codes: 0 success, 1 domain errors
-(validation, failed move or construction preconditions, unreadable or
-unwritable files), 2 parse errors.
+graphs.  One table, _CATALOGUE, gives each build name its builder, the
+argument it needs and the one it may also take; build refuses the rest.
+Each command returns its answer once, as a JSON object, the lines of its
+text form, and (for build, export and moves) a document: the gem, dot or
+gluings text.  `main` is the one place that writes output: under --json
+it prints the object as one JSON line, otherwise the text lines.  The
+document goes to --out when given, under either format, before anything
+is printed; without --out it follows the text lines on stdout and is left
+out under --json, whose object already holds it.  Exit codes: 0 success,
+1 domain errors (validation, failed move or construction preconditions,
+unreadable or unwritable files), 2 parse errors.
 """
 
 import argparse
@@ -88,43 +90,19 @@ def _words(obj):
     return " ".join(f"{key}={word(value)}" for key, value in obj.items())
 
 
-def _product(args):
-    if not args.file:
-        raise GemError("build product-gem needs a base gem file")
-    return product_gem(_read_gem(args.file))
+# how each build argument is written, in the order build checks them
+_BUILD_ARGS = {"file": "a base gem file", "n": "--n", "budget": "--budget",
+               "lam": "--lambda"}
 
-
-def _torus(args):
-    if args.n is None:
-        raise GemError("build torus-cube needs --n")
-    if args.budget is None:
-        return torus_gem(args.n)
-    return torus_gem(args.n, budget=args.budget)
-
-
-def _small_cover(args):
-    if args.lam is None:
-        raise GemError("build small-cover needs --lambda")
-    return small_cover_gem(args.lam)
-
-
-# build name -> the gem it makes from the parsed arguments
+# build name -> (its builder, the argument it needs, the one it may also take)
 _CATALOGUE = {
-    "s2xs1": lambda args: s2xs1_standard(),
-    "t3": lambda args: t3_standard(),
-    "g1prime": lambda args: g1_prime(),
-    "g2prime": lambda args: g2_prime(),
-    "product-gem": _product,
-    "torus-cube": _torus,
-    "small-cover": _small_cover,
-}
-
-# build argument -> (how it is written, the one name that reads it)
-_BUILD_OPTIONS = {
-    "file": ("a base gem file", "product-gem"),
-    "n": ("--n", "torus-cube"),
-    "budget": ("--budget", "torus-cube"),
-    "lam": ("--lambda", "small-cover"),
+    "s2xs1": (s2xs1_standard, None, None),
+    "t3": (t3_standard, None, None),
+    "g1prime": (g1_prime, None, None),
+    "g2prime": (g2_prime, None, None),
+    "product-gem": (lambda path: product_gem(_read_gem(path)), "file", None),
+    "torus-cube": (torus_gem, "n", "budget"),
+    "small-cover": (small_cover_gem, "lam", None),
 }
 
 # export format -> the text it makes from a gem
@@ -132,10 +110,16 @@ _FORMATS = {"dot": export_dot, "gluings": export_gluings, "gem": render_gem}
 
 
 def _cmd_build(args):
-    for dest, (written, reader) in _BUILD_OPTIONS.items():
-        if getattr(args, dest) is not None and args.name != reader:
-            raise GemError(f"build {args.name} does not take {written}")
-    gem = _CATALOGUE[args.name](args)
+    make, needs, may = _CATALOGUE[args.name]
+    given = {dest: getattr(args, dest) for dest in _BUILD_ARGS
+             if getattr(args, dest) is not None}
+    for dest in given:
+        if dest not in (needs, may):
+            raise GemError(f"build {args.name} does not take {_BUILD_ARGS[dest]}")
+    if needs is not None and given.get(needs) in (None, ""):
+        raise GemError(f"build {args.name} needs {_BUILD_ARGS[needs]}")
+    # positional in _BUILD_ARGS order: the needed argument, then --budget
+    gem = make(*given.values())
     text = render_gem(gem)
     return ({"name": args.name, "colors": gem.graph.n_colors,
              "vertices": gem.graph.num_vertices, "gem": text}, [], text)

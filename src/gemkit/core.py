@@ -137,11 +137,16 @@ class ColoredGraph:
         return [(v, col[v]) for v in range(self.num_vertices) if v < col[v]]
 
     def _check_color(self, color: int) -> None:
+        # bool and IntEnum pass; 0.0 would pass the range test, then fail to index
+        if not isinstance(color, int):
+            raise ColorOutOfRange(f"color {color!r} is not an int")
         if not 0 <= color < self.n_colors:
             raise ColorOutOfRange(f"color {color} not in 0..{self.n_colors - 1}")
 
     def _check_vertex(self, v: int) -> None:
         # a negative id would index from the end of the involution
+        if not isinstance(v, int):
+            raise VertexCountMismatch(f"vertex {v!r} is not an int")
         if not 0 <= v < self.num_vertices:
             raise VertexCountMismatch(f"vertex {v} not in 0..{self.num_vertices - 1}")
 
@@ -170,9 +175,10 @@ class ColoredGraph:
         if colors is None:
             colors = range(self.n_colors)
         else:
-            colors = sorted(set(colors))
+            colors = tuple(colors)
             for c in colors:
                 self._check_color(c)
+            colors = sorted(set(colors))
         if not colors:
             return Components(tuple(range(self.num_vertices)), self.num_vertices)
         invs = self.involutions
@@ -216,7 +222,8 @@ class ColoredGraph:
             for j in all_colors)
 
     def is_crystallization(self) -> bool:
-        return self.is_connected() and self.is_contracted()
+        # is_contracted's residues keep every vertex: one component is connected
+        return self.is_contracted()
 
     def residue_counts(self) -> dict[tuple[int, ...], int]:
         """Component count of the residue of every color subset.
@@ -280,7 +287,7 @@ class ColoredGraph:
     def relabel(self, new_id) -> "ColoredGraph":
         """Relabel vertices; new_id[v] is the new id of old vertex v."""
         new_id = list(new_id)
-        if sorted(new_id) != list(range(self.num_vertices)):
+        if not _is_int_permutation(new_id, self.num_vertices):
             raise VertexCountMismatch("relabeling is not a bijection on vertex ids")
         # the old ids in order of their new ids, which _restrict numbers 0..V-1
         keep = sorted(range(self.num_vertices), key=new_id.__getitem__)
@@ -289,12 +296,19 @@ class ColoredGraph:
     def permute_colors(self, new_color) -> "ColoredGraph":
         """Recolor edges; new_color[c] is the new color of old color c."""
         new_color = list(new_color)
-        if sorted(new_color) != list(range(self.n_colors)):
+        if not _is_int_permutation(new_color, self.n_colors):
             raise ColorOutOfRange("color permutation is not a bijection on colors")
         invs: list = [None] * self.n_colors
         for c, col in enumerate(self.involutions):
             invs[new_color[c]] = col
         return ColoredGraph._of_matchings(invs)
+
+
+def _is_int_permutation(values, n: int) -> bool:
+    """Whether `values` are the ints 0..n-1 in some order (bool and IntEnum
+    are ints; 0.0 sorts and compares as 0 but indexes nothing)."""
+    return (all(isinstance(x, int) for x in values)
+            and sorted(values) == list(range(n)))
 
 
 def _restrict(columns, keep) -> tuple[list, list]:

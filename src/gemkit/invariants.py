@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from .core import ColoredGraph, _Level, _run_split
+from .core import ColoredGraph, _is_int_permutation, _Level, _run_split
 from .errors import (BudgetExceeded, ColorOutOfRange, DimensionUnsupported,
                      GemError, PermutationColorMismatch)
 
@@ -55,7 +55,7 @@ def cyclic_permutations(n_colors: int) -> list[tuple[int, ...]]:
 
 def check_cyclic_permutation(graph: ColoredGraph, perm) -> tuple[int, ...]:
     perm = tuple(perm)
-    if sorted(perm) != list(range(graph.n_colors)):
+    if not _is_int_permutation(perm, graph.n_colors):
         raise PermutationColorMismatch(
             f"{perm} is not a permutation of colors 0..{graph.n_colors - 1}")
     return perm

@@ -145,6 +145,8 @@ class _Workspace:
 
     def _require_live(self, vertices) -> None:
         for v in vertices:
+            if not isinstance(v, int):
+                raise MoveError(f"vertex {v!r} is not an int")
             if not (0 <= v < len(self.live) and self.live[v]):
                 raise MoveError(f"vertex {v} out of range")
 

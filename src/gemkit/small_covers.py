@@ -216,20 +216,22 @@ def small_cover_gem(masks):
 def infer_characteristic_function(gem):
     """Read the six facet vectors back off a cover gem.
 
-    Sheet 1 crosses facets 6, 4, 2 and 1 with colors 0, 1, 3 and 4; sheets
-    3 and 4 cross facets 3 and 5 with colors 4 and 0.  Raises AuditFailed
-    unless the gem carries exactly the cover labels.
+    Each facet's vector is read across the first face _BOUNDARY lists on
+    that facet, from copy 0.  Raises AuditFailed unless the gem carries
+    exactly the cover labels.
     """
     _require_cover_labels(gem)
     graph = gem.graph
+    first = {}
+    for face, facet in _BOUNDARY.items():
+        first.setdefault(facet, face)
 
-    def across(start, color):
-        twin = gem.label_of(graph.partner(gem.vertex(start), color))
+    def across(sheet, color):
+        twin = gem.label_of(graph.partner(gem.vertex(f"T0^{sheet}"), color))
         return word_mask(_label_word(twin))
 
-    masks = (across("T0^1", 4), across("T0^1", 3), across("T0^3", 4),
-             across("T0^1", 1), across("T0^4", 0), across("T0^1", 0))
-    return validate_characteristic_function(masks)
+    return validate_characteristic_function(
+        across(*first[facet]) for facet in range(1, 7))
 
 
 # -- compact form -----------------------------------------------------------------

@@ -49,6 +49,11 @@ first built it: the vertices whose label names sheet 2..5, an index dict,
 one pair list per kept color checked for closure vertex by vertex, and
 `new_graph`.  `looped_relabel` relabels vertices one column entry at a time.
 
+`guarded_cmd_build` is the CLI's build command as it was before one table
+said what each name takes: an ownership table naming the one name that
+reads each argument, and a hand-written guard per name with its own
+"needs" message.
+
 `per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
 characteristic functions facet by facet: facets 1..4 carry a basis, which
 forces the candidate linear map, and the map is checked on facets 5 and 6.
@@ -68,7 +73,13 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
                     ScriptResult, VertexCountMismatch, cancel_dipole,
                     new_graph, validate_characteristic_function)
+from gemkit.cli import _read_gem
+from gemkit.constructions import (g1_prime, g2_prime, product_gem,
+                                  s2xs1_standard, t3_standard)
 from gemkit.core import graph_from_endpoints
+from gemkit.gemfile import render_gem
+from gemkit.small_covers import small_cover_gem
+from gemkit.torus_cube import torus_gem
 from gemkit.gemfile import DOT_PALETTE
 
 
@@ -861,6 +872,57 @@ def sheet_filter_middle_subgraph(gem):
         pairs.append(acc)
     sub = new_graph(4, pairs, num_vertices=len(keep))
     return LabeledGem(sub, tuple(gem.label_of(v) for v in keep))
+
+
+def _guarded_product(args):
+    if not args.file:
+        raise GemError("build product-gem needs a base gem file")
+    return product_gem(_read_gem(args.file))
+
+
+def _guarded_torus(args):
+    if args.n is None:
+        raise GemError("build torus-cube needs --n")
+    if args.budget is None:
+        return torus_gem(args.n)
+    return torus_gem(args.n, budget=args.budget)
+
+
+def _guarded_small_cover(args):
+    if args.lam is None:
+        raise GemError("build small-cover needs --lambda")
+    return small_cover_gem(args.lam)
+
+
+# build name -> the gem it makes from the parsed arguments
+_GUARDED_CATALOGUE = {
+    "s2xs1": lambda args: s2xs1_standard(),
+    "t3": lambda args: t3_standard(),
+    "g1prime": lambda args: g1_prime(),
+    "g2prime": lambda args: g2_prime(),
+    "product-gem": _guarded_product,
+    "torus-cube": _guarded_torus,
+    "small-cover": _guarded_small_cover,
+}
+
+# build argument -> (how it is written, the one name that reads it)
+_BUILD_OPTIONS = {
+    "file": ("a base gem file", "product-gem"),
+    "n": ("--n", "torus-cube"),
+    "budget": ("--budget", "torus-cube"),
+    "lam": ("--lambda", "small-cover"),
+}
+
+
+def guarded_cmd_build(args):
+    """The build command's (object, lines, document) answer."""
+    for dest, (written, reader) in _BUILD_OPTIONS.items():
+        if getattr(args, dest) is not None and args.name != reader:
+            raise GemError(f"build {args.name} does not take {written}")
+    gem = _GUARDED_CATALOGUE[args.name](args)
+    text = render_gem(gem)
+    return ({"name": args.name, "colors": gem.graph.n_colors,
+             "vertices": gem.graph.num_vertices, "gem": text}, [], text)
 
 
 def _basis_combo(basis, v):

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,10 @@ from gemkit import (ColoredGraph, LabeledGem, add_dipole, export_dot,
                     export_gluings, g1_prime, parse_gem, parse_move_script,
                     product_gem, render_gem, run_script, s2xs1_standard,
                     small_cover_gem, t3_standard, torus_gem)
+from gemkit import cli
 from gemkit.cli import main
+
+from oracles import guarded_cmd_build
 
 SQUARE = "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n"
 FOLD_SCRIPT = "dipole 0 1 0\n"
@@ -777,3 +781,84 @@ class TestPinnedOutput:
         code, err = PINNED_ERRORS[command]
         assert run_pinned(capsys, pinned_paths, command, *fmt.split()) \
             == (code, "", err.format(**pinned_paths))
+
+
+# -- build against the guarded oracle --------------------------------------------
+
+BUILD_NAMES = ("s2xs1", "t3", "g1prime", "g2prime", "product-gem",
+               "torus-cube", "small-cover")
+
+# build argument -> its argv words in each state but absent: empty (the
+# base file only), out of range, valid; {square} and {base} are files
+BUILD_STATES = {
+    "file": (("",), ("{square}",), ("{base}",)),
+    "n": (("--n", "0"), ("--n", "3")),
+    "budget": (("--budget", "0"), ("--budget", "100")),
+    "lam": (("--lambda", "8"), ("--lambda", "3")),
+}
+
+
+def build_tails():
+    """build's argv after the name: no argument, each one alone, and each
+    pair, in every state, the base file both before and after the options."""
+    tails = [()]
+    for states in BUILD_STATES.values():
+        tails += states
+    for a, b in combinations(BUILD_STATES, 2):
+        for first, second in product(BUILD_STATES[a], BUILD_STATES[b]):
+            tails.append(first + second)
+            if a == "file":
+                tails.append(second + first)
+    return tails
+
+
+class TestBuildAgainstGuardedOracle:
+    """build's one table against the ownership table and per-name guards it
+    replaced (oracles.guarded_cmd_build): the same exit code, stdout and
+    stderr for every name and argument combination."""
+
+    def test_tails_cover_every_state_and_order(self):
+        tails = build_tails()
+        # none, 9 single states, 3 file pairs of 6 in two orders, 3 pairs of 4
+        assert len(tails) == len(set(tails)) == 1 + 9 + 3 * 6 * 2 + 3 * 4
+        assert ("", "--n", "3") in tails and ("--n", "3", "") in tails
+
+    @pytest.mark.parametrize("name", BUILD_NAMES)
+    def test_same_answers(self, capsys, monkeypatch, tmp_path, name):
+        square = tmp_path / "square.gem"
+        square.write_text(SQUARE)
+        base = tmp_path / "base.gem"
+        base.write_text(render_gem(s2xs1_standard()))
+        tails = [[w.format(square=square, base=base) for w in tail]
+                 for tail in build_tails()]
+
+        def answers():
+            return [run_pinned(capsys, {}, "build", name, *tail)
+                    for tail in tails]
+
+        table = answers()
+        monkeypatch.setattr(cli, "_cmd_build", guarded_cmd_build)
+        cli._build_parser.cache_clear()  # the parser holds the command
+        try:
+            guarded = answers()
+        finally:
+            cli._build_parser.cache_clear()
+        for tail, got, want in zip(tails, table, guarded):
+            assert got == want, tail
+        # every name builds from some combination
+        assert any(code == 0 for code, _, _ in table)
+
+    @pytest.mark.parametrize("argv, err", [
+        (("build", "s2xs1", ""),
+         "error: build s2xs1 does not take a base gem file\n"),
+        (("build", "product-gem", ""),
+         "error: build product-gem needs a base gem file\n"),
+        (("build", "product-gem", "--budget", "100", ""),
+         "error: build product-gem does not take --budget\n"),
+        (("build", "torus-cube", "--budget", "100"),
+         "error: build torus-cube needs --n\n"),
+    ])
+    def test_given_means_not_none(self, capsys, argv, err):
+        # an empty base file is given, so a name without one refuses it,
+        # and missing, so product-gem asks for one
+        assert run(capsys, *argv) == (1, "", err)

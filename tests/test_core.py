@@ -1,21 +1,25 @@
 """Graph container: construction, validation, residues, basic predicates."""
 
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
 
-from gemkit import (ColorOutOfRange, ColoredGraph, DuplicateVertexInColor,
-                    GemError, GraphValidationError, LabeledGem, LoopEdge,
-                    OddVertexCount, ScriptStep, UnknownLabel,
-                    VertexCountMismatch, add_dipole, new_graph, order_two_gem,
-                    parse_gem, product_gem, render_gem, run_script,
-                    small_cover_gem, torus_gem)
+from gemkit import (ColorOutOfRange, ColoredGraph, CombinedSpec, DipoleSpec,
+                    DuplicateVertexInColor, GemError, GlueSpec,
+                    GraphValidationError, LabeledGem, LoopEdge, MoveError,
+                    OddVertexCount, PermutationColorMismatch, ScriptStep,
+                    UnknownLabel, VertexCountMismatch, add_dipole,
+                    bicolored_cycles, cancel_dipole, check_dipole,
+                    combined_move, genus_for, new_graph, order_two_gem,
+                    parse_gem, polyhedral_glue, product_gem, render_gem,
+                    run_script, small_cover_gem, torus_gem)
 from gemkit.core import _restrict, graph_from_endpoints
 
 from conftest import (disjoint_union, make_rng, random_colored_graph,
                       shuffled_copy)
-from oracles import (flood_fill_labels, looped_involutions, looped_relabel,
-                     pairwise_new_graph, per_subset_face_counts,
+from oracles import (flood_fill_count, flood_fill_labels, looped_involutions,
+                     looped_relabel, pairwise_new_graph, per_subset_face_counts,
                      per_subset_residue_counts, torus_residue_count)
 
 
@@ -156,6 +160,18 @@ class TestComponents:
             assert g.components() == g.components(range(g.n_colors))
 
 
+def assert_crystallization_is_contracted(graph):
+    """Check is_crystallization against flood fills; return its verdict."""
+    k = graph.n_colors
+    contracted = graph.is_contracted()
+    assert graph.is_connected() or not contracted
+    want = flood_fill_count(graph, range(k)) == 1 and all(
+        flood_fill_count(graph, [c for c in range(k) if c != j]) == 1
+        for j in range(k))
+    assert graph.is_crystallization() == contracted == want
+    return want
+
+
 class TestPredicates:
     def test_bipartite(self):
         assert square_graph().is_bipartite()
@@ -172,6 +188,23 @@ class TestPredicates:
         assert double.is_contracted()
         # dropping one color of the square leaves two disjoint edges
         assert not square_graph().is_contracted()
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_crystallization_is_contracted_on_random_graphs(self, k):
+        rng = make_rng(400 + k)
+        graphs = [random_colored_graph(rng, nv, k)
+                  for nv in (2, 4, 6, 8, 12) for _ in range(8)]
+        graphs += [disjoint_union(g, g) for g in graphs[:8]]
+        verdicts = {assert_crystallization_is_contracted(g) for g in graphs}
+        assert verdicts == {True, False}
+
+    def test_crystallization_is_contracted_on_catalogue(
+            self, s2xs1, t3, g1p, g2p, cover1, reduced1, torus4):
+        rng = make_rng(47)
+        verdicts = {
+            assert_crystallization_is_contracted(shuffled_copy(rng, gem.graph)[0])
+            for gem in (s2xs1, t3, g1p, g2p, cover1, reduced1, torus4)}
+        assert verdicts == {True, False}
 
     def test_face_counts_and_euler(self):
         double = new_graph(2, [[(0, 1)], [(0, 1)]])
@@ -575,3 +608,84 @@ class TestLabeledGem:
     def test_repr(self):
         gem = LabeledGem(square_graph(), ["a", "b", "c", "d"])
         assert repr(gem) == "LabeledGem(ColoredGraph(colors=2, vertices=4))"
+
+
+# call on the 3-torus gem -> (the GemError it raises, its message); each
+# argument that is not an int would otherwise index or compare as a TypeError
+NON_INT_CALLS = {
+    "genus_for float color": (
+        lambda g: genus_for(g, (0.0, 1, 2, 3)), PermutationColorMismatch,
+        "(0.0, 1, 2, 3) is not a permutation of colors 0..3"),
+    "genus_for str color": (
+        lambda g: genus_for(g, (0, "a", 2, 3)), PermutationColorMismatch,
+        "(0, 'a', 2, 3) is not a permutation of colors 0..3"),
+    "bicolored_cycles float color": (
+        lambda g: bicolored_cycles(g, 0.0, 1), ColorOutOfRange,
+        "color 0.0 is not an int"),
+    "partner float vertex": (
+        lambda g: g.partner(0.0, 1), VertexCountMismatch,
+        "vertex 0.0 is not an int"),
+    "partner float color": (
+        lambda g: g.partner(0, 1.0), ColorOutOfRange, "color 1.0 is not an int"),
+    "label_of float vertex": (
+        lambda g: LabeledGem(g).label_of(1.0), VertexCountMismatch,
+        "vertex 1.0 is not an int"),
+    "components str color": (
+        lambda g: g.components(["a"]), ColorOutOfRange,
+        "color 'a' is not an int"),
+    "components int and str colors": (
+        lambda g: g.components([0, "a"]), ColorOutOfRange,
+        "color 'a' is not an int"),
+    "permute_colors float color": (
+        lambda g: g.permute_colors([0.0, 1, 2, 3]), ColorOutOfRange,
+        "color permutation is not a bijection on colors"),
+    "relabel str vertex": (
+        lambda g: g.relabel(["a"] + list(range(1, g.num_vertices))),
+        VertexCountMismatch, "relabeling is not a bijection on vertex ids"),
+    "check_dipole str vertex": (
+        lambda g: check_dipole(g, DipoleSpec("a", 1, frozenset({0}))),
+        MoveError, "vertex 'a' is not an int"),
+    "add_dipole float vertex": (
+        lambda g: add_dipole(g, 0.0, [0]), MoveError, "vertex 0.0 is not an int"),
+    "add_dipole float color": (
+        lambda g: add_dipole(g, 0, [0.0]), ColorOutOfRange,
+        "color 0.0 is not an int"),
+    "cancel_dipole float vertex": (
+        lambda g: cancel_dipole(g, DipoleSpec(0.0, 1, frozenset({0}))),
+        MoveError, "vertex 0.0 is not an int"),
+    "polyhedral_glue float color": (
+        lambda g: polyhedral_glue(g, GlueSpec(0.0, (0,), (g.partner(0, 0),))),
+        ColorOutOfRange, "color 0.0 is not an int"),
+    "polyhedral_glue str vertex": (
+        lambda g: polyhedral_glue(g, GlueSpec(0, ("a",), (1,))),
+        MoveError, "vertex 'a' is not an int"),
+    "combined_move float color": (
+        lambda g: combined_move(g, CombinedSpec(0.0, 1, 2, (0, 1), (2, 3))),
+        ColorOutOfRange, "color 0.0 is not an int"),
+}
+
+
+class _Color(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class TestNonIntArguments:
+    """A color, vertex or color order that is not an int is refused by its
+    gate with a GemError; bool and IntEnum stay ints."""
+
+    @pytest.mark.parametrize("call", NON_INT_CALLS)
+    def test_refused(self, torus3, call):
+        fn, error, message = NON_INT_CALLS[call]
+        with pytest.raises(error) as err:
+            fn(torus3.graph)
+        assert str(err.value) == message
+
+    def test_bool_and_int_enum_are_ints(self, torus3):
+        g = torus3.graph
+        assert g.partner(True, _Color.ONE) == g.partner(1, 1)
+        assert genus_for(g, (False, True, 2, 3)) == genus_for(g, (0, 1, 2, 3))
+        assert bicolored_cycles(g, _Color.ZERO, True) == bicolored_cycles(g, 0, 1)
+        assert g.permute_colors([_Color.ONE, False, 2, 3]) \
+            == g.permute_colors([1, 0, 2, 3])
+        assert LabeledGem(g).label_of(True) == LabeledGem(g).label_of(1)

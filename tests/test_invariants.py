@@ -10,8 +10,10 @@ from gemkit import (BudgetExceeded, ColorOutOfRange, DimensionUnsupported,
                     all_genus_reports, bicolored_cycles,
                     check_cyclic_permutation, cyclic_permutations, genus_for,
                     genus_lower_bound, invariants, is_weak_semi_simple,
-                    new_graph, order_two_gem, pair_cycles, reduced_cover,
-                    regular_genus, weak_semi_simple_triples)
+                    new_graph, order_two_gem, pair_cycles, product_gem,
+                    reduced_cover, regular_genus, s2xs1_standard,
+                    small_cover_gem, weak_semi_simple_triples)
+from gemkit.core import euler_characteristic_from, face_counts_from
 from gemkit.invariants import weak_semi_simple_from
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
@@ -296,3 +298,84 @@ class TestWeakSemiSimple:
 
     def test_reduced_cover(self, reduced1):
         assert is_weak_semi_simple(reduced1.graph, (0, 3, 2, 1, 4), 2)
+
+
+# the 5-colour crystallizations and the rank m of each one's fundamental
+# group: S2xS1xS1 (g1prime) and the small covers have m = 2, T4 has m = 4
+CRYSTALLIZATIONS = ("g1prime", "g2prime", "t4", "g2prime shuffled",
+                    *(f"cover {i}" for i in range(1, 8)))
+
+
+@pytest.fixture(scope="module")
+def crystallizations(g1p, g2p, torus4):
+    rng = make_rng(2017)
+    shuffled = shuffled_copy(rng, g2p.graph)[0].permute_colors([2, 0, 4, 1, 3])
+    found = {"g1prime": (g1p.graph, 2), "g2prime": (g2p.graph, 4),
+             "t4": (torus4.graph, 4), "g2prime shuffled": (shuffled, 4)}
+    for i in range(1, 8):
+        found[f"cover {i}"] = (reduced_cover(i).gem.graph, 2)
+    return found
+
+
+def triples_and_chi(graph):
+    """({(i, j, k): g_ijk}, chi), both read from one residue_counts() walk."""
+    counts = graph.residue_counts()
+    triples = {t: counts[t] for t in combinations(range(5), 3)}
+    return triples, euler_characteristic_from(face_counts_from(counts, 5))
+
+
+def vertex_identity_holds(graph):
+    """(a): V/2 = sum of all ten g_ijk + 3 chi - 15."""
+    triples, chi = triples_and_chi(graph)
+    return graph.num_vertices // 2 == sum(triples.values()) + 3 * chi - 15
+
+
+def genus_identity_orders(graph):
+    """The orders eps of all_genus_reports at which (b) holds:
+    rho_eps = sum over i of g_{eps_i eps_i+2 eps_i+4} + 2 chi - 9."""
+    triples, chi = triples_and_chi(graph)
+    return [r.permutation for r in all_genus_reports(graph)
+            if r.genus == sum(
+                triples[tuple(sorted(r.permutation[(i + s) % 5]
+                                     for s in (0, 2, 4)))]
+                for i in range(5)) + 2 * chi - 9]
+
+
+class TestTripleIdentities:
+    """The paper's two triple-residue identities on 5-colour
+    crystallizations, and weak semi-simplicity as the genus meeting its
+    lower bound; g_ijk is the residue count on colours {i, j, k}."""
+
+    @pytest.mark.parametrize("name", CRYSTALLIZATIONS)
+    def test_vertex_identity(self, crystallizations, name):
+        graph, _ = crystallizations[name]
+        assert graph.is_crystallization()
+        assert vertex_identity_holds(graph)
+
+    @pytest.mark.parametrize("name", CRYSTALLIZATIONS)
+    def test_genus_identity_at_every_order(self, crystallizations, name):
+        graph, _ = crystallizations[name]
+        assert genus_identity_orders(graph) == cyclic_permutations(5)
+        assert len(cyclic_permutations(5)) == 12
+
+    @pytest.mark.parametrize("name", CRYSTALLIZATIONS)
+    def test_weak_semi_simple_exactly_at_the_bound(self, crystallizations,
+                                                   name):
+        graph, rank = crystallizations[name]
+        bound = genus_lower_bound(graph.euler_characteristic(), rank)
+        met = [genus_for(graph, p).genus == bound
+               for p in cyclic_permutations(5)]
+        assert met == [is_weak_semi_simple(graph, p, rank)
+                       for p in cyclic_permutations(5)]
+        # the regular genus is the bound: 6, 16 and 8
+        assert any(met)
+        assert regular_genus(graph).genus == bound
+
+    @pytest.mark.parametrize("gem", [
+        lambda: small_cover_gem(1), lambda: product_gem(s2xs1_standard())],
+        ids=["cover gem", "s2xs1 product"])
+    def test_both_fail_off_crystallizations(self, gem):
+        graph = gem().graph
+        assert not graph.is_crystallization()
+        assert not vertex_identity_holds(graph)
+        assert genus_identity_orders(graph) == []
