@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import cache
 from importlib.resources import files
 
-from .core import LabeledGem, new_graph
-from .errors import AuditFailed, BaseNotCrystallization
+from .core import LabeledGem, _require_int, new_graph
+from .errors import AuditFailed, BaseNotCrystallization, ColorOutOfRange
 from .gemfile import parse_gem
 from .invariants import bicolored_cycles
 from .moves import ScriptResult, parse_move_script, run_script
@@ -61,6 +61,7 @@ def _audit(gem: LabeledGem, what: str, vertices: int, cycles=()) -> LabeledGem:
 
 def order_two_gem(n_colors: int = 4) -> LabeledGem:
     """Two vertices joined by every color: the n-sphere's smallest gem."""
+    _require_int(n_colors, "number of colors", ColorOutOfRange)
     graph = new_graph(n_colors, [[(0, 1)] for _ in range(n_colors)])
     return LabeledGem(graph, ("p", "q"))
 

@@ -11,15 +11,16 @@ Vertices are dense ints.  Human-readable names live in a side table
 
 One int object per vertex id: every entry of every involution equal to v
 is the same int object, so a graph on V vertices holds V ints however many
-colors it has.  ColoredGraph owns the rule, on two paths.  Its validator,
-the one public constructor, reads each color through itemgetter over its
-own tuple(range(V)) and stores what it reads, so its callers get shared
-ids for free: the torus builder, and the sub-gems _restrict cuts out and
-renumbers (relabel, move compaction, the covers' middle subgraph).
-graph_from_endpoints (parse, new_graph) stores the columns _matching
-proves without a second validation (see there), so its callers pass the
-int objects of one tuple(range(V)); permute_colors reorders a graph's own
-columns on the same path.
+colors it has.  ColoredGraph owns the rule.  Its validator, the one
+public constructor, reads each color through itemgetter over its own
+tuple(range(V)) and stores what it reads, so its callers get shared ids
+for free: the torus builder, new_graph (the product, order-two and cover
+gems, whose matchings graph_from_endpoints proves first), and the
+sub-gems _restrict cuts out and renumbers (relabel, move compaction, the
+covers' middle subgraph).  Only parse_gem stores proven columns without
+that check: graph_from_endpoints keeps the columns _matching proves (see
+there), so parse_gem passes the int objects of one tuple(range(V));
+permute_colors only reorders a graph's own columns.
 
 The residue walk (residue_counts) and the pair census (invariants._census,
 behind every bicolored-cycle question) are lists of independent tasks, the
@@ -311,6 +312,12 @@ def _is_int_permutation(values, n: int) -> bool:
             and sorted(values) == list(range(n)))
 
 
+def _require_int(value, what: str, error: type) -> None:
+    """Raise error unless value is an int (bool and IntEnum are ints)."""
+    if not isinstance(value, int):
+        raise error(f"{what} must be an int, got {value!r}")
+
+
 def _restrict(columns, keep) -> tuple[list, list]:
     """The columns restricted to keep, an ordered list of at least two
     vertices closed under them, and renumbered so that keep[i] is i; and the
@@ -566,6 +573,8 @@ def new_graph(n_colors: int, pairs_per_color, num_vertices: int | None = None) -
 
     Vertex count defaults to 1 + the largest id mentioned.  Each color's
     pairs must tile the whole vertex set exactly once (perfect matching).
+    graph_from_endpoints proves the matchings and raises the first bad
+    pair's error; ColoredGraph then checks and interns the columns.
     """
     pairs_per_color = [list(p) for p in pairs_per_color]
     if len(pairs_per_color) != n_colors:
@@ -574,23 +583,7 @@ def new_graph(n_colors: int, pairs_per_color, num_vertices: int | None = None) -
     endpoints = [[x for a, b in pairs for x in (a, b)] for pairs in pairs_per_color]
     if num_vertices is None:
         num_vertices = max([0] + [max(flat) + 1 for flat in endpoints if flat])
-    # the ids are made only when some color has as many endpoints as a
-    # matching needs, so a count no color can match allocates nothing
-    ids = (tuple(range(num_vertices))
-           if any(len(flat) == num_vertices for flat in endpoints) else ())
-    return graph_from_endpoints([_interned(flat, ids) for flat in endpoints],
-                                num_vertices)
-
-
-def _interned(flat, ids: tuple):
-    """flat's endpoints as the int objects of ids when all are in range;
-    otherwise flat as given, for _matching to refuse."""
-    try:
-        if min(flat) >= 0:
-            return itemgetter(*flat)(ids)
-    except (ValueError, TypeError, IndexError):
-        pass
-    return flat
+    return ColoredGraph(graph_from_endpoints(endpoints, num_vertices).involutions)
 
 
 def graph_from_endpoints(endpoints_per_color, num_vertices: int) -> ColoredGraph:

@@ -26,7 +26,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from .core import ColoredGraph, _is_int_permutation, _Level, _run_split
+from .core import (ColoredGraph, _is_int_permutation, _Level, _require_int,
+                   _run_split)
 from .errors import (BudgetExceeded, ColorOutOfRange, DimensionUnsupported,
                      GemError, PermutationColorMismatch)
 
@@ -42,6 +43,7 @@ def cyclic_permutations(n_colors: int) -> list[tuple[int, ...]]:
     colors have the single order (0, 1).  More than MAX_CYCLIC_ORDERS
     orders raise BudgetExceeded before the first is made.
     """
+    _require_int(n_colors, "number of colors", ColorOutOfRange)
     if n_colors > 2 and factorial(n_colors - 1) // 2 > MAX_CYCLIC_ORDERS:
         raise BudgetExceeded(
             f"{n_colors - 1}!/2 cyclic orders exceed the budget of "
@@ -150,11 +152,13 @@ def genus_lower_bound(chi: int, rank: int) -> int:
     """Lower bound for the regular genus of a closed 4-manifold in terms of
     its Euler characteristic and the rank of its fundamental group."""
     _check_rank(rank)
+    _require_int(chi, "Euler characteristic", GemError)
     return 2 * chi + 5 * rank - 4
 
 
 def _check_rank(rank: int) -> None:
     # a rank counts generators of the fundamental group
+    _require_int(rank, "rank of the fundamental group", GemError)
     if rank < 0:
         raise GemError(f"rank of the fundamental group must be >= 0, got {rank}")
 

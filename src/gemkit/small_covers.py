@@ -6,9 +6,10 @@ characteristic function places a nonzero vector of (Z/2)^4 on every facet
 so that the four facets around any polytope vertex receive a basis; gluing
 16 copies of the polytope indexed by (Z/2)^4 according to these vectors
 yields a closed 4-manifold, the small cover.  The polytope carries a
-staircase triangulation by six 4-simplices, so each cover inherits a
-colored triangulation with 96 simplices and hence a 5-colored gem on 96
-vertices.
+staircase triangulation by six 4-simplices, one per lattice path from
+(0,0) to (2,2), and one rule derives which simplices share a face and
+which facet each boundary face lies on; so each cover inherits a colored
+triangulation with 96 simplices and hence a 5-colored gem on 96 vertices.
 
 This module enumerates the characteristic functions (normalizing the first
 four facet vectors to the standard basis), builds the cover gems, tabulates
@@ -19,6 +20,7 @@ to a 52-vertex crystallization, auditing its fixed data at every step.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations
 
 from .core import ColoredGraph, LabeledGem, _restrict, new_graph
 from .errors import AuditFailed, InvalidCharacteristicFunction
@@ -66,7 +68,12 @@ def validate_characteristic_function(masks):
     Returns the vectors as a tuple, or raises InvalidCharacteristicFunction
     naming the offending facet or polytope vertex.
     """
-    masks = tuple(masks)
+    try:
+        vectors = iter(masks)
+    except TypeError:
+        raise InvalidCharacteristicFunction(
+            f"need 6 facet vectors, got {masks!r}") from None
+    masks = tuple(vectors)
     if len(masks) != 6:
         raise InvalidCharacteristicFunction(
             f"need 6 facet vectors, got {len(masks)}")
@@ -158,18 +165,32 @@ def _require_cover_labels(gem):
             " labels")
 
 
-# Staircase triangulation of one polytope copy into six 4-simplices.  Per
-# copy, simplices share 3-faces as listed by color; every (simplex, color)
-# pair not listed is a boundary face lying on the given 1-based facet.
-_INTERNAL = {1: ((2, 4), (3, 5)), 2: ((1, 2), (5, 6)), 3: ((2, 3), (4, 5))}
-_BOUNDARY = {
-    (1, 0): 6, (1, 1): 4, (1, 3): 2, (1, 4): 1,
-    (2, 0): 6, (2, 4): 1,
-    (3, 0): 6, (3, 2): 2, (3, 4): 3,
-    (4, 0): 5, (4, 2): 4, (4, 4): 1,
-    (5, 0): 5, (5, 4): 3,
-    (6, 0): 5, (6, 1): 2, (6, 3): 4, (6, 4): 3,
-}
+# Staircase triangulation of one polytope copy into six 4-simplices: sheet
+# s is the simplex on the corner pairs (i, j) of _PATHS[s - 1], a lattice
+# path from (0,0) to (2,2) whose step 0 raises i and step 1 raises j, and
+# color c is opposite the path's c-th corner.  Where steps c-1 and c
+# differ, the sheet across that face has them swapped; otherwise corner c
+# alone has its f-index (f-steps before it, f the straight step), and the
+# face lies on the facet dropping it.
+_PATHS = sorted(set(permutations((0, 0, 1, 1))))
+
+
+def _staircase():
+    """(sheet, color) -> (sheet across, 1-based facet or 0 inside a copy)."""
+    faces = {}
+    for sheet, path in enumerate(_PATHS, 1):
+        for c in range(5):
+            if 0 < c < 4 and path[c - 1] != path[c]:
+                turned = path[:c - 1] + (path[c], path[c - 1]) + path[c + 1:]
+                faces[sheet, c] = (_PATHS.index(turned) + 1, 0)
+            else:
+                f = path[min(c, 3)]
+                drop = (f, path[:c].count(f))
+                faces[sheet, c] = (sheet, _FACET_DROPS.index(drop) + 1)
+    return faces
+
+
+_STAIRCASE = _staircase()
 
 
 def small_cover_gem(masks):
@@ -194,14 +215,11 @@ def small_cover_gem(masks):
         return w * 6 + sheet - 1
 
     pairs = [[] for _ in range(5)]
-    for color, joins in _INTERNAL.items():
-        for s, t in joins:
-            pairs[color].extend((vid(w, s), vid(w, t)) for w in range(16))
-    for (sheet, color), facet in _BOUNDARY.items():
-        step = masks[facet - 1]
-        pairs[color].extend(
-            (vid(w, sheet), vid(w ^ step, sheet))
-            for w in range(16) if w < w ^ step)
+    for (sheet, color), (other, facet) in _STAIRCASE.items():
+        step = masks[facet - 1] if facet else 0
+        ends = ((vid(w, sheet), vid(w ^ step, other)) for w in range(16))
+        # each edge once, from its smaller end
+        pairs[color] += [(a, b) for a, b in ends if a < b]
     graph = new_graph(5, pairs, num_vertices=96)
     counts = tuple(
         graph.residue_count(tuple(c for c in range(5) if c != missing))
@@ -216,14 +234,14 @@ def small_cover_gem(masks):
 def infer_characteristic_function(gem):
     """Read the six facet vectors back off a cover gem.
 
-    Each facet's vector is read across the first face _BOUNDARY lists on
-    that facet, from copy 0.  Raises AuditFailed unless the gem carries
-    exactly the cover labels.
+    Each facet's vector is read across its first face in _STAIRCASE's
+    (sheet, color) order, from copy 0.  Raises AuditFailed unless the gem
+    carries exactly the cover labels.
     """
     _require_cover_labels(gem)
     graph = gem.graph
     first = {}
-    for face, facet in _BOUNDARY.items():
+    for face, (_, facet) in _STAIRCASE.items():
         first.setdefault(facet, face)
 
     def across(sheet, color):

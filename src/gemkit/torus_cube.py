@@ -36,7 +36,7 @@ from itertools import compress, permutations
 from math import factorial
 from operator import eq, itemgetter, ne
 
-from .core import ColoredGraph, LabeledGem
+from .core import ColoredGraph, LabeledGem, _require_int
 from .errors import AuditFailed, BudgetExceeded, DimensionUnsupported
 from .invariants import pair_cycles
 
@@ -88,6 +88,8 @@ def torus_gem(n, budget=40320):
     until it passes the budget, and a product stopped short is named as
     (n+1)! rather than printed.
     """
+    _require_int(n, "torus dimension", DimensionUnsupported)
+    _require_int(budget, "budget", BudgetExceeded)
     if n < 1:
         raise DimensionUnsupported(f"torus dimension must be >= 1, got {n}")
     count = 1
@@ -121,6 +123,7 @@ def torus_gem(n, budget=40320):
 
 def stated_permutation(n):
     """The color order used for the torus genus computation, by parity of n."""
+    _require_int(n, "torus dimension", DimensionUnsupported)
     if n < 2:
         raise DimensionUnsupported(f"no stated color order for n = {n}")
     if n % 2 == 0:
@@ -134,6 +137,7 @@ def expected_genus(n):
     Meaningful for n >= 4 only; below that the stated order has adjacent
     swap colors next to each other and the count is not divisible by 8.
     """
+    _require_int(n, "torus dimension", DimensionUnsupported)
     if n < 4:
         raise DimensionUnsupported(f"closed form needs n >= 4, got {n}")
     return 1 + factorial(n + 1) * (n - 3) // 8

@@ -54,6 +54,12 @@ said what each name takes: an ownership table naming the one name that
 reads each argument, and a hand-written guard per name with its own
 "needs" message.
 
+`STAIRCASE_INTERNAL` and `STAIRCASE_BOUNDARY` transcribe one polytope
+copy's staircase triangulation by hand, as the cover module once held it:
+the sheet pairs sharing a face, by color, and the facet under each
+boundary (sheet, color) face.  `tabled_small_cover_gem` builds a cover gem
+from them, the shared faces in one loop and the boundary faces in another.
+
 `per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
 characteristic functions facet by facet: facets 1..4 carry a basis, which
 forces the candidate linear map, and the map is checked on facets 5 and 6.
@@ -72,13 +78,14 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
                     ScriptResult, VertexCountMismatch, cancel_dipole,
-                    new_graph, validate_characteristic_function)
+                    enumerate_characteristic_functions, new_graph,
+                    validate_characteristic_function)
 from gemkit.cli import _read_gem
 from gemkit.constructions import (g1_prime, g2_prime, product_gem,
                                   s2xs1_standard, t3_standard)
 from gemkit.core import graph_from_endpoints
 from gemkit.gemfile import render_gem
-from gemkit.small_covers import small_cover_gem
+from gemkit.small_covers import COVER_LABELS, small_cover_gem
 from gemkit.torus_cube import torus_gem
 from gemkit.gemfile import DOT_PALETTE
 
@@ -923,6 +930,41 @@ def guarded_cmd_build(args):
     text = render_gem(gem)
     return ({"name": args.name, "colors": gem.graph.n_colors,
              "vertices": gem.graph.num_vertices, "gem": text}, [], text)
+
+
+# Per copy, sheets share 3-faces as listed by color; every (sheet, color)
+# pair not listed is a boundary face lying on the given 1-based facet.
+STAIRCASE_INTERNAL = {1: ((2, 4), (3, 5)), 2: ((1, 2), (5, 6)),
+                      3: ((2, 3), (4, 5))}
+STAIRCASE_BOUNDARY = {
+    (1, 0): 6, (1, 1): 4, (1, 3): 2, (1, 4): 1,
+    (2, 0): 6, (2, 4): 1,
+    (3, 0): 6, (3, 2): 2, (3, 4): 3,
+    (4, 0): 5, (4, 2): 4, (4, 4): 1,
+    (5, 0): 5, (5, 4): 3,
+    (6, 0): 5, (6, 1): 2, (6, 3): 4, (6, 4): 3,
+}
+
+
+def tabled_small_cover_gem(masks):
+    """small_cover_gem from the hand tables, without its audits."""
+    if isinstance(masks, int):
+        masks = enumerate_characteristic_functions()[masks - 1]
+    masks = validate_characteristic_function(masks)
+
+    def vid(w, sheet):
+        return w * 6 + sheet - 1
+
+    pairs = [[] for _ in range(5)]
+    for color, joins in STAIRCASE_INTERNAL.items():
+        for s, t in joins:
+            pairs[color].extend((vid(w, s), vid(w, t)) for w in range(16))
+    for (sheet, color), facet in STAIRCASE_BOUNDARY.items():
+        step = masks[facet - 1]
+        pairs[color].extend(
+            (vid(w, sheet), vid(w ^ step, sheet))
+            for w in range(16) if w < w ^ step)
+    return LabeledGem(new_graph(5, pairs, num_vertices=96), COVER_LABELS)
 
 
 def _basis_combo(basis, v):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from gemkit import (AuditFailed, BaseNotCrystallization, LabeledGem,
-                    bicolored_cycles, g1_prime, g1_prime_result, g2_prime,
-                    g2_prime_result, genus_for, isomorphic, new_graph,
-                    order_two_gem, parse_gem, product_gem, regular_genus,
-                    render_gem, run_script, s2xs1_standard, t3_standard)
+from gemkit import (AuditFailed, BaseNotCrystallization, ColorOutOfRange,
+                    LabeledGem, bicolored_cycles, g1_prime, g1_prime_result,
+                    g2_prime, g2_prime_result, genus_for, isomorphic,
+                    new_graph, order_two_gem, parse_gem, product_gem,
+                    regular_genus, render_gem, run_script, s2xs1_standard,
+                    t3_standard)
 from gemkit.constructions import (PRODUCT_BLOCKS, _audit, _data_text,
                                   parse_move_script)
 
@@ -47,6 +48,12 @@ class TestOrderTwo:
         assert gem.graph.n_colors == 4
         assert sorted(gem.labels) == ["p", "q"]
         assert order_two_gem(5).graph.n_colors == 5
+
+    def test_non_int_color_count_refused(self):
+        with pytest.raises(ColorOutOfRange) as err:
+            order_two_gem(4.0)
+        assert type(err.value) is ColorOutOfRange
+        assert str(err.value) == "number of colors must be an int, got 4.0"
 
     def test_is_sphere_like(self):
         g = order_two_gem(5).graph

@@ -482,8 +482,8 @@ class TestProvenConstructor:
                 assert got[0] != "ok"
 
     def test_count_no_color_can_match_allocates_no_ids(self):
-        # new_graph makes its tuple(range(V)) only for a color that has V
-        # endpoints; 2**62 ids would raise MemoryError
+        # _matching refuses a color without V endpoints before any column
+        # or tuple(range(V)) is made; 2**62 ids would raise MemoryError
         with pytest.raises(VertexCountMismatch, match="vertices have no edge"):
             new_graph(2, [[(0, 1)], [(0, 1)]], num_vertices=2 ** 62)
 

@@ -30,6 +30,12 @@ class TestCyclicPermutations:
     def test_two_colors_have_one_order(self):
         assert cyclic_permutations(2) == [(0, 1)]
 
+    def test_non_int_color_count_refused(self):
+        with pytest.raises(ColorOutOfRange) as err:
+            cyclic_permutations(4.0)
+        assert type(err.value) is ColorOutOfRange
+        assert str(err.value) == "number of colors must be an int, got 4.0"
+
     def test_canonical_form(self):
         perms = cyclic_permutations(5)
         assert len(set(perms)) == 12
@@ -262,6 +268,19 @@ class TestLowerBound:
         with pytest.raises(GemError, match="must be >= 0, got -1"):
             genus_lower_bound(0, -1)
 
+    @pytest.mark.parametrize("chi, rank, message", [
+        (0, 2.5, "rank of the fundamental group must be an int, got 2.5"),
+        (0.5, 2, "Euler characteristic must be an int, got 0.5"),
+    ])
+    def test_non_int_refused(self, chi, rank, message):
+        with pytest.raises(GemError) as err:
+            genus_lower_bound(chi, rank)
+        assert type(err.value) is GemError
+        assert str(err.value) == message
+
+    def test_bool_is_an_int(self):
+        assert genus_lower_bound(True, 2) == 8
+
 
 class TestWeakSemiSimple:
     def test_needs_five_colors(self, t3):
@@ -289,6 +308,16 @@ class TestWeakSemiSimple:
         with pytest.raises(GemError, match="must be >= 0, got -1"):
             weak_semi_simple_from((0, 0, 0, 0, 0), -1)
         assert is_weak_semi_simple(g1p.graph, (0, 2, 4, 1, 3), 2)
+
+    def test_non_int_rank_refused(self, g1p):
+        # rank 1.5 would otherwise answer False, as if it were a rank
+        for check in (lambda: is_weak_semi_simple(g1p.graph, (0, 2, 4, 1, 3), 1.5),
+                      lambda: weak_semi_simple_from((3, 3, 3, 3, 3), 1.5)):
+            with pytest.raises(GemError) as err:
+                check()
+            assert type(err.value) is GemError
+            assert str(err.value) \
+                == "rank of the fundamental group must be an int, got 1.5"
 
     def test_g2_prime(self, g2p):
         assert weak_semi_simple_triples(g2p.graph, (0, 2, 4, 1, 3)) \

@@ -19,7 +19,9 @@ from gemkit import small_covers
 from gemkit.small_covers import CANONICAL_PAIRS, COMPACT_LAYOUTS, COVER_LABELS
 
 from conftest import make_rng, shuffled_copy
-from oracles import per_facet_dj_equivalent, sheet_filter_middle_subgraph
+from oracles import (STAIRCASE_BOUNDARY, STAIRCASE_INTERNAL,
+                     per_facet_dj_equivalent, sheet_filter_middle_subgraph,
+                     tabled_small_cover_gem)
 
 
 class TestPolytope:
@@ -174,6 +176,20 @@ class TestCoverGems:
             build(index)
         assert str(err.value) == f"catalogue index must be 1..7, got {index}"
 
+    @pytest.mark.parametrize("call, shown", [
+        (lambda: small_cover_gem(1.0), "1.0"),
+        (lambda: small_cover_gem(None), "None"),
+        (lambda: reduced_cover(2.0), "2.0"),
+        (lambda: validate_characteristic_function(5), "5"),
+        (lambda: dj_equivalent((1, 2, 4, 8, 3, 12), 7), "7"),
+    ], ids=["small_cover_gem(1.0)", "small_cover_gem(None)",
+            "reduced_cover(2.0)", "validate(5)", "dj_equivalent(..., 7)"])
+    def test_non_iterable_refused(self, call, shown):
+        with pytest.raises(InvalidCharacteristicFunction) as err:
+            call()
+        assert type(err.value) is InvalidCharacteristicFunction
+        assert str(err.value) == f"need 6 facet vectors, got {shown}"
+
     def test_accepts_masks_directly(self):
         lam = enumerate_characteristic_functions()[0]
         assert small_cover_gem(lam).graph == small_cover_gem(1).graph
@@ -208,6 +224,83 @@ class TestCoverGems:
         assert shipped.graph.num_vertices == 96
         assert shipped.graph == cover1.graph
         assert isomorphic(shipped.graph, cover1.graph) is not None
+
+
+def corners(sheet):
+    """The five corner pairs (i, j) of the sheet's lattice path, in order."""
+    out = [(0, 0)]
+    for step in small_covers._PATHS[sheet - 1]:
+        i, j = out[-1]
+        out.append((i + 1, j) if step == 0 else (i, j + 1))
+    return out
+
+
+class TestStaircase:
+    """The staircase map derived from the lattice paths, against the hand
+    tables it replaced and the geometry it stands for."""
+
+    def test_rule_gives_back_the_tables(self):
+        internal = {}
+        boundary = {}
+        for (sheet, color), (other, facet) in small_covers._STAIRCASE.items():
+            if facet:
+                assert other == sheet
+                boundary[sheet, color] = facet
+            elif sheet < other:
+                internal.setdefault(color, []).append((sheet, other))
+        assert {c: tuple(j) for c, j in internal.items()} == STAIRCASE_INTERNAL
+        # the key order too: infer_characteristic_function reads each
+        # facet across its first face in this order
+        assert list(boundary.items()) == list(STAIRCASE_BOUNDARY.items())
+        assert len(small_covers._STAIRCASE) == 30
+
+    def test_internal_faces_share_four_corners(self):
+        for (sheet, color), (other, facet) in small_covers._STAIRCASE.items():
+            if facet:
+                continue
+            assert small_covers._STAIRCASE[other, color] == (sheet, 0)
+            face = corners(sheet)[:color] + corners(sheet)[color + 1:]
+            assert set(corners(sheet)) & set(corners(other)) == set(face)
+            assert len(set(face)) == 4
+
+    def test_boundary_faces_lie_on_their_facet_alone(self):
+        for (sheet, color), (_, facet) in small_covers._STAIRCASE.items():
+            if not facet:
+                continue
+            face = corners(sheet)[:color] + corners(sheet)[color + 1:]
+            on = [f + 1 for f in range(6)
+                  if all(small_covers._facet_contains(f, i, j) for i, j in face)]
+            assert on == [facet], (sheet, color)
+
+    def test_three_boundary_faces_per_facet(self):
+        facets = [facet for _, facet in small_covers._STAIRCASE.values() if facet]
+        assert sorted(facets) == [f for f in range(1, 7) for _ in range(3)]
+
+    def test_builder_matches_tabled_builder(self):
+        rng = make_rng("staircase images")
+        for i, lam in enumerate(enumerate_characteristic_functions(), 1):
+            for masks in [i] + [random_image(rng, lam) for _ in range(3)]:
+                built = small_cover_gem(masks)
+                tabled = tabled_small_cover_gem(masks)
+                assert built.graph == tabled.graph, masks
+                assert built.labels == tabled.labels
+
+    # sha256 of render_gem(small_cover_gem(i)), i = 1..7
+    COVER_DIGESTS = (
+        "947ed5de85c4dc23d974b0cb74afd3b3b61cabc8dc9d1099b795587a5b0f33b1",
+        "9cbbd3037fe5b3f0c1d27499b6f0d066117b42a6fc646067e3cc3f896f645fdb",
+        "291a87d7622636eaeb4d998972fd98a867d5b58388694fe77895ced82251514c",
+        "3951842b2bedc1f1039592d114f57135854098904fd643ab0df7db74224a1d8c",
+        "e62c579b679ab86ff162fa3cd2b3b0baf8f517905d4c65848e5cd2aceec08b5f",
+        "09317e66bd64268f285a2fc916f030308cb281f9aab0dd062ed4f23967a2cb0c",
+        "a5304c98e9563e61a98c73ae084f7c0e7384a89cd1552df9c76fd3158774521e",
+    )
+
+    @pytest.mark.parametrize("index", range(1, 8))
+    def test_cover_bytes_pinned(self, index):
+        text = render_gem(small_cover_gem(index))
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == self.COVER_DIGESTS[index - 1]
 
 
 # The middle subgraph of the first cover, transcribed ring by ring from the

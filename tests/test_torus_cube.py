@@ -4,6 +4,7 @@ with simplices taken modulo the integer translation lattice, and against
 the per-vertex lookup builder in `oracles`."""
 
 import time
+from enum import IntEnum
 from fractions import Fraction
 from math import factorial
 
@@ -204,6 +205,35 @@ class TestFamily:
                            match="^10! vertices exceed the budget of 40320$"):
             torus_gem(9)
         assert torus_gem(4, budget=120).graph.num_vertices == 120
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: torus_gem(3.0), DimensionUnsupported,
+         "torus dimension must be an int, got 3.0"),
+        (lambda: torus_gem(None), DimensionUnsupported,
+         "torus dimension must be an int, got None"),
+        (lambda: torus_gem("3"), DimensionUnsupported,
+         "torus dimension must be an int, got '3'"),
+        (lambda: torus_gem(3, budget=2.5), BudgetExceeded,
+         "budget must be an int, got 2.5"),
+        (lambda: stated_permutation(4.0), DimensionUnsupported,
+         "torus dimension must be an int, got 4.0"),
+        (lambda: expected_genus(5.0), DimensionUnsupported,
+         "torus dimension must be an int, got 5.0"),
+    ], ids=["torus_gem(3.0)", "torus_gem(None)", "torus_gem('3')",
+            "budget=2.5", "stated_permutation(4.0)", "expected_genus(5.0)"])
+    def test_non_int_sizes_refused(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_bool_and_int_enum_are_ints(self):
+        class Size(IntEnum):
+            THREE = 3
+        assert torus_gem(True).graph.num_vertices == 2
+        assert torus_gem(Size.THREE, budget=Size.THREE * 8).graph \
+            == torus_gem(3).graph
+        assert stated_permutation(Size.THREE) == stated_permutation(3)
 
     def test_cycle_lengths_audit(self, torus4):
         assert audit_cycle_lengths(torus4)
