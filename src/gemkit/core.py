@@ -318,6 +318,17 @@ def _require_int(value, what: str, error: type) -> None:
         raise error(f"{what} must be an int, got {value!r}")
 
 
+def _factorial_within(m: int, budget: int) -> int | None:
+    """m! if none of 2!, 3!, .., m! passes budget, else None: the one gate on
+    factorial work, which stops multiplying at the first product past it."""
+    count = 1
+    for k in range(2, m + 1):
+        count *= k
+        if count > budget:
+            return None
+    return count
+
+
 def _restrict(columns, keep) -> tuple[list, list]:
     """The columns restricted to keep, an ordered list of at least two
     vertices closed under them, and renumbered so that keep[i] is i; and the

@@ -16,7 +16,7 @@ through core._run_split): one pair, an order's k consecutive pairs, or all
 C(k, 2) pairs, from whose counts the search scores every cyclic order, as
 a pair's count does not depend on the order it sits in.  More than
 MAX_CYCLIC_ORDERS orders (11 or more colors) raise BudgetExceeded before
-any pair is walked.
+any pair is walked or any factorial computed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from .core import (ColoredGraph, _is_int_permutation, _Level, _require_int,
-                   _run_split)
+from .core import (ColoredGraph, _factorial_within, _is_int_permutation,
+                   _Level, _require_int, _run_split)
 from .errors import (BudgetExceeded, ColorOutOfRange, DimensionUnsupported,
                      GemError, PermutationColorMismatch)
 
@@ -39,12 +39,15 @@ def cyclic_permutations(n_colors: int) -> list[tuple[int, ...]]:
     """All cyclic orders of the palette up to rotation and reflection.
 
     Canonical form: starts with color 0 and the second entry is smaller
-    than the last.  (n_colors - 1)!/2 orders in lexicographic order; two
-    colors have the single order (0, 1).  More than MAX_CYCLIC_ORDERS
-    orders raise BudgetExceeded before the first is made.
+    than the last.  (n_colors - 1)!/2 orders in lexicographic order, (0, 1)
+    alone for two colors; fewer raise ColorOutOfRange, and more than
+    MAX_CYCLIC_ORDERS orders raise BudgetExceeded before the first is made.
     """
     _require_int(n_colors, "number of colors", ColorOutOfRange)
-    if n_colors > 2 and factorial(n_colors - 1) // 2 > MAX_CYCLIC_ORDERS:
+    if n_colors < 2:
+        raise ColorOutOfRange(f"need at least 2 colors, got {n_colors}")
+    # (k-1)!/2 orders pass the budget iff (k-1)! passes twice the budget
+    if _factorial_within(n_colors - 1, 2 * MAX_CYCLIC_ORDERS) is None:
         raise BudgetExceeded(
             f"{n_colors - 1}!/2 cyclic orders exceed the budget of "
             f"{MAX_CYCLIC_ORDERS}")

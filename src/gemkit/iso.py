@@ -33,8 +33,9 @@ color automorphism sigma, with sigma[pi0[s]] = pi[s]: the pairing of
 their discovery orders carries each pi0[s]-edge to a pi[s]-edge.  The
 least codes under pi' and sigma.pi' are then equal for every pi', so the
 search keeps the set of walked maps spread under the automorphisms found
-so far and skips every map in it; it never builds the group itself.  More than MAX_COLOR_MAPS maps (9 or
-more colors) raise BudgetExceeded before any walk, in isomorphic too.
+so far and skips every map in it; it never builds the group itself.  More
+than MAX_COLOR_MAPS maps (9 or more colors) raise BudgetExceeded before any
+walk or factorial, in isomorphic too.
 
 isomorphic compares the pair-cycle tables (invariants.pair_cycles) under
 each color map as it comes to that map, in lexicographic order, so a map
@@ -52,7 +53,7 @@ from itertools import chain, islice, permutations
 from math import factorial
 from operator import itemgetter
 
-from .core import ColoredGraph
+from .core import ColoredGraph, _factorial_within
 from .errors import BudgetExceeded, ColorCountMismatch
 from .invariants import pair_cycles
 
@@ -187,7 +188,7 @@ def _graph_code(graph: ColoredGraph, comps, color_order, parent, seen,
 
 def _color_maps(n_colors: int):
     """Every color map in lexicographic order, refused beyond MAX_COLOR_MAPS."""
-    if factorial(n_colors) > MAX_COLOR_MAPS:
+    if _factorial_within(n_colors, MAX_COLOR_MAPS) is None:
         raise BudgetExceeded(
             f"{n_colors}! color maps exceed the budget of {MAX_COLOR_MAPS}")
     return permutations(range(n_colors))

@@ -23,20 +23,15 @@ the swap walk composed on ids.  It is audited vertex by vertex without a
 lookup table: the labels read through the 0-color (each vertex's
 0-partner's label) must equal, in order, the labels of the permutations
 with their first and last entries swapped, streamed from the same
-lexicographic enumeration that names the vertices.
-
-Bipartiteness is certified by the sign of each permutation: every color
-swaps two entries, so it must join vertices of opposite sign.  The signs
-of lexicographic order follow from the same blocks: the permutations whose
-first entry has rank d fill the d-th run of (L-1)! ids, and that entry
-starts d inversions.
+lexicographic enumeration that names the vertices.  Bipartiteness is
+checked by ColoredGraph.is_bipartite, the budget by core._factorial_within.
 """
 
 from itertools import compress, permutations
 from math import factorial
-from operator import eq, itemgetter, ne
+from operator import itemgetter, ne
 
-from .core import ColoredGraph, LabeledGem, _require_int
+from .core import ColoredGraph, LabeledGem, _factorial_within, _require_int
 from .errors import AuditFailed, BudgetExceeded, DimensionUnsupported
 from .invariants import pair_cycles
 
@@ -63,14 +58,6 @@ def _swap_involution(ids, n, k):
     return col
 
 
-def _lex_signs(m):
-    """Inversion parity of each permutation of m symbols, lexicographically."""
-    sign = [0]
-    for size in range(2, m + 1):
-        sign = [s ^ (d & 1) for d in range(size) for s in sign]
-    return sign
-
-
 def torus_gem(n, budget=40320):
     """Gem of the n-torus on the (n+1)! permutations of {1,..,n+1}.
 
@@ -81,23 +68,21 @@ def torus_gem(n, budget=40320):
     composes the palindromic swap walk n, n-1, .., 2, 1, 2, .., n on ids.
     That composite must equal swapping entries 1 and n+1: the label of
     every vertex's 0-partner is compared with the label of its permutation
-    so swapped.  Any difference raises AuditFailed, as does a color that
-    joins two permutations of the same sign (the certificate that the gem
-    is bipartite).  ColoredGraph validates every involution, and the budget
-    is checked before anything is allocated: (n+1)! is multiplied out only
-    until it passes the budget, and a product stopped short is named as
-    (n+1)! rather than printed.
+    so swapped.  Any difference raises AuditFailed, as does a graph that
+    ColoredGraph.is_bipartite refuses.  ColoredGraph validates every
+    involution, and the budget is checked before anything is allocated by
+    core._factorial_within, the gate every factorial search shares; (n+1)!
+    is printed when n! is within the budget and named as (n+1)! otherwise.
     """
     _require_int(n, "torus dimension", DimensionUnsupported)
     _require_int(budget, "budget", BudgetExceeded)
     if n < 1:
         raise DimensionUnsupported(f"torus dimension must be >= 1, got {n}")
-    count = 1
-    for m in range(2, n + 2):
-        count *= m
-        if count > budget:
-            shown = count if m == n + 1 else f"{n + 1}!"
-            raise BudgetExceeded(f"{shown} vertices exceed the budget of {budget}")
+    count = _factorial_within(n + 1, budget)
+    if count is None:
+        below = _factorial_within(n, budget)
+        shown = f"{n + 1}!" if below is None else below * (n + 1)
+        raise BudgetExceeded(f"{shown} vertices exceed the budget of {budget}")
     ids = tuple(range(count))
     swaps = [None] + [_swap_involution(ids, n, k) for k in range(1, n + 1)]
     walk = list(range(n, 0, -1)) + list(range(2, n + 1))
@@ -108,17 +93,16 @@ def torus_gem(n, budget=40320):
     symbols = [str(x) for x in range(1, n + 2)]
     sep = "." if n + 1 > 9 else ""
     labels = ["p" + sep.join(p) for p in permutations(symbols)]
-    direct = ("p" + sep.join(p[n:] + p[1:n] + p[:1]) for p in permutations(symbols))
+    swap_ends = itemgetter(n, *range(1, n), 0)
+    direct = ("p" + sep.join(p) for p in map(swap_ends, permutations(symbols)))
     bad = next(compress(ids, map(ne, itemgetter(*zero)(labels), direct)), None)
     if bad is not None:
         raise AuditFailed(
             f"swap walk disagrees with the direct 0-involution at vertex {bad}")
-    involutions = [zero] + swaps[1:]
-    sign = _lex_signs(n + 1)
-    for col in involutions:
-        if any(map(eq, itemgetter(*col)(sign), sign)):
-            raise AuditFailed("torus gem is not bipartite")
-    return LabeledGem(ColoredGraph(involutions), labels)
+    graph = ColoredGraph([zero] + swaps[1:])
+    if not graph.is_bipartite():
+        raise AuditFailed("torus gem is not bipartite")
+    return LabeledGem(graph, labels)
 
 
 def stated_permutation(n):

@@ -11,6 +11,9 @@ walks each bicolored cycle one edge at a time through `ColoredGraph.partner`.
 uses no labeller at all.  `lookup_torus_gem` builds that gem one vertex at
 a time: every swap copies the permutation and looks the result up by
 permutation, and the colors go through `graph_from_endpoints`.
+`lex_signs` gives the inversion parity of each permutation in
+lexicographic order from the same blocks the torus builder uses, the
+certificate that builder once carried for its bipartiteness.
 
 `brute_force_color_map` / `brute_force_isomorphic` search vertex bijections
 exhaustively.  `unpruned_signature` is the canonical signature computed
@@ -206,6 +209,16 @@ def _perm_label(p):
     if len(p) > 9:
         return "p" + ".".join(body)
     return "p" + "".join(body)
+
+
+def lex_signs(m):
+    """Inversion parity of each permutation of m symbols, lexicographically:
+    the permutations whose first entry has rank d fill the d-th run of
+    (m-1)! of them, and that entry starts d inversions."""
+    sign = [0]
+    for size in range(2, m + 1):
+        sign = [s ^ (d & 1) for d in range(size) for s in sign]
+    return sign
 
 
 def lookup_torus_gem(n, budget=40320):

@@ -1,19 +1,24 @@
-"""Graph container: construction, validation, residues, basic predicates."""
+"""Graph container: construction, validation, residues, basic predicates,
+and the factorial budget every exhaustive search shares."""
 
+import time
 from enum import IntEnum
 from itertools import combinations
+from math import factorial
 
 import pytest
 
-from gemkit import (ColorOutOfRange, ColoredGraph, CombinedSpec, DipoleSpec,
-                    DuplicateVertexInColor, GemError, GlueSpec,
-                    GraphValidationError, LabeledGem, LoopEdge, MoveError,
-                    OddVertexCount, PermutationColorMismatch, ScriptStep,
-                    UnknownLabel, VertexCountMismatch, add_dipole,
-                    bicolored_cycles, cancel_dipole, check_dipole,
-                    combined_move, genus_for, new_graph, order_two_gem,
-                    parse_gem, polyhedral_glue, product_gem, render_gem,
-                    run_script, small_cover_gem, torus_gem)
+from gemkit import (BudgetExceeded, ColorOutOfRange, ColoredGraph,
+                    CombinedSpec, DipoleSpec, DuplicateVertexInColor,
+                    GemError, GlueSpec, GraphValidationError, LabeledGem,
+                    LoopEdge, MoveError, OddVertexCount,
+                    PermutationColorMismatch, ScriptStep, UnknownLabel,
+                    VertexCountMismatch, add_dipole, bicolored_cycles,
+                    cancel_dipole, check_dipole, combined_move,
+                    cyclic_permutations, genus_for, invariants, iso,
+                    new_graph, order_two_gem, parse_gem, polyhedral_glue,
+                    product_gem, render_gem, run_script, small_cover_gem,
+                    torus_gem)
 from gemkit.core import _restrict, graph_from_endpoints
 
 from conftest import (disjoint_union, make_rng, random_colored_graph,
@@ -689,3 +694,72 @@ class TestNonIntArguments:
         assert g.permute_colors([_Color.ONE, False, 2, 3]) \
             == g.permute_colors([1, 0, 2, 3])
         assert LabeledGem(g).label_of(True) == LabeledGem(g).label_of(1)
+
+
+def _vertices(monkeypatch, m, budget):
+    return torus_gem(m - 1, budget=budget).graph.num_vertices
+
+
+def _orders(monkeypatch, m, budget):
+    monkeypatch.setattr(invariants, "MAX_CYCLIC_ORDERS", budget)
+    return len(cyclic_permutations(m + 1))
+
+
+def _maps(monkeypatch, m, budget):
+    monkeypatch.setattr(iso, "MAX_COLOR_MAPS", budget)
+    return len(list(iso._color_maps(m)))
+
+
+# each gate on m!: what it counts, and its refusal of that count past budget
+BUDGET_GATES = {
+    "torus_gem": (_vertices, lambda m: factorial(m),
+                  "{count} vertices exceed the budget of {budget}"),
+    "cyclic_permutations": (_orders, lambda m: factorial(m) // 2,
+                            "{m}!/2 cyclic orders exceed the budget of "
+                            "{budget}"),
+    "_color_maps": (_maps, lambda m: factorial(m),
+                    "{m}! color maps exceed the budget of {budget}"),
+}
+
+# the same gates at their shipped budgets, on sizes whose factorial no
+# search could compute: (call, message)
+HUGE_SIZES = {
+    "torus_gem": (torus_gem,
+                  "{plus}! vertices exceed the budget of 40320"),
+    "cyclic_permutations": (cyclic_permutations,
+                            "{minus}!/2 cyclic orders exceed the budget of "
+                            "181440"),
+    "_color_maps": (iso._color_maps,
+                    "{size}! color maps exceed the budget of 40320"),
+}
+
+
+class TestFactorialBudget:
+    """torus_gem's vertices, the genus search's cyclic orders and the
+    color-permuted search's color maps are all m! or m!/2 counts, gated by
+    one rule: exactly the budget is admitted, one less is refused, and a
+    size whose factorial cannot be computed is refused at once."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("gate", BUDGET_GATES)
+    def test_exact_budget_admitted_one_less_refused(self, monkeypatch, gate,
+                                                     m):
+        call, count_of, message = BUDGET_GATES[gate]
+        count = count_of(m)
+        assert call(monkeypatch, m, count) == count
+        with pytest.raises(BudgetExceeded) as err:
+            call(monkeypatch, m, count - 1)
+        assert str(err.value) == message.format(m=m, count=count,
+                                                budget=count - 1)
+
+    @pytest.mark.parametrize("size", (10**6, 2**70), ids=("10**6", "2**70"))
+    @pytest.mark.parametrize("gate", HUGE_SIZES)
+    def test_huge_sizes_refused_at_once(self, gate, size):
+        call, message = HUGE_SIZES[gate]
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as err:
+            call(size)
+        dt = time.perf_counter() - t0
+        assert str(err.value) == message.format(size=size, plus=size + 1,
+                                                minus=size - 1)
+        assert dt < 0.5, f"took {dt:.2f}s, budget 0.5s"

@@ -1,5 +1,6 @@
 """Genus machinery: cyclic orders, cycle censuses, chi and genus reports."""
 
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -29,6 +30,20 @@ class TestCyclicPermutations:
 
     def test_two_colors_have_one_order(self):
         assert cyclic_permutations(2) == [(0, 1)]
+
+    @pytest.mark.parametrize("n_colors", (0, 1, -3, False, True))
+    def test_fewer_than_two_colors_refused(self, n_colors):
+        with pytest.raises(ColorOutOfRange) as err:
+            cyclic_permutations(n_colors)
+        assert type(err.value) is ColorOutOfRange
+        assert str(err.value) == f"need at least 2 colors, got {n_colors}"
+
+    def test_int_enum_is_an_int(self):
+        class Count(IntEnum):
+            TWO = 2
+            FIVE = 5
+        assert cyclic_permutations(Count.TWO) == [(0, 1)]
+        assert cyclic_permutations(Count.FIVE) == cyclic_permutations(5)
 
     def test_non_int_color_count_refused(self):
         with pytest.raises(ColorOutOfRange) as err:

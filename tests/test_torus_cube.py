@@ -16,7 +16,7 @@ from gemkit import (AuditFailed, BudgetExceeded, ColoredGraph,
                     bicolored_cycles, expected_genus, genus_for, isomorphic,
                     regular_genus, render_gem, stated_permutation, torus_gem)
 
-from oracles import lookup_torus_gem
+from oracles import lex_signs, lookup_torus_gem
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -148,25 +148,34 @@ class TestLookupOracle:
 
 
 class TestSignCertificate:
+    """The sign certificate the builder once carried, now a test: every
+    color swaps two entries, so it joins permutations of opposite parity."""
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_signs_are_inversion_parities(self, n):
         labels = torus_gem(n).labels
         parities = [sum(a > b for i, a in enumerate(label[1:])
                         for b in label[2 + i:]) % 2 for label in labels]
-        assert gemkit.torus_cube._lex_signs(n + 1) == parities
+        assert lex_signs(n + 1) == parities
 
-    def test_color_that_keeps_the_sign_fails(self, monkeypatch):
-        real = gemkit.torus_cube._lex_signs
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_color_joins_opposite_parities(self, n):
+        sign = lex_signs(n + 1)
+        for col in torus_gem(n).graph.involutions:
+            assert all(sign[v] != sign[w] for v, w in enumerate(col))
 
-        def flipped(m):
-            # vertex 0 takes its neighbours' sign, so each color keeps it
-            sign = real(m)
-            sign[0] ^= 1
-            return sign
+    def test_refused_bipartiteness_fails_the_audit(self, monkeypatch):
+        checked = []
 
-        monkeypatch.setattr(gemkit.torus_cube, "_lex_signs", flipped)
+        def refuse(graph):
+            checked.append(graph)
+            return False
+
+        monkeypatch.setattr(ColoredGraph, "is_bipartite", refuse)
         with pytest.raises(AuditFailed, match="^torus gem is not bipartite$"):
             torus_gem(3)
+        monkeypatch.undo()
+        assert checked == [torus_gem(3).graph]
 
 
 class TestFamily:
