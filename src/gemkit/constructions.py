@@ -22,8 +22,9 @@ from __future__ import annotations
 from functools import cache
 from importlib.resources import files
 
-from .core import LabeledGem, _require_int, new_graph
-from .errors import AuditFailed, BaseNotCrystallization, ColorOutOfRange
+from .core import ColoredGraph, LabeledGem, _require_int
+from .errors import (AuditFailed, BaseNotCrystallization, BudgetExceeded,
+                     ColorOutOfRange)
 from .gemfile import parse_gem
 from .invariants import bicolored_cycles
 from .moves import ScriptResult, parse_move_script, run_script
@@ -59,11 +60,24 @@ def _audit(gem: LabeledGem, what: str, vertices: int, cycles=()) -> LabeledGem:
     return gem
 
 
+# the most colors order_two_gem builds: the residue walk behind check and chi
+# reads 2^16 color subsets of it in well under a second
+_MAX_ORDER_TWO_COLORS = 16
+
+
 def order_two_gem(n_colors: int = 4) -> LabeledGem:
-    """Two vertices joined by every color: the n-sphere's smallest gem."""
+    """Two vertices joined by every color: the n-sphere's smallest gem.
+
+    Fewer than 2 colors raise ColorOutOfRange, and more than
+    _MAX_ORDER_TWO_COLORS raise BudgetExceeded before any column is made.
+    """
     _require_int(n_colors, "number of colors", ColorOutOfRange)
-    graph = new_graph(n_colors, [[(0, 1)] for _ in range(n_colors)])
-    return LabeledGem(graph, ("p", "q"))
+    if n_colors < 2:
+        raise ColorOutOfRange(f"need at least 2 colors, got {n_colors}")
+    if n_colors > _MAX_ORDER_TWO_COLORS:
+        raise BudgetExceeded(f"{n_colors} colors exceed the budget of "
+                             f"{_MAX_ORDER_TWO_COLORS}")
+    return LabeledGem(ColoredGraph([(1, 0)] * n_colors), ("p", "q"))
 
 
 @cache
@@ -91,7 +105,9 @@ def product_gem(base: LabeledGem) -> LabeledGem:
     """16p-vertex gem of (base manifold) x S^1 from a 2p-vertex base.
 
     The base must be a 4-colored crystallization; its vertex labels are
-    reused with a ^block suffix.
+    reused with a ^block suffix.  Block k holds vertices k*2p on: the
+    base's columns shifted by k*2p and the same-label matchings' ranges
+    fill it, and ColoredGraph checks the five columns once.
     """
     bg = base.graph
     if bg.n_colors != 4:
@@ -101,19 +117,19 @@ def product_gem(base: LabeledGem) -> LabeledGem:
         raise BaseNotCrystallization(
             "product base must be connected and contracted")
     p2 = bg.num_vertices
-    pairs: list[list] = [[] for _ in range(5)]
+    cols = [[None] * (8 * p2) for _ in range(5)]
     for k in range(8):
         j, off = k % 4, k * p2
-        for c in range(4):
+        for c, col in enumerate(bg.involutions):
             if c != j:
                 # the ladder rule: c - 1 mod 5 is 4 for c = 0
-                pairs[c if c > j else (c - 1) % 5] += [
-                    (off + a, off + b) for a, b in bg.edges(c)]
+                cols[c if c > j else (c - 1) % 5][off:off + p2] = [off + w for w in col]
     # the same-label matchings (block, block, color): j to j+1, A-A', D-D'
     steps = [(r + j, r + j + 1, j) for r in (0, 4) for j in range(3)]
     for k1, k2, color in steps + [(3, 7, 3), (0, 4, 4)]:
-        pairs[color] += [(k1 * p2 + v, k2 * p2 + v) for v in range(p2)]
-    graph = new_graph(5, pairs, num_vertices=8 * p2)
+        for a, b in ((k1, k2), (k2, k1)):
+            cols[color][a * p2:(a + 1) * p2] = range(b * p2, (b + 1) * p2)
+    graph = ColoredGraph(cols)
     labels = [f"{base.labels[v]}^{blk}" for blk in PRODUCT_BLOCKS for v in range(p2)]
     return LabeledGem(graph, labels)
 

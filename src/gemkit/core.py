@@ -14,8 +14,8 @@ is the same int object, so a graph on V vertices holds V ints however many
 colors it has.  ColoredGraph owns the rule.  Its validator, the one
 public constructor, reads each color through itemgetter over its own
 tuple(range(V)) and stores what it reads, so its callers get shared ids
-for free: the torus builder, new_graph (the product, order-two and cover
-gems, whose matchings graph_from_endpoints proves first), and the
+for free: the gems built in code, which fill one column per color (torus,
+product, order-two and cover), new_graph, the edge-list input, and the
 sub-gems _restrict cuts out and renumbers (relabel, move compaction, the
 covers' middle subgraph).  Only parse_gem stores proven columns without
 that check: graph_from_endpoints keeps the columns _matching proves (see
@@ -582,10 +582,11 @@ def euler_characteristic_from(face_counts) -> int:
 def new_graph(n_colors: int, pairs_per_color, num_vertices: int | None = None) -> ColoredGraph:
     """Build a graph from one edge list per color, validating as we go.
 
-    Vertex count defaults to 1 + the largest id mentioned.  Each color's
-    pairs must tile the whole vertex set exactly once (perfect matching).
-    graph_from_endpoints proves the matchings and raises the first bad
-    pair's error; ColoredGraph then checks and interns the columns.
+    For edge lists from outside (gemkit's builders fill columns for
+    ColoredGraph).  Vertex count defaults to 1 + the largest id mentioned.
+    Each color's pairs must tile the whole vertex set exactly once (perfect
+    matching).  graph_from_endpoints proves the matchings and raises the
+    first bad pair's error; ColoredGraph then checks and interns the columns.
     """
     pairs_per_color = [list(p) for p in pairs_per_color]
     if len(pairs_per_color) != n_colors:

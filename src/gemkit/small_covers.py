@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .core import ColoredGraph, LabeledGem, _restrict, new_graph
+from .core import ColoredGraph, LabeledGem, _restrict
 from .errors import AuditFailed, InvalidCharacteristicFunction
 from .invariants import bicolored_cycles
 from .iso import canonical_signature
@@ -200,9 +200,10 @@ def small_cover_gem(masks):
     index into the canonical seven; an index outside 1..7 raises
     InvalidCharacteristicFunction.  Gem vertices are the simplices of the
     16 polytope copies, labeled T<word>^<sheet> where <word> names the
-    (Z/2)^4 copy and <sheet> the simplex 1..6.  Simplices glue along the
-    staircase faces within a copy; a boundary face on facet F joins copy w
-    to copy w + lambda(F).
+    (Z/2)^4 copy w and <sheet> the simplex 1..6, vertex w*6 + sheet - 1.
+    A color sends each sheet to the one across its _STAIRCASE face, in
+    copy w, or in copy w + lambda(F) for a boundary face on facet F, and
+    ColoredGraph checks the five columns once.
     """
     if isinstance(masks, int):
         if not 1 <= masks <= 7:
@@ -211,16 +212,11 @@ def small_cover_gem(masks):
         masks = enumerate_characteristic_functions()[masks - 1]
     masks = validate_characteristic_function(masks)
 
-    def vid(w, sheet):
-        return w * 6 + sheet - 1
-
-    pairs = [[] for _ in range(5)]
+    cols = [[None] * 96 for _ in range(5)]
     for (sheet, color), (other, facet) in _STAIRCASE.items():
         step = masks[facet - 1] if facet else 0
-        ends = ((vid(w, sheet), vid(w ^ step, other)) for w in range(16))
-        # each edge once, from its smaller end
-        pairs[color] += [(a, b) for a, b in ends if a < b]
-    graph = new_graph(5, pairs, num_vertices=96)
+        cols[color][sheet - 1::6] = [(w ^ step) * 6 + other - 1 for w in range(16)]
+    graph = ColoredGraph(cols)
     counts = tuple(
         graph.residue_count(tuple(c for c in range(5) if c != missing))
         for missing in range(5))

@@ -105,9 +105,24 @@ def torus_gem(n, budget=40320):
     return LabeledGem(graph, labels)
 
 
-def stated_permutation(n):
-    """The color order used for the torus genus computation, by parity of n."""
+# the largest n that stated_permutation and expected_genus take, enough for
+# a genus search over the torus pair counts to check the closed form at
+# n = 4..12; larger n would spend memory or overflow before answering
+_MAX_STATED_DIMENSION = 12
+
+
+def _require_stated_dimension(n):
     _require_int(n, "torus dimension", DimensionUnsupported)
+    if n > _MAX_STATED_DIMENSION:
+        raise DimensionUnsupported(
+            f"torus dimension must be <= {_MAX_STATED_DIMENSION}, got {n}")
+
+
+def stated_permutation(n):
+    """The color order used for the torus genus computation, by parity of n.
+
+    n above _MAX_STATED_DIMENSION raises DimensionUnsupported."""
+    _require_stated_dimension(n)
     if n < 2:
         raise DimensionUnsupported(f"no stated color order for n = {n}")
     if n % 2 == 0:
@@ -120,8 +135,9 @@ def expected_genus(n):
 
     Meaningful for n >= 4 only; below that the stated order has adjacent
     swap colors next to each other and the count is not divisible by 8.
+    n above _MAX_STATED_DIMENSION raises DimensionUnsupported.
     """
-    _require_int(n, "torus dimension", DimensionUnsupported)
+    _require_stated_dimension(n)
     if n < 4:
         raise DimensionUnsupported(f"closed form needs n >= 4, got {n}")
     return 1 + factorial(n + 1) * (n - 3) // 8
@@ -133,7 +149,9 @@ def audit_cycle_lengths(gem):
     True iff every bicolored cycle has length 4 or 6 and the consecutive
     color pairs of the stated order give 4-cycles only.  Swap colors that
     share an entry position give 6-cycles, all others 4-cycles, so the
-    second clause needs n >= 4.
+    second clause needs n >= 4.  The stated order is stated_permutation's,
+    so a gem of more than _MAX_STATED_DIMENSION + 1 colors that passes the
+    first clause raises DimensionUnsupported.
     """
     cycles = pair_cycles(gem.graph)
     if not all(set(lengths) <= {4, 6} for lengths in cycles.values()):

@@ -1,10 +1,15 @@
 """Shared fixtures: the catalogue graphs, built once per session."""
 
+import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gemkit
 from gemkit import (ColoredGraph, DipoleSpec, canonical_signature,
                     find_dipoles, g1_prime, g2_prime, new_graph,
                     reduced_cover, s2xs1_standard, small_cover_gem,
@@ -93,6 +98,48 @@ def disjoint_union(g, h):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def child_env():
+    """This process's environment with PYTHONPATH starting at the directory
+    that holds the imported package, so a child runs the code under test."""
+    package_root = str(Path(gemkit.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root, inherited] if inherited else [package_root]))
+
+
+# the child of limited_calls: cap the address space, then time each call
+_LIMITED_CHILD = """
+import json, resource, sys, time
+limit = int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import gemkit
+out = []
+for call in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    try:
+        eval(call, vars(gemkit))
+        kind, message = None, ""
+    except Exception as err:
+        kind, message = type(err).__name__, str(err)
+    out.append([kind, message, time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+def limited_calls(calls, limit=1 << 29):
+    """Run each call, a Python expression over gemkit's public names, in one
+    child process that caps its own address space at `limit` bytes before
+    it imports gemkit, so a call that allocates without bound fails there
+    and not on the host.  Returns [error type name or None, message,
+    seconds] per call, in order."""
+    pytest.importorskip("resource")
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, json.dumps(calls), str(limit)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        check=True)
+    return [tuple(row) for row in json.loads(done.stdout)]
 
 
 def oracle_invariants(graph):

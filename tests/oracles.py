@@ -42,6 +42,10 @@ it, and `rowwise_export_gluings` builds each row one color at a time.
 `CANONICAL_PAIRS` is the regular expression that once told which edge
 lines go to json: it holds backtracking state for every pair it matches.
 
+`paired_product_gem` and `paired_order_two_gem` build the circle product
+and the 2-vertex gem as gemkit first did: one edge list per color, read
+from the base's `edges`, and `new_graph`.
+
 `BLOCK_COLOR_MAP` and `BLOCK_MATCHINGS` transcribe the circle product's
 ladder block by block: each block's base color -> product color map (the
 missing key is the dropped color), and the same-label matchings between
@@ -84,8 +88,8 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     enumerate_characteristic_functions, new_graph,
                     validate_characteristic_function)
 from gemkit.cli import _read_gem
-from gemkit.constructions import (g1_prime, g2_prime, product_gem,
-                                  s2xs1_standard, t3_standard)
+from gemkit.constructions import (PRODUCT_BLOCKS, g1_prime, g2_prime,
+                                  product_gem, s2xs1_standard, t3_standard)
 from gemkit.core import graph_from_endpoints
 from gemkit.gemfile import render_gem
 from gemkit.small_covers import COVER_LABELS, small_cover_gem
@@ -1021,3 +1025,27 @@ BLOCK_MATCHINGS = (
     ("D", "C", 0), ("C", "B", 1), ("B", "A", 2), ("A", "A'", 3),
     ("D", "D'", 4), ("D'", "C'", 0), ("C'", "B'", 1), ("B'", "A'", 2),
 )
+
+
+def paired_product_gem(base):
+    """product_gem as pair lists, without its base checks."""
+    bg = base.graph
+    p2 = bg.num_vertices
+    pairs = [[] for _ in range(5)]
+    for k in range(8):
+        j, off = k % 4, k * p2
+        for c in range(4):
+            if c != j:
+                pairs[c if c > j else (c - 1) % 5] += [
+                    (off + a, off + b) for a, b in bg.edges(c)]
+    steps = [(r + j, r + j + 1, j) for r in (0, 4) for j in range(3)]
+    for k1, k2, color in steps + [(3, 7, 3), (0, 4, 4)]:
+        pairs[color] += [(k1 * p2 + v, k2 * p2 + v) for v in range(p2)]
+    labels = [f"{base.labels[v]}^{blk}" for blk in PRODUCT_BLOCKS for v in range(p2)]
+    return LabeledGem(new_graph(5, pairs, num_vertices=8 * p2), labels)
+
+
+def paired_order_two_gem(n_colors):
+    """order_two_gem as one pair list per color."""
+    return LabeledGem(new_graph(n_colors, [[(0, 1)] for _ in range(n_colors)]),
+                      ("p", "q"))

@@ -2,7 +2,6 @@
 
 import importlib
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -12,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import gemkit
 from gemkit import (ColoredGraph, LabeledGem, add_dipole, export_dot,
                     export_gluings, g1_prime, parse_gem, parse_move_script,
                     product_gem, render_gem, run_script, s2xs1_standard,
@@ -20,6 +18,7 @@ from gemkit import (ColoredGraph, LabeledGem, add_dipole, export_dot,
 from gemkit import cli
 from gemkit.cli import main
 
+from conftest import child_env
 from oracles import guarded_cmd_build
 
 SQUARE = "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n"
@@ -49,11 +48,7 @@ def cli_process():
     """
     exe = shutil.which("gemkit")
     command = [exe] if exe else [sys.executable, "-m", "gemkit"]
-    package_root = str(Path(gemkit.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_root, inherited] if inherited else [package_root]))
-    return command, env
+    return command, child_env()
 
 
 class TestBuild:

@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from gemkit import (AuditFailed, BaseNotCrystallization, ColorOutOfRange,
-                    LabeledGem, bicolored_cycles, g1_prime, g1_prime_result,
+from gemkit import (AuditFailed, BaseNotCrystallization, BudgetExceeded,
+                    ColorOutOfRange, LabeledGem, bicolored_cycles, g1_prime, g1_prime_result,
                     g2_prime, g2_prime_result, genus_for, isomorphic,
                     new_graph, order_two_gem, parse_gem, product_gem,
                     regular_genus, render_gem, run_script, s2xs1_standard,
                     t3_standard)
 from gemkit.constructions import (PRODUCT_BLOCKS, _audit, _data_text,
-                                  parse_move_script)
+                                  _MAX_ORDER_TWO_COLORS, parse_move_script)
 
-from oracles import BLOCK_COLOR_MAP, BLOCK_MATCHINGS
+from conftest import limited_calls, make_rng, shuffled_copy
+from oracles import (BLOCK_COLOR_MAP, BLOCK_MATCHINGS, paired_order_two_gem,
+                     paired_product_gem)
 
 # sha256 of render_gem for each catalogue product and reduction: any change
 # to a product's vertex order, labels or edges shows here
@@ -60,6 +62,49 @@ class TestOrderTwo:
         assert g.is_crystallization()
         assert g.is_bipartite()
         assert regular_genus(g).genus == 0
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_paired_builder(self, k):
+        gem, paired = order_two_gem(k), paired_order_two_gem(k)
+        assert gem.graph == paired.graph
+        assert gem.labels == paired.labels
+
+    # sha256 of render_gem(order_two_gem(k)), k = 2..6
+    RENDER_SHA256 = {
+        2: "271285d6ec40a0d683daa3779adcd1153e1e7727a2e608cd8205114a8a07407e",
+        3: "c9389fe566190dedc42133d36b7d201715713e0c727992f11437c69582360512",
+        4: "04681d4bc6aedf7aa64be99180a6d9d561d983df4abb0ef7862d6665af955494",
+        5: "6fd184b4c95bc571611012801166ac05bd60559771b0ccc8feb11457044f4631",
+        6: "4ea1cfedec78eb36c7b3ab0776d0ed1e4e889f2d576c9e29cb5314d68aac4892",
+    }
+
+    def test_renders_are_pinned(self):
+        assert {k: hashlib.sha256(render_gem(order_two_gem(k)).encode())
+                .hexdigest() for k in self.RENDER_SHA256} == self.RENDER_SHA256
+
+    @pytest.mark.parametrize("k", [1, 0, -2, False])
+    def test_fewer_than_two_colors_refused(self, k):
+        with pytest.raises(ColorOutOfRange) as err:
+            order_two_gem(k)
+        assert type(err.value) is ColorOutOfRange
+        assert str(err.value) == f"need at least 2 colors, got {k}"
+
+    def test_color_budget(self):
+        assert _MAX_ORDER_TWO_COLORS == 16
+        assert order_two_gem(16).graph.n_colors == 16
+        with pytest.raises(BudgetExceeded) as err:
+            order_two_gem(17)
+        assert str(err.value) == "17 colors exceed the budget of 16"
+
+    def test_huge_palettes_refused_before_allocating(self):
+        calls = ["order_two_gem(10**9)", "order_two_gem(2**70)"]
+        rows = limited_calls(calls)
+        assert [row[:2] for row in rows] == [
+            ("BudgetExceeded", "1000000000 colors exceed the budget of 16"),
+            ("BudgetExceeded",
+             "1180591620717411303424 colors exceed the budget of 16")]
+        for call, (_, _, seconds) in zip(calls, rows):
+            assert seconds < 0.5, call
 
 
 class TestStandardBases:
@@ -126,6 +171,23 @@ class TestProduct:
                 v = prod.vertex(f"{label}^{blk1}")
                 assert prod.graph.partner(v, color) \
                     == prod.vertex(f"{label}^{blk2}")
+
+    @pytest.mark.parametrize("base", [s2xs1_standard, t3_standard,
+                                      order_two_gem])
+    def test_matches_paired_builder(self, base):
+        base = base()
+        rng = make_rng(f"paired product {len(base.labels)}")
+        bases = [base]
+        for _ in range(3):
+            graph, perm = shuffled_copy(rng, base.graph)
+            labels = [None] * graph.num_vertices
+            for v, new in enumerate(perm):
+                labels[new] = base.labels[v]
+            bases.append(LabeledGem(graph, labels))
+        for gem in bases:
+            built, paired = product_gem(gem), paired_product_gem(gem)
+            assert built.graph == paired.graph
+            assert built.labels == paired.labels
 
     def test_renders_are_pinned(self):
         gems = {"s2xs1 product": product_gem(s2xs1_standard()),

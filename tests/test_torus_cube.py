@@ -16,6 +16,7 @@ from gemkit import (AuditFailed, BudgetExceeded, ColoredGraph,
                     bicolored_cycles, expected_genus, genus_for, isomorphic,
                     regular_genus, render_gem, stated_permutation, torus_gem)
 
+from conftest import limited_calls
 from oracles import lex_signs, lookup_torus_gem
 
 
@@ -275,6 +276,38 @@ class TestStatedPermutation:
         assert expected_genus(6) == 1891
         with pytest.raises(DimensionUnsupported):
             expected_genus(3)
+
+    def test_dimension_bound(self):
+        assert gemkit.torus_cube._MAX_STATED_DIMENSION == 12
+        assert expected_genus(12) == 1 + factorial(13) * 9 // 8
+        assert stated_permutation(12) == (0, 2, 4, 6, 8, 10, 12,
+                                          1, 3, 5, 7, 9, 11)
+        for call in (expected_genus, stated_permutation):
+            with pytest.raises(DimensionUnsupported) as err:
+                call(13)
+            assert type(err.value) is DimensionUnsupported
+            assert str(err.value) == "torus dimension must be <= 12, got 13"
+        # 14 colors, each adding its own nonzero vector of (Z/2)^4: every
+        # bicolored cycle has length 4, and no stated order exists
+        cube = LabeledGem(ColoredGraph([[v ^ c for v in range(16)]
+                                        for c in range(1, 15)]))
+        with pytest.raises(DimensionUnsupported,
+                           match="^torus dimension must be <= 12, got 13$"):
+            audit_cycle_lengths(cube)
+
+    def test_huge_dimensions_refused_at_once(self):
+        calls = ["expected_genus(10**6)", "expected_genus(2**70)",
+                 "stated_permutation(2**70)"]
+        rows = limited_calls(calls)
+        assert [row[:2] for row in rows] == [
+            ("DimensionUnsupported",
+             "torus dimension must be <= 12, got 1000000"),
+            ("DimensionUnsupported",
+             "torus dimension must be <= 12, got 1180591620717411303424"),
+            ("DimensionUnsupported",
+             "torus dimension must be <= 12, got 1180591620717411303424")]
+        for call, (_, _, seconds) in zip(calls, rows):
+            assert seconds < 0.5, call
 
 
 class TestGenusValues:
