@@ -22,9 +22,8 @@ from __future__ import annotations
 from functools import cache
 from importlib.resources import files
 
-from .core import ColoredGraph, LabeledGem, _require_int
-from .errors import (AuditFailed, BaseNotCrystallization, BudgetExceeded,
-                     ColorOutOfRange)
+from .core import ColoredGraph, LabeledGem, _check_walk_budget, _require_int
+from .errors import AuditFailed, BaseNotCrystallization, ColorOutOfRange
 from .gemfile import parse_gem
 from .invariants import bicolored_cycles
 from .moves import ScriptResult, parse_move_script, run_script
@@ -60,23 +59,17 @@ def _audit(gem: LabeledGem, what: str, vertices: int, cycles=()) -> LabeledGem:
     return gem
 
 
-# the most colors order_two_gem builds: the residue walk behind check and chi
-# reads 2^16 color subsets of it in well under a second
-_MAX_ORDER_TWO_COLORS = 16
-
-
 def order_two_gem(n_colors: int = 4) -> LabeledGem:
     """Two vertices joined by every color: the n-sphere's smallest gem.
 
     Fewer than 2 colors raise ColorOutOfRange, and more than
-    _MAX_ORDER_TWO_COLORS raise BudgetExceeded before any column is made.
+    _MAX_WALK_COLORS, the residue walk's budget, raise BudgetExceeded before
+    any column is made.
     """
     _require_int(n_colors, "number of colors", ColorOutOfRange)
     if n_colors < 2:
         raise ColorOutOfRange(f"need at least 2 colors, got {n_colors}")
-    if n_colors > _MAX_ORDER_TWO_COLORS:
-        raise BudgetExceeded(f"{n_colors} colors exceed the budget of "
-                             f"{_MAX_ORDER_TWO_COLORS}")
+    _check_walk_budget(n_colors)
     return LabeledGem(ColoredGraph([(1, 0)] * n_colors), ("p", "q"))
 
 

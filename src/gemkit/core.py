@@ -44,6 +44,7 @@ from operator import is_, itemgetter
 from typing import NoReturn
 
 from .errors import (
+    BudgetExceeded,
     ColorOutOfRange,
     DuplicateVertexInColor,
     GraphValidationError,
@@ -70,6 +71,18 @@ class Components:
         for v, c in enumerate(self.labels):
             out[c].append(v)
         return out
+
+
+# the most colors residue_counts walks: the 2^16 color subsets of a
+# 2-vertex gem take a fifth of a second, and each color more doubles the
+# walk's time and memory
+_MAX_WALK_COLORS = 16
+
+
+def _check_walk_budget(n_colors: int) -> None:
+    if n_colors > _MAX_WALK_COLORS:
+        raise BudgetExceeded(
+            f"{n_colors} colors exceed the budget of {_MAX_WALK_COLORS}")
 
 
 class ColoredGraph:
@@ -245,8 +258,10 @@ class ColoredGraph:
         with forked children on a host with spare CPUs once the walk's
         vertex visits (V times 2^k) reach _SPLIT_VISITS.  The parent
         computes every subtree no child delivered, so the counts never
-        depend on a child.
+        depend on a child.  More than _MAX_WALK_COLORS colors raise
+        BudgetExceeded before anything is walked.
         """
+        _check_walk_budget(self.n_colors)
         nv = self.num_vertices
         last = self.n_colors - 1
         invs = self.involutions

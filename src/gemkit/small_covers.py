@@ -16,6 +16,9 @@ four facet vectors to the standard basis), builds the cover gems, tabulates
 their 64-vertex middle subgraph (the {0,1,3,4}-residue through T0^2, cut
 out by core._restrict) in compact row/column form, and glues each gem down
 to a 52-vertex crystallization, auditing its fixed data at every step.
+The readers renumber a cover gem to staircase ids (simplex `sheet` of copy
+w is vertex w*6 + sheet - 1) and compute on them; only COVER_LABELS spells
+a label T<word>^<sheet>.
 """
 
 from dataclasses import dataclass
@@ -153,16 +156,20 @@ def word_mask(word):
             f"{word!r} does not name a (Z/2)^4 value") from None
 
 
-# The cover gem's vertex labels T<word>^<sheet>, in vertex order.
+# The cover gem's vertex labels T<word>^<sheet>, in vertex order, spelled
+# here alone: vertex v is simplex v % 6 + 1 of copy v // 6.
 COVER_LABELS = tuple(
     f"T{mask_word(w)}^{sheet}" for w in range(16) for sheet in range(1, 7))
 
 
-def _require_cover_labels(gem):
+def _staircase_ids(gem):
+    """The gem's graph renumbered so that vertex v carries COVER_LABELS[v]."""
     if set(gem.labels) != set(COVER_LABELS):
         raise AuditFailed(
             "not a small cover gem: its labels are not the 96 T<word>^<sheet>"
             " labels")
+    keep = list(map(gem.vertex, COVER_LABELS))  # old id of each new id
+    return ColoredGraph(_restrict(gem.graph.involutions, keep)[0])
 
 
 # Staircase triangulation of one polytope copy into six 4-simplices: sheet
@@ -230,39 +237,27 @@ def small_cover_gem(masks):
 def infer_characteristic_function(gem):
     """Read the six facet vectors back off a cover gem.
 
-    Each facet's vector is read across its first face in _STAIRCASE's
+    Each facet's vector is the copy across its first face in _STAIRCASE's
     (sheet, color) order, from copy 0.  Raises AuditFailed unless the gem
     carries exactly the cover labels.
     """
-    _require_cover_labels(gem)
-    graph = gem.graph
+    cols = _staircase_ids(gem).involutions
     first = {}
     for face, (_, facet) in _STAIRCASE.items():
         first.setdefault(facet, face)
-
-    def across(sheet, color):
-        twin = gem.label_of(graph.partner(gem.vertex(f"T0^{sheet}"), color))
-        return word_mask(_label_word(twin))
-
     return validate_characteristic_function(
-        across(*first[facet]) for facet in range(1, 7))
+        cols[color][sheet - 1] // 6
+        for sheet, color in (first[facet] for facet in range(1, 7)))
 
 
 # -- compact form -----------------------------------------------------------------
 
-def _label_word(label):
-    return label[1:label.index("^")]
-
-
-def _word_partition(gem, colors, start_sheet):
-    """Word classes of the bicolored cycles met from the given sheet."""
-    comps = gem.graph.components(colors)
+def _word_partition(graph, colors, start_sheet):
+    """Copy classes of the bicolored cycles met from the given sheet."""
+    comps = graph.components(colors)
     members = comps.members()
-    parts = set()
-    for w in range(16):
-        start = gem.vertex(f"T{mask_word(w)}^{start_sheet}")
-        parts.add(frozenset(_label_word(gem.label_of(v))
-                            for v in members[comps.labels[start]]))
+    parts = {frozenset(v // 6 for v in members[label])
+             for label in comps.labels[start_sheet - 1::6]}
     if sorted(len(p) for p in parts) != [4, 4, 4, 4]:
         raise AuditFailed(
             f"colors {colors} cycles do not split the words into 4+4+4+4")
@@ -271,7 +266,7 @@ def _word_partition(gem, colors, start_sheet):
 
 # the middle subgraph's colors, renumbered 0..3 in this order, and labels
 _MIDDLE_COLORS = (0, 1, 3, 4)
-_MIDDLE_LABELS = frozenset(l for l in COVER_LABELS if l[-1] in "2345")
+_MIDDLE_LABELS = frozenset(l for v, l in enumerate(COVER_LABELS) if 1 <= v % 6 <= 4)
 
 
 def middle_subgraph(gem):
@@ -282,10 +277,10 @@ def middle_subgraph(gem):
     its own right.  Raises AuditFailed unless the gem carries exactly the
     cover labels and that residue holds exactly the sheet-2..5 vertices.
     """
-    _require_cover_labels(gem)
+    _staircase_ids(gem)  # refuses a gem without the cover labels
     graph = gem.graph
     comps = graph.components(_MIDDLE_COLORS)
-    keep = comps.members()[comps.labels[gem.vertex("T0^2")]]
+    keep = comps.members()[comps.labels[gem.vertex(COVER_LABELS[1])]]
     labels = tuple(map(gem.label_of, keep))
     if set(labels) != _MIDDLE_LABELS:
         raise AuditFailed("the {0,1,3,4}-residue through T0^2 is not the 64"
@@ -354,19 +349,20 @@ def compact_form(gem):
     if canonical_signature(middle.graph) != _first_middle_signature():
         raise AuditFailed("middle subgraph differs from the first cover's")
 
-    rows = _word_partition(gem, (0, 1), 2)
-    if rows != _word_partition(gem, (0, 1), 3):
+    graph = _staircase_ids(gem)
+    rows = _word_partition(graph, (0, 1), 2)
+    if rows != _word_partition(graph, (0, 1), 3):
         raise AuditFailed("row classes differ between the two sheet pairs")
-    cols = _word_partition(gem, (3, 4), 2)
-    if cols != _word_partition(gem, (3, 4), 4):
+    cols = _word_partition(graph, (3, 4), 2)
+    if cols != _word_partition(graph, (3, 4), 4):
         raise AuditFailed("column classes differ between the two sheet pairs")
     layout = COMPACT_LAYOUTS[idx - 1]
     for row in layout:
-        if frozenset(row) not in rows:
+        if frozenset(map(word_mask, row)) not in rows:
             raise AuditFailed(f"stored row {row} is not a {{0,1}}-cycle class")
     for c in range(4):
         col = tuple(row[c] for row in layout)
-        if frozenset(col) not in cols:
+        if frozenset(map(word_mask, col)) not in cols:
             raise AuditFailed(f"stored column {col} is not a {{3,4}}-cycle class")
     return CompactForm(idx, layout)
 
@@ -383,27 +379,22 @@ def reduce_to_crystallization(gem):
     partners.  Returns the script result; its trace is (96, 88, 80, 64, 52).
     """
     form = compact_form(gem)
-    graph = gem.graph
-
-    def partners(labels, color):
-        return tuple(
-            gem.label_of(graph.partner(gem.vertex(l), color)) for l in labels)
-
+    graph = _staircase_ids(gem)
     comps = graph.components((0, 4))
     members = comps.members()
-    steps = []
-    for k, start in enumerate(("T0^1", "T0^6")):
-        cycle = members[comps.labels[gem.vertex(start)]]
-        lam = tuple(map(gem.label_of, cycle))
-        steps.append(ScriptStep("glue", (2,), (lam, partners(lam, 2)), k + 1))
-    row = form.rows[3]
-    lam = tuple(f"T{w}^{sheet}" for sheet in (2, 4) for w in row)
-    steps.append(ScriptStep("glue", (3,), (lam, partners(lam, 3)), 3))
+    # glue sides as staircase ids, 0 and 5 being T0^1 and T0^6
+    row = tuple(map(word_mask, form.rows[3]))
     # the word shared by the row and the column is already gone
-    gone = set(row)
-    col = form.column(2)
-    lam = tuple(f"T{w}^{sheet}" for sheet in (2, 3) for w in col if w not in gone)
-    steps.append(ScriptStep("glue", (1,), (lam, partners(lam, 1)), 4))
+    col = [w for w in map(word_mask, form.column(2)) if w not in row]
+    sides = (
+        (2, members[comps.labels[0]]), (2, members[comps.labels[5]]),
+        (3, [w * 6 + sheet - 1 for sheet in (2, 4) for w in row]),
+        (1, [w * 6 + sheet - 1 for sheet in (2, 3) for w in col]))
+    steps = [
+        ScriptStep("glue", (color,), (
+            tuple(COVER_LABELS[v] for v in lam),
+            tuple(COVER_LABELS[graph.involutions[color][v]] for v in lam)), k)
+        for k, (color, lam) in enumerate(sides, 1)]
 
     result = run_script(gem, steps)
     final = result.gem.graph

@@ -127,6 +127,37 @@ for call in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
+# the child of limited_cli: cap the address space, then time each command
+# line through the CLI's main, keeping its exit code and what it wrote to
+# stderr, a traceback included
+_LIMITED_CLI_CHILD = """
+import contextlib, io, json, resource, sys, time, traceback
+limit = int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from gemkit.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = None
+    out.append([code, err.getvalue(), time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+def _limited_child(script, rows, limit):
+    pytest.importorskip("resource")
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(rows), str(limit)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        check=True)
+    return [tuple(row) for row in json.loads(done.stdout)]
+
 
 def limited_calls(calls, limit=1 << 29):
     """Run each call, a Python expression over gemkit's public names, in one
@@ -134,12 +165,15 @@ def limited_calls(calls, limit=1 << 29):
     it imports gemkit, so a call that allocates without bound fails there
     and not on the host.  Returns [error type name or None, message,
     seconds] per call, in order."""
-    pytest.importorskip("resource")
-    done = subprocess.run(
-        [sys.executable, "-c", _LIMITED_CHILD, json.dumps(calls), str(limit)],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-        check=True)
-    return [tuple(row) for row in json.loads(done.stdout)]
+    return _limited_child(_LIMITED_CHILD, calls, limit)
+
+
+def limited_cli(argvs, limit=1 << 29):
+    """Run each argument list through gemkit.cli.main in one child process
+    that caps its own address space as limited_calls does.  Returns [exit
+    code or None for an escaped exception, stderr text, seconds] per
+    argument list, in order."""
+    return _limited_child(_LIMITED_CLI_CHILD, argvs, limit)
 
 
 def oracle_invariants(graph):

@@ -67,6 +67,12 @@ the sheet pairs sharing a face, by color, and the facet under each
 boundary (sheet, color) face.  `tabled_small_cover_gem` builds a cover gem
 from them, the shared faces in one loop and the boundary faces in another.
 
+`label_characteristic_function`, `label_word_partition` and
+`label_reduction_steps` read a cover gem by its labels, as the cover module
+once did: each finds a vertex by formatting `T<word>^<sheet>` and a copy by
+slicing the word out of a label, where the module now renumbers the gem to
+staircase ids and reads copies and sheets off the ids.
+
 `per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
 characteristic functions facet by facet: facets 1..4 carry a basis, which
 forces the candidate linear map, and the map is checked on facets 5 and 6.
@@ -84,15 +90,16 @@ from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     LoopEdge, MissingIColoredMatching, MoveError, MoveResult,
                     NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
-                    ScriptResult, VertexCountMismatch, cancel_dipole,
-                    enumerate_characteristic_functions, new_graph,
-                    validate_characteristic_function)
+                    ScriptResult, ScriptStep, VertexCountMismatch,
+                    cancel_dipole, enumerate_characteristic_functions,
+                    mask_word, new_graph, validate_characteristic_function,
+                    word_mask)
 from gemkit.cli import _read_gem
 from gemkit.constructions import (PRODUCT_BLOCKS, g1_prime, g2_prime,
                                   product_gem, s2xs1_standard, t3_standard)
 from gemkit.core import graph_from_endpoints
 from gemkit.gemfile import render_gem
-from gemkit.small_covers import COVER_LABELS, small_cover_gem
+from gemkit.small_covers import _STAIRCASE, COVER_LABELS, small_cover_gem
 from gemkit.torus_cube import torus_gem
 from gemkit.gemfile import DOT_PALETTE
 
@@ -982,6 +989,62 @@ def tabled_small_cover_gem(masks):
             (vid(w, sheet), vid(w ^ step, sheet))
             for w in range(16) if w < w ^ step)
     return LabeledGem(new_graph(5, pairs, num_vertices=96), COVER_LABELS)
+
+
+def _label_word(label):
+    return label[1:label.index("^")]
+
+
+def label_characteristic_function(gem):
+    """infer_characteristic_function by formatting and slicing labels."""
+    graph = gem.graph
+    first = {}
+    for face, (_, facet) in _STAIRCASE.items():
+        first.setdefault(facet, face)
+
+    def across(sheet, color):
+        twin = gem.label_of(graph.partner(gem.vertex(f"T0^{sheet}"), color))
+        return word_mask(_label_word(twin))
+
+    return validate_characteristic_function(
+        across(*first[facet]) for facet in range(1, 7))
+
+
+def label_word_partition(gem, colors, start_sheet):
+    """Word classes of the bicolored cycles met from the given sheet."""
+    comps = gem.graph.components(colors)
+    members = comps.members()
+    parts = set()
+    for w in range(16):
+        start = gem.vertex(f"T{mask_word(w)}^{start_sheet}")
+        parts.add(frozenset(_label_word(gem.label_of(v))
+                            for v in members[comps.labels[start]]))
+    return parts
+
+
+def label_reduction_steps(gem, form):
+    """reduce_to_crystallization's four glue steps, named by label."""
+    graph = gem.graph
+
+    def partners(labels, color):
+        return tuple(
+            gem.label_of(graph.partner(gem.vertex(l), color)) for l in labels)
+
+    comps = graph.components((0, 4))
+    members = comps.members()
+    steps = []
+    for k, start in enumerate(("T0^1", "T0^6")):
+        cycle = members[comps.labels[gem.vertex(start)]]
+        lam = tuple(map(gem.label_of, cycle))
+        steps.append(ScriptStep("glue", (2,), (lam, partners(lam, 2)), k + 1))
+    row = form.rows[3]
+    lam = tuple(f"T{w}^{sheet}" for sheet in (2, 4) for w in row)
+    steps.append(ScriptStep("glue", (3,), (lam, partners(lam, 3)), 3))
+    gone = set(row)
+    col = form.column(2)
+    lam = tuple(f"T{w}^{sheet}" for sheet in (2, 3) for w in col if w not in gone)
+    steps.append(ScriptStep("glue", (1,), (lam, partners(lam, 1)), 4))
+    return steps
 
 
 def _basis_combo(basis, v):

@@ -18,7 +18,7 @@ from gemkit import (ColoredGraph, LabeledGem, add_dipole, export_dot,
 from gemkit import cli
 from gemkit.cli import main
 
-from conftest import child_env
+from conftest import child_env, limited_cli
 from oracles import guarded_cmd_build
 
 SQUARE = "gem 1\ncolors 2\nvertices 4\nc 0: 0-1 2-3\nc 1: 1-2 3-0\n"
@@ -380,6 +380,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert "vertices have no edge" in err
+
+    def test_wide_palette_refused_by_the_walk(self, tmp_path):
+        # chi and check walk every color subset: past 16 colors they refuse
+        # before walking, under an address-space cap
+        argvs, wide = [], (17, 26, 10**3)
+        for k in wide:
+            path = tmp_path / f"wide{k}.gem"
+            path.write_text(f"gem 1\ncolors {k}\nvertices 2\n"
+                            + "".join(f"c {c}: 0-1\n" for c in range(k)))
+            argvs += [[command, str(path)] for command in ("chi", "check")]
+        rows = limited_cli(argvs)
+        assert [row[:2] for row in rows] == [
+            (1, f"error: {k} colors exceed the budget of 16\n")
+            for k in wide for _ in ("chi", "check")]
+        for argv, (_, _, seconds) in zip(argvs, rows):
+            assert seconds < 0.5, argv
 
     def test_syntax_failure_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.gem"

@@ -12,7 +12,8 @@ from gemkit import (AuditFailed, BaseNotCrystallization, BudgetExceeded,
                     regular_genus, render_gem, run_script, s2xs1_standard,
                     t3_standard)
 from gemkit.constructions import (PRODUCT_BLOCKS, _audit, _data_text,
-                                  _MAX_ORDER_TWO_COLORS, parse_move_script)
+                                  parse_move_script)
+from gemkit.core import _MAX_WALK_COLORS
 
 from conftest import limited_calls, make_rng, shuffled_copy
 from oracles import (BLOCK_COLOR_MAP, BLOCK_MATCHINGS, paired_order_two_gem,
@@ -90,7 +91,7 @@ class TestOrderTwo:
         assert str(err.value) == f"need at least 2 colors, got {k}"
 
     def test_color_budget(self):
-        assert _MAX_ORDER_TWO_COLORS == 16
+        assert _MAX_WALK_COLORS == 16
         assert order_two_gem(16).graph.n_colors == 16
         with pytest.raises(BudgetExceeded) as err:
             order_two_gem(17)

@@ -21,8 +21,8 @@ from gemkit import (BudgetExceeded, ColorOutOfRange, ColoredGraph,
                     torus_gem)
 from gemkit.core import _restrict, graph_from_endpoints
 
-from conftest import (disjoint_union, make_rng, random_colored_graph,
-                      shuffled_copy)
+from conftest import (disjoint_union, limited_calls, make_rng,
+                      random_colored_graph, shuffled_copy)
 from oracles import (flood_fill_count, flood_fill_labels, looped_involutions,
                      looped_relabel, pairwise_new_graph, per_subset_face_counts,
                      per_subset_residue_counts, torus_residue_count)
@@ -271,6 +271,29 @@ class TestResidueWalkAgainstOracle:
         g = square_graph()
         assert g.residue_counts() == {(): 4, (0,): 2, (1,): 2, (0, 1): 1}
         assert two_squares().residue_counts()[(0, 1)] == 2
+
+
+class TestWalkBudget:
+    """The residue walk refuses more than 16 colors before it walks, and
+    face_counts and euler_characteristic refuse through it."""
+
+    WIDE = (17, 26, 10**3)
+    METHODS = ("residue_counts", "face_counts", "euler_characteristic")
+
+    def test_sixteen_colors_walked(self):
+        g = ColoredGraph([(1, 0)] * 16)
+        assert len(g.residue_counts()) == 2 ** 16
+        assert g.euler_characteristic() == 0
+
+    def test_wide_palettes_refused_at_once(self):
+        calls = [f"ColoredGraph([(1, 0)] * {k}).{method}()"
+                 for k in self.WIDE for method in self.METHODS]
+        rows = limited_calls(calls)
+        assert [row[:2] for row in rows] == [
+            ("BudgetExceeded", f"{k} colors exceed the budget of 16")
+            for k in self.WIDE for _ in self.METHODS]
+        for call, (_, _, seconds) in zip(calls, rows):
+            assert seconds < 0.5, call
 
 
 def _outcome(build, involutions):

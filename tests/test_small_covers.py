@@ -16,12 +16,14 @@ from gemkit import (AuditFailed, ColoredGraph, InvalidCharacteristicFunction,
                     validate_characteristic_function, word_mask)
 from gemkit.constructions import _data_text
 from gemkit import small_covers
-from gemkit.small_covers import CANONICAL_PAIRS, COMPACT_LAYOUTS, COVER_LABELS
+from gemkit.small_covers import (CANONICAL_PAIRS, COMPACT_LAYOUTS, COVER_LABELS,
+                                 CompactForm)
 
 from conftest import make_rng, shuffled_copy
 from oracles import (STAIRCASE_BOUNDARY, STAIRCASE_INTERNAL,
-                     per_facet_dj_equivalent, sheet_filter_middle_subgraph,
-                     tabled_small_cover_gem)
+                     label_characteristic_function, label_reduction_steps,
+                     label_word_partition, per_facet_dj_equivalent,
+                     sheet_filter_middle_subgraph, tabled_small_cover_gem)
 
 
 class TestPolytope:
@@ -480,6 +482,57 @@ class TestReduction:
         assert result.gem.labels == reduced_cover(1).gem.labels
 
 
+def shuffled_covers():
+    """(index, gem): each catalogue cover, then two seeded shuffled copies
+    of it that keep every vertex's label."""
+    rng = make_rng("staircase ids")
+    for i in range(1, 8):
+        gem = small_cover_gem(i)
+        yield i, gem
+        for _ in range(2):
+            graph, perm = shuffled_copy(rng, gem.graph)
+            labels = [None] * 96
+            for v, w in enumerate(perm):
+                labels[w] = gem.labels[v]
+            yield i, LabeledGem(graph, labels)
+
+
+class TestStaircaseIds:
+    """The readers that compute on staircase ids against the label readers
+    they replaced, on the catalogue covers and shuffled copies of them
+    (TestMiddleSubgraph checks the middle subgraph the same way)."""
+
+    def test_renumbered_to_the_built_cover(self):
+        for i, gem in shuffled_covers():
+            assert small_covers._staircase_ids(gem) == small_cover_gem(i).graph
+
+    def test_characteristic_function(self):
+        for i, gem in shuffled_covers():
+            masks = infer_characteristic_function(gem)
+            assert masks == label_characteristic_function(gem)
+            assert masks == enumerate_characteristic_functions()[i - 1]
+
+    @pytest.mark.parametrize("colors, sheet", [
+        ((0, 1), 2), ((0, 1), 3), ((3, 4), 2), ((3, 4), 4)])
+    def test_word_partition(self, colors, sheet):
+        for _, gem in shuffled_covers():
+            parts = small_covers._word_partition(
+                small_covers._staircase_ids(gem), colors, sheet)
+            assert {frozenset(map(mask_word, p)) for p in parts} \
+                == label_word_partition(gem, colors, sheet)
+
+    def test_compact_form(self):
+        for i, gem in shuffled_covers():
+            assert compact_form(gem) == CompactForm(i, COMPACT_LAYOUTS[i - 1])
+
+    def test_reduction(self):
+        for _, gem in shuffled_covers():
+            result = reduce_to_crystallization(gem)
+            want = run_script(gem, label_reduction_steps(gem, compact_form(gem)))
+            assert result.trace == want.trace == (96, 88, 80, 64, 52)
+            assert render_gem(result.gem) == render_gem(want.gem)
+
+
 class TestAuditRefusals:
     """Each audit on the fixed cover data refuses when the table or helper
     it checks is patched to disagree."""
@@ -519,7 +572,7 @@ class TestAuditRefusals:
 
     def test_word_partition(self, cover1):
         with pytest.raises(AuditFailed) as err:
-            small_covers._word_partition(cover1, (1, 2), 2)
+            small_covers._word_partition(cover1.graph, (1, 2), 2)
         assert str(err.value) \
             == "colors (1, 2) cycles do not split the words into 4+4+4+4"
 
