@@ -77,6 +77,10 @@ class Components:
 # 2-vertex gem take a fifth of a second, and each color more doubles the
 # walk's time and memory
 _MAX_WALK_COLORS = 16
+# the most vertex visits (V times 2^k) residue_counts makes: t7 plans
+# 10,321,920, and a 16-color gem on 4096 vertices, at the budget, walks in
+# 9 s on two CPUs of a shared Xeon host, 17 s on one
+_MAX_WALK_VISITS = 1 << 28
 
 
 def _check_walk_budget(n_colors: int) -> None:
@@ -258,12 +262,17 @@ class ColoredGraph:
         with forked children on a host with spare CPUs once the walk's
         vertex visits (V times 2^k) reach _SPLIT_VISITS.  The parent
         computes every subtree no child delivered, so the counts never
-        depend on a child.  More than _MAX_WALK_COLORS colors raise
-        BudgetExceeded before anything is walked.
+        depend on a child.  More than _MAX_WALK_COLORS colors, and then
+        more than _MAX_WALK_VISITS vertex visits, raise BudgetExceeded
+        before anything is walked.
         """
         _check_walk_budget(self.n_colors)
         nv = self.num_vertices
         last = self.n_colors - 1
+        visits = nv << (last + 1)
+        if visits > _MAX_WALK_VISITS:
+            raise BudgetExceeded(
+                f"{visits} vertex visits exceed the budget of {_MAX_WALK_VISITS}")
         invs = self.involutions
         # across[c](labels)[v] is the label of v's c-partner; with V >= 2
         # vertices every itemgetter here returns a tuple, never one item
@@ -279,7 +288,7 @@ class ColoredGraph:
 
         # largest first: the fewer colors above b, the smaller the subtree
         roots = sorted(combinations(range(last + 1), 2), key=itemgetter(1))
-        parts = dict(zip(roots, _run_split(below, roots, nv << (last + 1))))
+        parts = dict(zip(roots, _run_split(below, roots, visits)))
         counts = {(): nv, **{(c,): nv // 2 for c in range(last + 1)}}
         for root in sorted(parts):
             counts.update(parts[root])

@@ -336,8 +336,20 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# a DOT ID written bare: letters, digits and '_', not led by a digit, and
+# not one of DOT's keywords, which it reads in any case
+_DOT_BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def export_dot(gem: LabeledGem | ColoredGraph, name: str = "gem") -> str:
-    """Graphviz source; one edge per colored edge, palette fixed by color."""
+    """Graphviz source; one edge per colored edge, palette fixed by color.
+
+    The graph's `name` is written as it is when it is a bare DOT ID, and
+    quoted like the labels otherwise.
+    """
+    if not _DOT_BARE_ID.fullmatch(name) or name.lower() in _DOT_KEYWORDS:
+        name = _dot_quote(name)
     if isinstance(gem, ColoredGraph):
         gem = LabeledGem(gem)
     graph = gem.graph

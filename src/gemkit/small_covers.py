@@ -17,15 +17,16 @@ their 64-vertex middle subgraph (the {0,1,3,4}-residue through T0^2, cut
 out by core._restrict) in compact row/column form, and glues each gem down
 to a 52-vertex crystallization, auditing its fixed data at every step.
 The readers renumber a cover gem to staircase ids (simplex `sheet` of copy
-w is vertex w*6 + sheet - 1) and compute on them; only COVER_LABELS spells
-a label T<word>^<sheet>.
+w is vertex w*6 + sheet - 1) at most once, a built cover never, and compute
+on them; only COVER_LABELS spells a label T<word>^<sheet>.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .core import ColoredGraph, LabeledGem, _restrict
+from .core import (ColoredGraph, LabeledGem, _restrict, euler_characteristic_from,
+                   face_counts_from)
 from .errors import AuditFailed, InvalidCharacteristicFunction
 from .invariants import bicolored_cycles
 from .iso import canonical_signature
@@ -163,11 +164,12 @@ COVER_LABELS = tuple(
 
 
 def _staircase_ids(gem):
-    """The gem's graph renumbered so that vertex v carries COVER_LABELS[v]."""
+    """The gem's graph, renumbered unless vertex v carries COVER_LABELS[v]."""
+    if gem.labels == COVER_LABELS:
+        return gem.graph
     if set(gem.labels) != set(COVER_LABELS):
-        raise AuditFailed(
-            "not a small cover gem: its labels are not the 96 T<word>^<sheet>"
-            " labels")
+        raise AuditFailed("not a small cover gem: its labels are not the 96"
+                          " T<word>^<sheet> labels")
     keep = list(map(gem.vertex, COVER_LABELS))  # old id of each new id
     return ColoredGraph(_restrict(gem.graph.involutions, keep)[0])
 
@@ -209,8 +211,8 @@ def small_cover_gem(masks):
     16 polytope copies, labeled T<word>^<sheet> where <word> names the
     (Z/2)^4 copy w and <sheet> the simplex 1..6, vertex w*6 + sheet - 1.
     A color sends each sheet to the one across its _STAIRCASE face, in
-    copy w, or in copy w + lambda(F) for a boundary face on facet F, and
-    ColoredGraph checks the five columns once.
+    copy w, or in copy w + lambda(F) for a boundary face on facet F.  The
+    audit reads complement counts and chi off one residue_counts() walk.
     """
     if isinstance(masks, int):
         if not 1 <= masks <= 7:
@@ -224,12 +226,12 @@ def small_cover_gem(masks):
         step = masks[facet - 1] if facet else 0
         cols[color][sheet - 1::6] = [(w ^ step) * 6 + other - 1 for w in range(16)]
     graph = ColoredGraph(cols)
-    counts = tuple(
-        graph.residue_count(tuple(c for c in range(5) if c != missing))
-        for missing in range(5))
-    if counts != (1, 2, 3, 2, 1):
-        raise AuditFailed(f"cover gem has complement residue counts {counts}")
-    if graph.euler_characteristic() != 1 or graph.is_bipartite():
+    counts = graph.residue_counts()
+    complements = tuple(counts[tuple(c for c in range(5) if c != m)] for m in range(5))
+    if complements != (1, 2, 3, 2, 1):
+        raise AuditFailed(f"cover gem has complement residue counts {complements}")
+    if (euler_characteristic_from(face_counts_from(counts, 5)) != 1
+            or graph.is_bipartite()):
         raise AuditFailed("cover gem fails the basic invariant audit")
     return LabeledGem(graph, COVER_LABELS)
 
@@ -252,16 +254,16 @@ def infer_characteristic_function(gem):
 
 # -- compact form -----------------------------------------------------------------
 
-def _word_partition(graph, colors, start_sheet):
-    """Copy classes of the bicolored cycles met from the given sheet."""
+def _word_partition(graph, colors, sheets):
+    """Copy classes of the bicolored cycles met from each sheet, one labelling."""
     comps = graph.components(colors)
     members = comps.members()
-    parts = {frozenset(v // 6 for v in members[label])
-             for label in comps.labels[start_sheet - 1::6]}
-    if sorted(len(p) for p in parts) != [4, 4, 4, 4]:
+    classes = [{frozenset(v // 6 for v in members[label])
+                for label in comps.labels[sheet - 1::6]} for sheet in sheets]
+    if any(sorted(map(len, parts)) != [4, 4, 4, 4] for parts in classes):
         raise AuditFailed(
             f"colors {colors} cycles do not split the words into 4+4+4+4")
-    return parts
+    return classes
 
 
 # the middle subgraph's colors, renumbered 0..3 in this order, and labels
@@ -278,14 +280,13 @@ def middle_subgraph(gem):
     cover labels and that residue holds exactly the sheet-2..5 vertices.
     """
     _staircase_ids(gem)  # refuses a gem without the cover labels
-    graph = gem.graph
-    comps = graph.components(_MIDDLE_COLORS)
+    comps = gem.graph.components(_MIDDLE_COLORS)
     keep = comps.members()[comps.labels[gem.vertex(COVER_LABELS[1])]]
     labels = tuple(map(gem.label_of, keep))
     if set(labels) != _MIDDLE_LABELS:
         raise AuditFailed("the {0,1,3,4}-residue through T0^2 is not the 64"
                           " sheet-2..5 vertices")
-    columns, _ = _restrict([graph.involutions[c] for c in _MIDDLE_COLORS], keep)
+    columns, _ = _restrict([gem.graph.involutions[c] for c in _MIDDLE_COLORS], keep)
     return LabeledGem(ColoredGraph(columns), labels)
 
 
@@ -335,6 +336,7 @@ def compact_form(gem):
     (middle_subgraph owns its 64 vertices): every {0,1}- and {3,4}-cycle of
     length 8, and a single isomorphism class shared by all covers.
     """
+    gem = LabeledGem(_staircase_ids(gem), COVER_LABELS)  # the readers renumber none
     masks = infer_characteristic_function(gem)
     try:
         idx = CANONICAL_PAIRS.index(masks[4:]) + 1
@@ -349,19 +351,17 @@ def compact_form(gem):
     if canonical_signature(middle.graph) != _first_middle_signature():
         raise AuditFailed("middle subgraph differs from the first cover's")
 
-    graph = _staircase_ids(gem)
-    rows = _word_partition(graph, (0, 1), 2)
-    if rows != _word_partition(graph, (0, 1), 3):
+    rows, rows_again = _word_partition(gem.graph, (0, 1), (2, 3))
+    if rows != rows_again:
         raise AuditFailed("row classes differ between the two sheet pairs")
-    cols = _word_partition(graph, (3, 4), 2)
-    if cols != _word_partition(graph, (3, 4), 4):
+    cols, cols_again = _word_partition(gem.graph, (3, 4), (2, 4))
+    if cols != cols_again:
         raise AuditFailed("column classes differ between the two sheet pairs")
     layout = COMPACT_LAYOUTS[idx - 1]
     for row in layout:
         if frozenset(map(word_mask, row)) not in rows:
             raise AuditFailed(f"stored row {row} is not a {{0,1}}-cycle class")
-    for c in range(4):
-        col = tuple(row[c] for row in layout)
+    for col in zip(*layout):
         if frozenset(map(word_mask, col)) not in cols:
             raise AuditFailed(f"stored column {col} is not a {{3,4}}-cycle class")
     return CompactForm(idx, layout)
@@ -378,8 +378,8 @@ def reduce_to_crystallization(gem):
     part of the third table column (sheets 2 and 3) folds onto its color-1
     partners.  Returns the script result; its trace is (96, 88, 80, 64, 52).
     """
-    form = compact_form(gem)
     graph = _staircase_ids(gem)
+    form = compact_form(LabeledGem(graph, COVER_LABELS))
     comps = graph.components((0, 4))
     members = comps.members()
     # glue sides as staircase ids, 0 and 5 being T0^1 and T0^6

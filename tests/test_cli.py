@@ -397,6 +397,17 @@ class TestExitCodes:
         for argv, (_, _, seconds) in zip(argvs, rows):
             assert seconds < 0.5, argv
 
+    def test_long_walk_refused_by_the_walk(self, tmp_path):
+        # 16 colors on 8192 vertices plan 2^29 vertex visits, twice the
+        # walk's budget: chi and check refuse before walking
+        path = tmp_path / "long.gem"
+        path.write_text(render_gem(LabeledGem(ColoredGraph(
+            [tuple(v ^ (1 << (c % 13)) for v in range(8192)) for c in range(16)]))))
+        argvs = [[command, str(path)] for command in ("chi", "check")]
+        rows = limited_cli(argvs)
+        assert [row[:2] for row in rows] == [
+            (1, "error: 536870912 vertex visits exceed the budget of 268435456\n")] * 2
+
     def test_syntax_failure_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.gem"
         bad.write_text("gem 1\ncolors 2\nvertices 4\nc 0 0-1\n")

@@ -19,6 +19,7 @@ from gemkit import (BudgetExceeded, ColorOutOfRange, ColoredGraph,
                     new_graph, order_two_gem, parse_gem, polyhedral_glue,
                     product_gem, render_gem, run_script, small_cover_gem,
                     torus_gem)
+from gemkit import core
 from gemkit.core import _restrict, graph_from_endpoints
 
 from conftest import (disjoint_union, limited_calls, make_rng,
@@ -274,8 +275,9 @@ class TestResidueWalkAgainstOracle:
 
 
 class TestWalkBudget:
-    """The residue walk refuses more than 16 colors before it walks, and
-    face_counts and euler_characteristic refuse through it."""
+    """The residue walk refuses more than 16 colors, and then more than
+    2^28 vertex visits (V times 2^k), before it walks, and face_counts and
+    euler_characteristic refuse through it."""
 
     WIDE = (17, 26, 10**3)
     METHODS = ("residue_counts", "face_counts", "euler_characteristic")
@@ -294,6 +296,26 @@ class TestWalkBudget:
             for k in self.WIDE for _ in self.METHODS]
         for call, (_, _, seconds) in zip(calls, rows):
             assert seconds < 0.5, call
+
+    def test_visits_past_the_budget_refused_at_once(self):
+        # 16 colors on 8192 vertices: 2^29 visits, which take half a minute
+        calls = [f"ColoredGraph([tuple(v ^ (1 << (c % 13)) for v in range(8192))"
+                 f" for c in range(16)]).{method}()" for method in self.METHODS]
+        rows = limited_calls(calls)
+        assert [row[:2] for row in rows] == [
+            ("BudgetExceeded",
+             "536870912 vertex visits exceed the budget of 268435456")] * 3
+        for call, (_, _, seconds) in zip(calls, rows):
+            assert seconds < 1, call
+
+    def test_visits_up_to_the_budget_walked(self, monkeypatch):
+        # the square's two colors on four vertices plan 16 visits
+        monkeypatch.setattr(core, "_MAX_WALK_VISITS", 16)
+        assert square_graph().euler_characteristic() == 0
+        monkeypatch.setattr(core, "_MAX_WALK_VISITS", 15)
+        with pytest.raises(BudgetExceeded) as err:
+            square_graph().residue_counts()
+        assert str(err.value) == "16 vertex visits exceed the budget of 15"
 
 
 def _outcome(build, involutions):

@@ -514,6 +514,23 @@ class TestExports:
         assert dot.count(" -- ") == 100
         assert export_dot(t3).count(" -- ") == 48
 
+    @pytest.mark.parametrize("name, head", [
+        ("my gem {", 'graph "my gem {" {'),
+        ('say "hi"', 'graph "say \\"hi\\"" {'),
+        ("graph", 'graph "graph" {'),
+        ("Strict", 'graph "Strict" {'),
+        ("9lives", 'graph "9lives" {'),
+        ("gem", "graph gem {"),
+        ("g1", "graph g1 {"),
+        ("_r7", "graph _r7 {"),
+    ], ids=["spaces", "quote", "keyword", "keyword-any-case", "leading-digit",
+            "gem", "g1", "underscore"])
+    def test_dot_name_quoted_unless_a_bare_id(self, name, head):
+        # only the first line names the graph
+        first, rest = export_dot(order_two_gem(2), name=name).split("\n", 1)
+        assert first == head
+        assert rest == export_dot(order_two_gem(2)).split("\n", 1)[1]
+
     def test_dot_quoting(self):
         gem = small_cover_gem(1)
         dot = export_dot(gem)

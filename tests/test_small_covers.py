@@ -516,10 +516,42 @@ class TestStaircaseIds:
         ((0, 1), 2), ((0, 1), 3), ((3, 4), 2), ((3, 4), 4)])
     def test_word_partition(self, colors, sheet):
         for _, gem in shuffled_covers():
-            parts = small_covers._word_partition(
-                small_covers._staircase_ids(gem), colors, sheet)
+            (parts,) = small_covers._word_partition(
+                small_covers._staircase_ids(gem), colors, (sheet,))
             assert {frozenset(map(mask_word, p)) for p in parts} \
                 == label_word_partition(gem, colors, sheet)
+
+    def test_renumbered_at_most_once(self, monkeypatch):
+        # a 96-vertex cut is a renumbering; the middle subgraph cuts 64
+        renumbered = []
+        restrict = small_covers._restrict
+
+        def counting(columns, keep):
+            if len(keep) == 96:
+                renumbered.append(keep)
+            return restrict(columns, keep)
+
+        monkeypatch.setattr(small_covers, "_restrict", counting)
+        for i, gem in shuffled_covers():
+            renumbered.clear()
+            reduce_to_crystallization(gem)
+            built = gem.labels == COVER_LABELS
+            assert len(renumbered) == (0 if built else 1), i
+
+    def test_each_color_set_labelled_once(self, monkeypatch):
+        queries = []  # (graph, colors); holding the graph keeps its id unique
+        components = ColoredGraph.components
+
+        def recording(graph, colors=None):
+            queries.append((graph, None if colors is None else frozenset(colors)))
+            return components(graph, colors)
+
+        monkeypatch.setattr(ColoredGraph, "components", recording)
+        for i in range(1, 8):
+            queries.clear()
+            reduce_to_crystallization(small_cover_gem(i))
+            keys = [(id(graph), colors) for graph, colors in queries]
+            assert len(keys) == len(set(keys)), i
 
     def test_compact_form(self):
         for i, gem in shuffled_covers():
@@ -562,17 +594,20 @@ class TestAuditRefusals:
         assert str(err.value) \
             == "cover gem has complement residue counts (1, 3, 5, 4, 2)"
 
-    @pytest.mark.parametrize("method, value", [
-        ("euler_characteristic", 0), ("is_bipartite", True)])
-    def test_basic_invariants(self, monkeypatch, method, value):
-        monkeypatch.setattr(ColoredGraph, method, lambda self: value)
+    # the builder reads chi off its residue_counts() walk
+    @pytest.mark.parametrize("owner, method, value", [
+        pytest.param(small_covers, "euler_characteristic_from", 0,
+                     id="euler_characteristic-0"),
+        pytest.param(ColoredGraph, "is_bipartite", True, id="is_bipartite-True")])
+    def test_basic_invariants(self, monkeypatch, owner, method, value):
+        monkeypatch.setattr(owner, method, lambda *args: value)
         with pytest.raises(AuditFailed) as err:
             small_cover_gem(1)
         assert str(err.value) == "cover gem fails the basic invariant audit"
 
     def test_word_partition(self, cover1):
         with pytest.raises(AuditFailed) as err:
-            small_covers._word_partition(cover1.graph, (1, 2), 2)
+            small_covers._word_partition(cover1.graph, (1, 2), (2, 3))
         assert str(err.value) \
             == "colors (1, 2) cycles do not split the words into 4+4+4+4"
 
@@ -621,9 +656,11 @@ class TestAuditRefusals:
                                     refused):
         partition = small_covers._word_partition
 
-        def second_sheet_disagrees(gem, at_colors, start_sheet):
-            parts = partition(gem, at_colors, start_sheet)
-            return set() if (at_colors, start_sheet) == (colors, sheet) else parts
+        def second_sheet_disagrees(graph, at_colors, sheets):
+            first, second = partition(graph, at_colors, sheets)
+            if (at_colors, sheets[1]) == (colors, sheet):
+                second = set()
+            return [first, second]
 
         monkeypatch.setattr(small_covers, "_word_partition",
                             second_sheet_disagrees)
