@@ -29,18 +29,20 @@ line one statement at a time.  Within a block, a run of lines of the form
 "\n", gets one regular-expression verdict: its tokens are read with one
 split, its ids with one pass of int, and it is range- and
 duplicate-checked and added as a whole.  A run that fails a check is read
-again a line at a time, which names the fault.  An edge line whose pairs
-are one space apart, in digits, gets one verdict too, which never
-backtracks and so holds no state per pair: the body runs from digit to
-digit over digits, spaces and dashes, no "- " or " -" occurs in it, and
-with its digits deleted it reads "- - ... -".  Its integers are then
-read by the json module's C scanner.  Any other edge line, or one whose
-numbers json refuses (a leading zero, or longer than int() reads), is
-scanned token by token, which reads what is well formed and names the
-first bad token and its column.  Syntax problems raise ParseError (with
-line/column); structural problems (bad matchings, id clashes) raise the
-usual validation errors.  render_gem refuses a label the parser would read
-back as something else, with UnwritableLabel, before it writes anything.
+again a line at a time, which names the fault.
+
+An edge line is checked once: with its ASCII digits deleted, its body must
+read "- - ... -", which refuses every other character, non-ASCII digits
+included.  The body, its separators turned to commas, is then read by the
+json module's C scanner, which refuses what that check lets through: an
+empty digit run, a separator at either end, a leading zero and a number
+longer than int() reads.  Any edge line either step refuses is scanned
+token by token, which reads what is well formed and names the first bad
+token and its column.  Syntax problems raise ParseError (with
+line/column), as does a second 'colors' or 'vertices' line; structural
+problems (bad matchings, id clashes) raise the usual validation errors.
+render_gem refuses a label the parser would read back as something else,
+with UnwritableLabel, before it writes anything.
 
 Vertex ids are interned as each line is read: the 'vertices' line makes
 one tuple(range(V)), and every endpoint and label id in range is replaced
@@ -69,11 +71,9 @@ from .errors import (ColorOutOfRange, ParseError, UnwritableLabel,
 _TOKEN = re.compile(r"\S+")
 _PAIR = re.compile(r"^(\d+)-(\d+)$")
 # the layout render_gem writes: label lines, each a decimal id and a name
-# with no whitespace (so no line break either) and no '#'; and an edge
-# line's body, a-b pairs one space apart, told by _canonical_pairs
+# with no whitespace (so no line break either) and no '#'
 _NAME = re.compile(r"[^\s#]+")
 _LABEL_RUN = re.compile(rf"(?:label [0-9]+ {_NAME.pattern}\n)+")
-_EDGE_CHARS = re.compile(r"[0-9][0-9 -]*[0-9]")
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 # characters parse_gem reads at a time, before cutting after the next "\n"
 _BLOCK = 1 << 16
@@ -120,26 +120,21 @@ def _pair_ends(raw: str, line_no: int) -> list[int]:
 
 
 def _canonical_pairs(body: str) -> bool:
-    """Whether body is a-b pairs of digits, one space apart.  It runs from
-    digit to digit over digits, spaces and dashes; no separator touches
-    another, so each stands between two digit runs; and the separators
-    alternate '-', ' ', ..., '-'.  No step backtracks, so the verdict needs
-    no memory per pair."""
-    if not _EDGE_CHARS.fullmatch(body) or "- " in body or " -" in body:
-        return False
+    """Whether body, its ASCII digits deleted, reads '-', ' ', ..., '-':
+    a-b pairs one space apart, but for digit runs that may be empty, which
+    json refuses."""
     seps = body.translate(_NO_DIGITS)
     return seps == "- " * (len(seps) // 2) + "-"
 
 
 def _edge_ends(body: str, raw: str, line_no: int, ids: tuple) -> list | tuple:
-    """The endpoints of an edge line, whose pairs are body.  Pairs one space
-    apart in digits are read by the json module's C scanner; any other body,
-    or a number json refuses (a leading zero, or longer than int() reads),
-    goes to the token scan, which names a bad token.  Both read non-negative
-    ints, so the gather from ids is the range test: when all are in range
-    each is the int object ids holds for it, so a file's ids share one
-    object each; otherwise they stay as read, for the matching check to
-    refuse."""
+    """The endpoints of an edge line, whose pairs are body.  A body whose
+    separators _canonical_pairs passes is read by the json module's C
+    scanner; any other body, or one json refuses, goes to the token scan,
+    which names a bad token.  Both read non-negative ints, so the gather
+    from ids is the range test: when all are in range each is the int
+    object ids holds for it, so a file's ids share one object each;
+    otherwise they stay as read, for the matching check to refuse."""
     ends = None
     if _canonical_pairs(body):
         try:
@@ -214,6 +209,7 @@ def parse_gem(text: str) -> LabeledGem:
     ids: tuple[int, ...] = ()
     labels: dict[int, str] = {}
     endpoints: dict[int, list[int]] = {}
+    count_lines: dict[str, int] = {}  # 'colors' and 'vertices' -> line
     saw_header = False
     line_no = 0
     for chunk in _chunks(text, _BLOCK):
@@ -256,18 +252,21 @@ def parse_gem(text: str) -> LabeledGem:
                     raise ParseError("file must start with 'gem 1'", line_no, _column(raw, 0))
                 saw_header = True
                 continue
-            if word == "colors":
+            if word in ("colors", "vertices"):
                 if len(toks) != 2 or not toks[1].isdecimal():
-                    raise ParseError("expected: colors <count>", line_no, _column(raw, 0))
-                n_colors = _number(toks[1], raw, line_no, 1)
-                continue
-            if word == "vertices":
-                if len(toks) != 2 or not toks[1].isdecimal():
-                    raise ParseError("expected: vertices <count>", line_no, _column(raw, 0))
-                num_vertices = _number(toks[1], raw, line_no, 1)
+                    raise ParseError(f"expected: {word} <count>", line_no, _column(raw, 0))
+                count = _number(toks[1], raw, line_no, 1)
+                if word in count_lines:
+                    raise ParseError(f"second {word!r} line; the first is line "
+                                     f"{count_lines[word]}", line_no, _column(raw, 0))
+                count_lines[word] = line_no
+                if word == "colors":
+                    n_colors = count
+                    continue
+                num_vertices = count
                 # each color's pairs name every vertex, so a count the text
                 # cannot hold is refused later, and its ids are never made
-                ids = tuple(range(num_vertices)) if num_vertices <= len(text) else ()
+                ids = tuple(range(count)) if count <= len(text) else ()
                 continue
             if word == "label":
                 if len(toks) != 3 or not toks[1].isdecimal():

@@ -163,13 +163,18 @@ COVER_LABELS = tuple(
     f"T{mask_word(w)}^{sheet}" for w in range(16) for sheet in range(1, 7))
 
 
+def _require_cover_labels(gem):
+    """Raise AuditFailed unless the gem's labels are COVER_LABELS in some order."""
+    if set(gem.labels) != set(COVER_LABELS):
+        raise AuditFailed("not a small cover gem: its labels are not the 96"
+                          " T<word>^<sheet> labels")
+
+
 def _staircase_ids(gem):
     """The gem's graph, renumbered unless vertex v carries COVER_LABELS[v]."""
     if gem.labels == COVER_LABELS:
         return gem.graph
-    if set(gem.labels) != set(COVER_LABELS):
-        raise AuditFailed("not a small cover gem: its labels are not the 96"
-                          " T<word>^<sheet> labels")
+    _require_cover_labels(gem)
     keep = list(map(gem.vertex, COVER_LABELS))  # old id of each new id
     return ColoredGraph(_restrict(gem.graph.involutions, keep)[0])
 
@@ -279,7 +284,7 @@ def middle_subgraph(gem):
     its own right.  Raises AuditFailed unless the gem carries exactly the
     cover labels and that residue holds exactly the sheet-2..5 vertices.
     """
-    _staircase_ids(gem)  # refuses a gem without the cover labels
+    _require_cover_labels(gem)
     comps = gem.graph.components(_MIDDLE_COLORS)
     keep = comps.members()[comps.labels[gem.vertex(COVER_LABELS[1])]]
     labels = tuple(map(gem.label_of, keep))

@@ -39,8 +39,6 @@ fills each color pair by pair and validates the result with ColoredGraph.
 `edges_render_gem` writes each color line from `ColoredGraph.edges`.
 `requoting_export_dot` quotes a label again for every line that names
 it, and `rowwise_export_gluings` builds each row one color at a time.
-`CANONICAL_PAIRS` is the regular expression that once told which edge
-lines go to json: it holds backtracking state for every pair it matches.
 
 `paired_product_gem` and `paired_order_two_gem` build the circle product
 and the 2-vertex gem as gemkit first did: one edge list per color, read
@@ -713,8 +711,6 @@ def pairwise_new_graph(n_colors, pairs_per_color, num_vertices=None):
 
 _TOKEN = re.compile(r"\S+")
 _PAIR = re.compile(r"^(\d+)-(\d+)$")
-# an edge line's body of a-b pairs one space apart, in digits
-CANONICAL_PAIRS = re.compile(r"[0-9]+-[0-9]+(?: [0-9]+-[0-9]+)*")
 
 
 def _tokens(raw):
@@ -736,6 +732,7 @@ def token_parse_gem(text):
     num_vertices = None
     labels = {}
     pairs = {}
+    first_lines = {}
     saw_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = _tokens(raw)
@@ -751,11 +748,16 @@ def token_parse_gem(text):
             if len(toks) != 2 or not toks[1][0].isdecimal():
                 raise ParseError("expected: colors <count>", line_no, col0)
             n_colors = _number(toks[1][0], line_no, toks[1][1])
-            continue
         if word == "vertices":
             if len(toks) != 2 or not toks[1][0].isdecimal():
                 raise ParseError("expected: vertices <count>", line_no, col0)
             num_vertices = _number(toks[1][0], line_no, toks[1][1])
+        if word in ("colors", "vertices"):
+            # a count line is read, then refused when it is not the first
+            if word in first_lines:
+                raise ParseError(f"second '{word}' line; the first is line "
+                                 f"{first_lines[word]}", line_no, col0)
+            first_lines[word] = line_no
             continue
         if word == "label":
             if len(toks) != 3 or not toks[1][0].isdecimal():

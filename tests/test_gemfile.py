@@ -13,12 +13,11 @@ from gemkit import (ColorOutOfRange, DuplicateVertexInColor, GemError,
                     new_graph, order_two_gem, parse_gem, render_gem,
                     small_cover_gem, t3_standard, torus_gem)
 from gemkit import gemfile
-from gemkit.gemfile import _canonical_pairs, _chunks
+from gemkit.gemfile import _canonical_pairs, _chunks, _edge_ends, _pair_ends
 
 from conftest import make_rng, random_colored_graph, shuffled_copy
-from oracles import (CANONICAL_PAIRS, edges_render_gem, pairwise_new_graph,
-                     requoting_export_dot, rowwise_export_gluings,
-                     token_parse_gem)
+from oracles import (edges_render_gem, pairwise_new_graph, requoting_export_dot,
+                     rowwise_export_gluings, token_parse_gem)
 
 SMALL = """\
 # a square
@@ -189,6 +188,20 @@ class TestParse:
         assert len(kept) < len(every)
         assert "".join(gemfile._NAME.findall(every)) == kept
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("gem 1\ncolors 3\nvertices 2\nc 0: 0-1\nc 1: 0-1\nc 2: 0-1\ncolors 2\n",
+         7, "second 'colors' line; the first is line 2"),
+        ("gem 1\ncolors 2\nvertices 4\nlabel 0 a\nlabel 3 b\nvertices 2\n"
+         "c 0: 0-1\nc 1: 0-1\n",
+         6, "second 'vertices' line; the first is line 3"),
+    ], ids=["colors", "vertices"])
+    def test_second_count_line_refused(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_gem(text)
+        assert type(err.value) is ParseError
+        assert (err.value.line, err.value.column) == (line, 1)
+        assert str(err.value) == f"line {line}, column 1: {message}"
+
     def test_glued_pairs_rejected_at_their_token(self):
         with pytest.raises(ParseError) as err:
             parse_gem("gem 1\ncolors 2\nvertices 4\nc 0: 0-1  2-34-5\n")
@@ -301,9 +314,11 @@ HAND_CASES = [
     "gem 1\ncolors 2\nvertices 4\nlabel 3 d\nlabel 0 a\nlabel 2 c\nlabel 1 b\n"
     "c 0: 0-1 2-3\nc 1: 1-2 3-0\n",
     "gem 1\ncolors 2\nvertices 2\nc 0: 0-1\nc 1: 0-1\nlabel 0 a\nlabel 1 b",
-    # a second 'vertices' line lowers the count below ids already labelled
+    # a second 'vertices' line, lowering the count below ids already
+    # labelled, and a second 'colors' line after the edge lines are refused
     "gem 1\ncolors 2\nvertices 4\nlabel 2 a\nlabel 3 b\nvertices 2\nc 0: 0-1\nc 1: 0-1\n",
     "gem 1\ncolors 2\nvertices 4\nlabel 0 a\nlabel 3 b\nvertices 2\nc 0: 0-1\nc 1: 0-1\n",
+    "gem 1\ncolors 3\nvertices 2\nc 0: 0-1\nc 1: 0-1\nc 2: 0-1\ncolors 2\n",
     # edge lines that look canonical but that json refuses or the token
     # scan reads: leading zeros, an endpoint too long for int(), one out of
     # range, Arabic-Indic digits, and tabs between pairs
@@ -346,13 +361,23 @@ def seeded_mutations():
 
 
 class TestCanonicalPairsVerdict:
-    def test_agrees_with_the_regex_on_every_short_body(self):
-        # every string of up to 8 characters over the four that matter
+    def test_fast_path_agrees_with_the_token_scan_on_every_short_body(self):
+        # every string of up to 8 characters over the four that matter:
+        # the ints the token scan reads, or the ParseError it raises
+        ids = tuple(range(12))
         for size in range(9):
             for chars in product("01- ", repeat=size):
                 body = "".join(chars)
-                assert _canonical_pairs(body) \
-                    == bool(CANONICAL_PAIRS.fullmatch(body)), repr(body)
+                raw = "c 0: " + body
+                try:
+                    want = _pair_ends(raw, 4)
+                except ParseError as exc:
+                    want = str(exc)
+                try:
+                    got = list(_edge_ends(body, raw, 4, ids))
+                except ParseError as exc:
+                    got = str(exc)
+                assert got == want, repr(body)
 
     def test_longer_bodies(self):
         assert _canonical_pairs("10-2 33-407 5-6")

@@ -538,6 +538,23 @@ class TestStaircaseIds:
             built = gem.labels == COVER_LABELS
             assert len(renumbered) == (0 if built else 1), i
 
+    def test_middle_subgraph_renumbers_nothing(self, monkeypatch):
+        # a shuffled cover's middle is cut from the gem as it is: one
+        # 64-vertex cut, and no 96-vertex renumbering to check its labels
+        gem = next(gem for i, gem in shuffled_covers()
+                   if i == 3 and gem.labels != COVER_LABELS)
+        cuts = []
+        restrict = small_covers._restrict
+
+        def counting(columns, keep):
+            cuts.append(len(keep))
+            return restrict(columns, keep)
+
+        monkeypatch.setattr(small_covers, "_restrict", counting)
+        sub = middle_subgraph(gem)
+        assert cuts == [64]
+        assert render_gem(sub) == render_gem(sheet_filter_middle_subgraph(gem))
+
     def test_each_color_set_labelled_once(self, monkeypatch):
         queries = []  # (graph, colors); holding the graph keeps its id unique
         components = ColoredGraph.components
