@@ -55,21 +55,17 @@ def _frac(value):
     return f"{value.numerator}/{value.denominator}"
 
 
-def _perm_arg(text):
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad permutation {text!r}")
-
-
-def _pair_arg(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"bad color pair {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad color pair {text!r}")
+def _ints_arg(name, count=None):
+    """argparse type: comma-separated ints, `count` of them if given."""
+    def read(text):
+        parts = text.split(",")
+        try:
+            if count in (None, len(parts)):
+                return tuple(map(int, parts))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"bad {name} {text!r}")
+    return read
 
 
 def _report_obj(rep):
@@ -258,7 +254,7 @@ def _build_parser():
     p = sub.add_parser("genus", parents=[common],
                        help="regular genus, per permutation or overall")
     p.add_argument("file")
-    p.add_argument("--perm", type=_perm_arg,
+    p.add_argument("--perm", type=_ints_arg("permutation"),
                    help="cyclic color order, e.g. 0,2,4,1,3")
     p.add_argument("--all", action="store_true",
                    help="report every canonical cyclic order")
@@ -267,7 +263,7 @@ def _build_parser():
     p = sub.add_parser("cycles", parents=[common],
                        help="bicolored cycle census for one color pair")
     p.add_argument("file")
-    p.add_argument("--pair", type=_pair_arg, required=True,
+    p.add_argument("--pair", type=_ints_arg("color pair", 2), required=True,
                    help="two colors, e.g. 0,2")
     p.set_defaults(func=_cmd_cycles)
 
@@ -284,7 +280,7 @@ def _build_parser():
     p = sub.add_parser("wss", parents=[common],
                        help="weak semi-simplicity at a color order")
     p.add_argument("file")
-    p.add_argument("--perm", type=_perm_arg, required=True)
+    p.add_argument("--perm", type=_ints_arg("permutation"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.set_defaults(func=_cmd_wss)
 

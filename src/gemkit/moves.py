@@ -23,6 +23,7 @@ equals compacting after every step; a single move reports the old-to-new
 map (-1 for removed).  Inside a script, error messages name vertices by
 their ids in the script's input gem, the same from step to step.
 render_move_script writes only lines that parse_move_script reads back.
+parse_move_script reads every color with gemfile._number, as .gem files do.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .errors import (
     UnknownLabel,
     UnwritableLabel,
 )
+from .gemfile import _column, _number
 
 
 @dataclass(frozen=True)
@@ -456,11 +458,11 @@ def parse_move_script(text: str) -> list:
             if len(parts) != 4:
                 raise ParseError(
                     "expected: dipole <v1> <v2> <c1,c2,...>", line_no, 1)
-            try:
-                colors = tuple(sorted(int(t) for t in parts[3].split(",")))
-            except ValueError:
+            digits = parts[3].split(",")
+            if not all(map(str.isdecimal, digits)):
                 raise ParseError(
-                    f"bad color list {parts[3]!r}", line_no, 1 + raw.find(parts[3]))
+                    f"bad color list {parts[3]!r}", line_no, _column(raw, 3))
+            colors = tuple(sorted(_number(t, raw, line_no, 3) for t in digits))
             steps.append(ScriptStep("dipole", colors, ((parts[1], parts[2]),), line_no))
         elif word == "glue":
             m = _GLUE_RE.match(line)
@@ -472,7 +474,8 @@ def parse_move_script(text: str) -> list:
             if len(lam1) != len(lam2):
                 raise ParseError(
                     f"glue sides list {len(lam1)} and {len(lam2)} vertices", line_no, 1)
-            steps.append(ScriptStep("glue", (int(m.group(1)),), (lam1, lam2), line_no))
+            colors = (_number(m.group(1), raw, line_no, 1),)
+            steps.append(ScriptStep("glue", colors, (lam1, lam2), line_no))
         elif word == "combined":
             m = _COMBINED_RE.match(line)
             if not m:
@@ -482,10 +485,11 @@ def parse_move_script(text: str) -> list:
             image = _split_labels(m.group(5), line_no)
             if len(pair) != 2 or len(image) != 2:
                 raise ParseError("combined move pairs must list 2 vertices", line_no, 1)
-            colors = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
+            colors = tuple(_number(m.group(g), raw, line_no, len(line[:m.end(g)].split()) - 1)
+                           for g in (1, 2, 3))
             steps.append(ScriptStep("combined", colors, (pair, image), line_no))
         else:
-            raise ParseError(f"unknown move {word!r}", line_no, 1 + raw.find(word))
+            raise ParseError(f"unknown move {word!r}", line_no, _column(raw, 0))
     return steps
 
 

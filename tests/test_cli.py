@@ -435,6 +435,18 @@ class TestExitCodes:
         assert err.startswith("parse error: line 4, column ")
         assert "digit number is too long" in err
 
+    @pytest.mark.parametrize("step", ["glue {long} [0] -> [1]",
+                                      "combined 1 {{{long},2}} (0,1) (2,3)"])
+    def test_move_script_number_too_long_for_int_is_two(
+            self, capsys, tmp_path, square_file, int_digit_limit, step):
+        script = tmp_path / "long.moves"
+        script.write_text(step.format(long="2" * (int_digit_limit + 700)) + "\n")
+        code, out, err = run(capsys, "moves", square_file, "--script", str(script))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: line 1, column ")
+        assert "digit number is too long" in err
+
     def test_color_out_of_range_is_one(self, capsys, square_file):
         for pair in ("0,7", "0,-1"):
             code, out, err = run(capsys, "cycles", square_file, "--pair", pair)

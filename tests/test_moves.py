@@ -352,12 +352,34 @@ glue 2 [a,b] -> [e,f]
          "line 1, column 1: combined move pairs must list 2 vertices"),
         ("combined 3 {0,1} (a,b) (c,d,e)\n",
          "line 1, column 1: combined move pairs must list 2 vertices"),
+        # colors are decimal digits, as in a .gem file: int() would read these
+        ("dipole a b 1_0\n", "line 1, column 12: bad color list '1_0'"),
+        ("dipole a b +1\n", "line 1, column 12: bad color list '+1'"),
+        ("dipole a b -1,2\n", "line 1, column 12: bad color list '-1,2'"),
+        # the column is the color list's, not the label's with the same text
+        ("dipole 1,x v 1,x\n", "line 1, column 14: bad color list '1,x'"),
     ], ids=["bad-colors", "glue-line", "combined-line", "empty-label",
-            "short-pair", "long-image"])
+            "short-pair", "long-image", "underscore", "plus", "minus",
+            "label-like-colors"])
     def test_parse_refusals(self, text, message):
         with pytest.raises(ParseError) as err:
             parse_move_script(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, column", [
+        ("dipole a b 0,{long}\n", 12),
+        ("glue {long} [a] -> [b]\n", 6),
+        ("combined {long} {{0,1}} (a,b) (c,d)\n", 10),
+        ("combined 3 {{{long},1}} (a,b) (c,d)\n", 12),
+        ("combined 3 {{0 , {long}}} (a,b) (c,d)\n", 17),
+    ], ids=["dipole", "glue", "combined-k", "combined-i", "combined-j"])
+    def test_number_too_long_for_int_is_a_parse_error(
+            self, int_digit_limit, text, column):
+        text = "# one step\n" + text.format(long="7" * (int_digit_limit + 1))
+        with pytest.raises(ParseError) as err:
+            parse_move_script(text)
+        assert (err.value.line, err.value.column) == (2, column)
+        assert f"{int_digit_limit + 1}-digit number is too long" in str(err.value)
 
     def test_render_every_kind(self):
         text = ("dipole x y 0,2\n"
@@ -402,6 +424,12 @@ glue 2 [a,b] -> [e,f]
         with pytest.raises(MoveError) as err:
             render_move_script([step])
         assert str(err.value) == "step 1 (line 2): colors (-1,) do not read back"
+
+    def test_dipole_color_that_does_not_read_back_refused(self):
+        # "dipole a b -1" is a bad color list, as "glue -1 ..." is a bad line
+        with pytest.raises(MoveError) as err:
+            render_move_script([ScriptStep("dipole", (-1,), (("a", "b"),))])
+        assert str(err.value) == "step 1 (line 0): colors (-1,) do not read back"
 
     def test_seeded_labels_refused_or_read_back(self):
         rng = make_rng("script labels")
