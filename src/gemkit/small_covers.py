@@ -1,7 +1,10 @@
 """Small covers over the product of two triangles.
 
 The base polytope is the product of two triangles: a simple 4-polytope with
-nine vertices and six facets, three coming from each factor.  A
+nine vertices and six facets, three coming from each factor.  Each facet
+drops one corner of one factor, and one rule numbers them: first the four
+facets through polytope vertex 0, by factor and then by dropped corner,
+both descending, then the two dropping corner 0, by factor descending.  A
 characteristic function places a nonzero vector of (Z/2)^4 on every facet
 so that the four facets around any polytope vertex receive a basis; gluing
 16 copies of the polytope indexed by (Z/2)^4 according to these vectors
@@ -23,7 +26,7 @@ on them; only COVER_LABELS spells a label T<word>^<sheet>.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .core import (ColoredGraph, LabeledGem, _restrict, euler_characteristic_from,
                    face_counts_from)
@@ -36,22 +39,25 @@ from .moves import ScriptStep, run_script
 # -- the polytope ---------------------------------------------------------------
 
 # Facet k (1-based) drops one corner of one triangle factor: (factor,
-# dropped corner).  Polytope vertices are named (i+j, j) after the corner
-# pair (i, j) they come from.
-_FACET_DROPS = ((1, 2), (1, 1), (0, 2), (0, 1), (1, 0), (0, 0))
+# dropped corner).  First come the four facets through polytope vertex 0,
+# by factor and then by dropped corner, both descending; then the two
+# (f, 0) facets, by factor descending.  Polytope vertices are named
+# (i+j, j) after the corner pair (i, j) they come from.
+_FACET_DROPS = tuple(sorted(product(range(2), range(3)),
+                            key=lambda fd: (fd[1] == 0, -fd[0], -fd[1])))
 
-
-def _facet_contains(facet0, i, j):
-    factor, dropped = _FACET_DROPS[facet0]
-    return (i, j)[factor] != dropped
+# Corner pair (i, j) -> its four 0-based facets, ascending: the facets
+# whose factor's corner is not the dropped one.
+_VERTEX_FACETS = {(i, j): tuple(f for f, (factor, dropped) in enumerate(_FACET_DROPS)
+                                if (i, j)[factor] != dropped)
+                  for i in range(3) for j in range(3)}
 
 
 def facet_vertex_labels(facet):
     """Vertex labels (i+j, j) lying on the 1-based facet."""
     if not isinstance(facet, int) or not 1 <= facet <= 6:
         raise InvalidCharacteristicFunction(f"facet must be 1..6, got {facet!r}")
-    return tuple((i + j, j) for i in range(3) for j in range(3)
-                 if _facet_contains(facet - 1, i, j))
+    return tuple((i + j, j) for (i, j), on in _VERTEX_FACETS.items() if facet - 1 in on)
 
 
 def _gf2_rank(vectors):
@@ -85,14 +91,11 @@ def validate_characteristic_function(masks):
         if not isinstance(m, int) or not 1 <= m <= 15:
             raise InvalidCharacteristicFunction(
                 f"facet {pos + 1} vector {m!r} is not a nonzero (Z/2)^4 value")
-    for i in range(3):
-        for j in range(3):
-            around = tuple(f for f in range(6) if _facet_contains(f, i, j))
-            if _gf2_rank(masks[f] for f in around) != 4:
-                raise InvalidCharacteristicFunction(
-                    "facets %s meeting at polytope vertex (%d,%d) do not form"
-                    " a basis" % (",".join(str(f + 1) for f in around),
-                                  i + j, j))
+    for (i, j), around in _VERTEX_FACETS.items():
+        if _gf2_rank(masks[f] for f in around) != 4:
+            raise InvalidCharacteristicFunction(
+                "facets %s meeting at polytope vertex (%d,%d) do not form"
+                " a basis" % (",".join(str(f + 1) for f in around), i + j, j))
     return masks
 
 
@@ -207,6 +210,14 @@ def _staircase():
 _STAIRCASE = _staircase()
 
 
+def _complements_and_chi(graph):
+    """A 5-colored gem's complement residue counts (color 0..4 dropped) and
+    its Euler characteristic, both read off one residue_counts() walk."""
+    counts = graph.residue_counts()
+    return (tuple(counts[tuple(c for c in range(5) if c != m)] for m in range(5)),
+            euler_characteristic_from(face_counts_from(counts, 5)))
+
+
 def small_cover_gem(masks):
     """Build the 96-vertex 5-colored gem of the cover for `masks`.
 
@@ -231,12 +242,10 @@ def small_cover_gem(masks):
         step = masks[facet - 1] if facet else 0
         cols[color][sheet - 1::6] = [(w ^ step) * 6 + other - 1 for w in range(16)]
     graph = ColoredGraph(cols)
-    counts = graph.residue_counts()
-    complements = tuple(counts[tuple(c for c in range(5) if c != m)] for m in range(5))
+    complements, chi = _complements_and_chi(graph)
     if complements != (1, 2, 3, 2, 1):
         raise AuditFailed(f"cover gem has complement residue counts {complements}")
-    if (euler_characteristic_from(face_counts_from(counts, 5)) != 1
-            or graph.is_bipartite()):
+    if chi != 1 or graph.is_bipartite():
         raise AuditFailed("cover gem fails the basic invariant audit")
     return LabeledGem(graph, COVER_LABELS)
 
@@ -382,6 +391,7 @@ def reduce_to_crystallization(gem):
     (sheets 2 and 4) folds onto its color-3 partners; and the surviving
     part of the third table column (sheets 2 and 3) folds onto its color-1
     partners.  Returns the script result; its trace is (96, 88, 80, 64, 52).
+    The audit reads complement counts and chi off one residue_counts() walk.
     """
     graph = _staircase_ids(gem)
     form = compact_form(LabeledGem(graph, COVER_LABELS))
@@ -405,8 +415,9 @@ def reduce_to_crystallization(gem):
     final = result.gem.graph
     if result.trace != (96, 88, 80, 64, 52):
         raise AuditFailed(f"reduction trace is {result.trace}")
-    if (not final.is_crystallization() or final.euler_characteristic() != 1
-            or final.is_bipartite()):
+    # a crystallization: every complement residue is connected
+    complements, chi = _complements_and_chi(final)
+    if complements != (1,) * 5 or chi != 1 or final.is_bipartite():
         raise AuditFailed("reduced cover gem fails the crystallization audit")
     return result
 

@@ -71,6 +71,14 @@ once did: each finds a vertex by formatting `T<word>^<sheet>` and a copy by
 slicing the word out of a label, where the module now renumbers the gem to
 staircase ids and reads copies and sheets off the ids.
 
+`FACET_DROPS` transcribes the six facets of the triangle product by hand,
+as the cover module once held them: facet k (1-based) drops one corner of
+one factor, (factor, dropped corner).  `facet_contains` is the incidence
+rule the module once asked 54 times per validation, and
+`incidence_facet_vertex_labels` and `incidence_validate_characteristic_function`
+are facet_vertex_labels and validate_characteristic_function as they were
+then, asking it for every facet at every polytope vertex.
+
 `per_facet_dj_equivalent` decides Davis-Januszkiewicz equivalence of two
 characteristic functions facet by facet: facets 1..4 carry a basis, which
 forces the candidate linear map, and the map is checked on facets 5 and 6.
@@ -84,7 +92,8 @@ from math import factorial, prod
 from gemkit import (AuditFailed, BudgetExceeded, ColorCountMismatch,
                     ColorOutOfRange, ColoredGraph, CombinedSpec,
                     DimensionUnsupported, DipoleSpec, DuplicateVertexInColor,
-                    GemError, GlueSpec, GraphValidationError, LabeledGem,
+                    GemError, GlueSpec, GraphValidationError,
+                    InvalidCharacteristicFunction, LabeledGem,
                     LoopEdge, MissingIColoredMatching, MoveError, MoveResult,
                     NotADipole, OddVertexCount, ParseError, PhiNotIsomorphism,
                     PreconditionFailed, ResultInvalid, SameComponentInIHat,
@@ -97,7 +106,8 @@ from gemkit.constructions import (PRODUCT_BLOCKS, g1_prime, g2_prime,
                                   product_gem, s2xs1_standard, t3_standard)
 from gemkit.core import graph_from_endpoints
 from gemkit.gemfile import render_gem
-from gemkit.small_covers import _STAIRCASE, COVER_LABELS, small_cover_gem
+from gemkit.small_covers import (_STAIRCASE, COVER_LABELS, _gf2_rank,
+                                 small_cover_gem)
 from gemkit.torus_cube import torus_gem
 from gemkit.gemfile import DOT_PALETTE
 
@@ -956,6 +966,50 @@ def guarded_cmd_build(args):
     text = render_gem(gem)
     return ({"name": args.name, "colors": gem.graph.n_colors,
              "vertices": gem.graph.num_vertices, "gem": text}, [], text)
+
+
+FACET_DROPS = ((1, 2), (1, 1), (0, 2), (0, 1), (1, 0), (0, 0))
+
+
+def facet_contains(facet0, i, j):
+    """Whether the 0-based facet holds the polytope vertex of corners (i, j)."""
+    factor, dropped = FACET_DROPS[facet0]
+    return (i, j)[factor] != dropped
+
+
+def incidence_facet_vertex_labels(facet):
+    """facet_vertex_labels asking facet_contains at each of the nine vertices."""
+    if not isinstance(facet, int) or not 1 <= facet <= 6:
+        raise InvalidCharacteristicFunction(f"facet must be 1..6, got {facet!r}")
+    return tuple((i + j, j) for i in range(3) for j in range(3)
+                 if facet_contains(facet - 1, i, j))
+
+
+def incidence_validate_characteristic_function(masks):
+    """validate_characteristic_function asking facet_contains for every facet
+    at every polytope vertex."""
+    try:
+        vectors = iter(masks)
+    except TypeError:
+        raise InvalidCharacteristicFunction(
+            f"need 6 facet vectors, got {masks!r}") from None
+    masks = tuple(vectors)
+    if len(masks) != 6:
+        raise InvalidCharacteristicFunction(
+            f"need 6 facet vectors, got {len(masks)}")
+    for pos, m in enumerate(masks):
+        if not isinstance(m, int) or not 1 <= m <= 15:
+            raise InvalidCharacteristicFunction(
+                f"facet {pos + 1} vector {m!r} is not a nonzero (Z/2)^4 value")
+    for i in range(3):
+        for j in range(3):
+            around = tuple(f for f in range(6) if facet_contains(f, i, j))
+            if _gf2_rank(masks[f] for f in around) != 4:
+                raise InvalidCharacteristicFunction(
+                    "facets %s meeting at polytope vertex (%d,%d) do not form"
+                    " a basis" % (",".join(str(f + 1) for f in around),
+                                  i + j, j))
+    return masks
 
 
 # Per copy, sheets share 3-faces as listed by color; every (sheet, color)

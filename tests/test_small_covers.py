@@ -20,7 +20,9 @@ from gemkit.small_covers import (CANONICAL_PAIRS, COMPACT_LAYOUTS, COVER_LABELS,
                                  CompactForm)
 
 from conftest import make_rng, shuffled_copy
-from oracles import (STAIRCASE_BOUNDARY, STAIRCASE_INTERNAL,
+from oracles import (FACET_DROPS, STAIRCASE_BOUNDARY, STAIRCASE_INTERNAL,
+                     facet_contains, incidence_facet_vertex_labels,
+                     incidence_validate_characteristic_function,
                      label_characteristic_function, label_reduction_steps,
                      label_word_partition, per_facet_dj_equivalent,
                      sheet_filter_middle_subgraph, tabled_small_cover_gem)
@@ -45,6 +47,20 @@ class TestPolytope:
     def test_facet_outside_one_to_six_refused(self, facet):
         with pytest.raises(InvalidCharacteristicFunction):
             facet_vertex_labels(facet)
+
+    def test_numbering_rule_gives_back_the_table(self):
+        assert small_covers._FACET_DROPS == FACET_DROPS
+
+    def test_vertex_facets_match_incidence(self):
+        incidence = {(i, j): tuple(f for f in range(6) if facet_contains(f, i, j))
+                     for i in range(3) for j in range(3)}
+        # the key order too: validation reports the first vertex in it
+        assert list(small_covers._VERTEX_FACETS.items()) == list(incidence.items())
+
+    def test_vertex_labels_match_incidence_oracle(self):
+        for facet in range(1, 7):
+            assert facet_vertex_labels(facet) \
+                == incidence_facet_vertex_labels(facet)
 
 
 class TestCharacteristicFunctions:
@@ -73,6 +89,33 @@ class TestCharacteristicFunctions:
             validate_characteristic_function((1, 2, 4, 8, 3, 0))
         with pytest.raises(InvalidCharacteristicFunction):
             validate_characteristic_function((1, 2, 4, 8, 3, 16))
+
+    def test_validation_matches_incidence_oracle(self):
+        def outcome(validate, masks):
+            try:
+                value = validate(masks)
+            except InvalidCharacteristicFunction as err:
+                return type(err), str(err)
+            return value, tuple(map(type, value))
+
+        rng = make_rng("vertex facets")
+        cases = [(1, 2, 4, 8, a, b) for a in range(1, 16) for b in range(1, 16)]
+        cases += [tuple(rng.randrange(1, 16) for _ in range(6))
+                  for _ in range(20000)]
+        for bad in (0, 16, -1, True, 1.5, "x"):
+            for pos in range(6):
+                cases.append((1, 2, 4, 8, 3, 12)[:pos] + (bad,)
+                             + (1, 2, 4, 8, 3, 12)[pos + 1:])
+        cases += [(1, 2, 4, 8, 3), (1, 2, 4, 8, 3, 12, 1), 5, None]
+        found = [outcome(validate_characteristic_function, masks)
+                 for masks in cases]
+        assert found == [outcome(incidence_validate_characteristic_function,
+                                 masks) for masks in cases]
+        # the cases reach both answers and the refusal at every vertex
+        refusals = [text for kind, text in found
+                    if kind is InvalidCharacteristicFunction]
+        assert 0 < len(refusals) < len(found)
+        assert len({t for t in refusals if "polytope vertex" in t}) == 9
 
     def test_words_round_trip(self):
         for mask in range(16):
@@ -271,7 +314,7 @@ class TestStaircase:
                 continue
             face = corners(sheet)[:color] + corners(sheet)[color + 1:]
             on = [f + 1 for f in range(6)
-                  if all(small_covers._facet_contains(f, i, j) for i, j in face)]
+                  if all(facet_contains(f, i, j) for i, j in face)]
             assert on == [facet], (sheet, color)
 
     def test_three_boundary_faces_per_facet(self):
@@ -702,6 +745,38 @@ class TestAuditRefusals:
             reduce_to_crystallization(cover1)
         assert str(err.value) \
             == "reduced cover gem fails the crystallization audit"
+
+    def test_reduction_chi(self, monkeypatch, cover1):
+        # the right trace and a crystallization, but of S2xS1xS1: chi 0;
+        # read as non-bipartite, so chi alone refuses it
+        reduced = g1_prime()
+        monkeypatch.setattr(
+            small_covers, "run_script",
+            lambda gem, steps: ScriptResult(reduced, (96, 88, 80, 64, 52)))
+        monkeypatch.setattr(ColoredGraph, "is_bipartite", lambda graph: False)
+        with pytest.raises(AuditFailed) as err:
+            reduce_to_crystallization(cover1)
+        assert str(err.value) \
+            == "reduced cover gem fails the crystallization audit"
+
+    def test_reduction_audit_walks_once(self, monkeypatch, cover1):
+        final, calls = [], []
+        script = small_covers.run_script
+
+        def run(gem, steps):
+            result = script(gem, steps)
+            final.append(result.gem.graph)
+            return result
+
+        monkeypatch.setattr(small_covers, "run_script", run)
+        for name in ("components", "residue_counts"):
+            def counting(graph, *args, _name=name, _real=getattr(ColoredGraph, name)):
+                if final and graph is final[0]:
+                    calls.append(_name)
+                return _real(graph, *args)
+            monkeypatch.setattr(ColoredGraph, name, counting)
+        reduce_to_crystallization(cover1)
+        assert calls == ["residue_counts"]
 
 
 @pytest.mark.parametrize("read", [compact_form, infer_characteristic_function,
